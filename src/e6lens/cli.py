@@ -76,12 +76,9 @@ def _cmd_compute(args, out):
         return 2
     value = invariant.state_sum(space)
     re, im = value.approx(args.precision)
-    fr = invariant._format_float(re)
-    fi = invariant._format_float(im)
-    fl = fr if im == 0 else (f"{fr} + {fi}i" if im > 0 else f"{fr} - {fi[1:]}i")
     print(f"Z({space}) exact: {value.to_text()}", file=out)
     print(f"Z({space}) surd:  {value.surd_str()}", file=out)
-    print(f"Z({space}) float: {fl}", file=out)
+    print(f"Z({space}) float: {invariant.format_complex(re, im)}", file=out)
     return 0
 
 

@@ -55,6 +55,13 @@ def _mul_coeffs(a, b):
     return prod[:8]
 
 
+def _fraction(num, den):
+    # parsers reject a zero denominator as malformed input
+    if den == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(num, den)
+
+
 def _norm_coeff(c):
     if isinstance(c, int):
         return c
@@ -174,23 +181,26 @@ class Cyclotomic:
         return not any(self._c)
 
     def inv(self):
-        """Multiplicative inverse, by solving the exact 8x8 linear system
-        given by multiplication-by-self in the power basis."""
+        """Multiplicative inverse: the product of the seven other Galois
+        conjugates, divided by the norm (their product with self, rational)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_24)")
-        # column j of the system is self * zeta^j
-        cols = [_mul_coeffs(self._c, _ZPOW[j]) for j in range(DEGREE)]
-        mat = [[Fraction(cols[j][i]) for j in range(DEGREE)] for i in range(DEGREE)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (DEGREE - 1)
-        sol = _solve_linear(mat, rhs)
-        return Cyclotomic(sol)
+        others = ONE
+        for k in (5, 7, 11, 13, 17, 19, 23):
+            others = others * self._galois(k)
+        norm = Fraction((self * others)._c[0])
+        return Cyclotomic(c / norm for c in others._c)
 
     def conjugate(self):
         """Complex conjugation, the field automorphism zeta -> zeta^-1."""
+        return self._galois(23)
+
+    def _galois(self, k):
+        """The field automorphism zeta -> zeta^k, for k coprime to 24."""
         out = [0] * DEGREE
-        for k, c in enumerate(self._c):
+        for j, c in enumerate(self._c):
             if c:
-                for i, z in enumerate(_ZPOW[(24 - k) % 24]):
+                for i, z in enumerate(_ZPOW[(j * k) % 24]):
                     if z:
                         out[i] += c * z
         return Cyclotomic._raw(out)
@@ -277,7 +287,7 @@ class Cyclotomic:
             m = re.fullmatch(r"(-?\d+)/(\d+)", frac)
             if not m:
                 raise ValueError(f"malformed coefficient {frac!r}")
-            coeffs.append(Fraction(int(m.group(1)), int(m.group(2))))
+            coeffs.append(_fraction(int(m.group(1)), int(m.group(2))))
         return cls(coeffs)
 
     def to_json_coeffs(self):
@@ -288,31 +298,12 @@ class Cyclotomic:
     def from_json_coeffs(cls, data):
         if len(data) != DEGREE:
             raise ValueError(f"expected {DEGREE} pairs, got {len(data)}")
-        return cls(Fraction(int(n), int(d)) for n, d in data)
+        return cls(_fraction(int(n), int(d)) for n, d in data)
 
     # -- display -------------------------------------------------------------
 
     def __str__(self):
-        terms = []
-        for k, c in enumerate(self._c):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-                continue
-            power = "z" if k == 1 else f"z^{k}"
-            if c == 1:
-                terms.append(power)
-            elif c == -1:
-                terms.append(f"-{power}")
-            else:
-                terms.append(f"{c}*{power}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return _join_terms(zip(self._c, _POWER_LABELS))
 
     def __repr__(self):
         return f"Cyclotomic<{self}>"
@@ -320,8 +311,8 @@ class Cyclotomic:
     def surd_str(self):
         """Human form over {1, sqrt2, sqrt3, sqrt6} and i, e.g. `2 + sqrt3`."""
         re, im = self._surd_parts()
-        re_s = _surd_side_str(re)
-        im_s = _surd_side_str(im)
+        re_s = _join_terms(zip(re, _SURD_LABELS))
+        im_s = _join_terms(zip(im, _SURD_LABELS))
         if im_s == "0":
             return re_s
         if im_s == "1":
@@ -335,26 +326,6 @@ class Cyclotomic:
         if re_s == "0":
             return im_wrapped
         return f"{re_s} + {im_wrapped}"
-
-
-def _solve_linear(mat, rhs):
-    """Exact Gaussian elimination; mat is destroyed. Raises on singular."""
-    n = len(mat)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv_p = 1 / mat[col][col]
-        mat[col] = [x * inv_p for x in mat[col]]
-        rhs[col] = rhs[col] * inv_p
-        for r in range(n):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return rhs
 
 
 # cos/sin(k*pi/12) for k = 0..7 over {1, sqrt2, sqrt3, sqrt6}:
@@ -400,9 +371,13 @@ def _eval_surd(parts, bits):
     return val
 
 
-def _surd_side_str(parts):
+_POWER_LABELS = ("", "z") + tuple(f"z^{k}" for k in range(2, DEGREE))
+
+
+def _join_terms(pairs):
+    """`a + b*x - c*y` from (coefficient, label) pairs; label "" is the constant."""
     terms = []
-    for coeff, label in zip(parts, _SURD_LABELS):
+    for coeff, label in pairs:
         if not coeff:
             continue
         if not label:
@@ -446,4 +421,3 @@ def quantum_integer(n):
 # global index of the E6 subfactor, 2 + [3]^2 = 6 + 2*sqrt(3); it normalizes
 # both the representation image of S and the invariant itself.
 GLOBAL_INDEX = 2 + quantum_integer(3) ** 2
-GLOBAL_INDEX_INV = GLOBAL_INDEX.inv()

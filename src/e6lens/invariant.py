@@ -277,6 +277,13 @@ def _format_float(x, digits=10):
     return f"{float(x):.{digits}g}"
 
 
+def format_complex(re, im):
+    """`a`, `a + bi` or `a - bi` from exact real and imaginary parts."""
+    fr = _format_float(re)
+    fi = _format_float(im)
+    return fr if im == 0 else (f"{fr} + {fi}i" if im > 0 else f"{fr} - {fi[1:]}i")
+
+
 def table_csv(rows, precision_bits=64):
     lines = ["p,q,exact,float_re,float_im,agrees"]
     for row in rows:
@@ -310,9 +317,7 @@ def table_text(rows, precision_bits=64):
     lines = [f"{'p':>4} {'q':>4}  {'value':<28} {'float':<28} agrees"]
     for row in rows:
         re, im = row.float_parts(precision_bits)
-        fr = _format_float(re)
-        fi = _format_float(im)
-        fl = fr if im == 0 else (f"{fr} + {fi}i" if im > 0 else f"{fr} - {fi[1:]}i")
+        fl = format_complex(re, im)
         lines.append(
             f"{row.p:>4} {row.q:>4}  {row.state.surd_str():<28} {fl:<28} "
             f"{'yes' if row.agrees else 'NO'}"

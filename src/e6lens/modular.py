@@ -9,6 +9,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 
 @dataclass(frozen=True)
@@ -129,35 +130,22 @@ class Word:
 
     def compact(self):
         """Whitespace-free form, e.g. `S2T12ST12S`."""
-        out = []
-        run = 0
-        for tok in self._tokens:
-            if tok == "S":
-                run += 1
-                continue
-            if run:
-                out.append("S" if run == 1 else f"S{run}")
-                run = 0
-            out.append(f"T{tok}")
-        if run:
-            out.append("S" if run == 1 else f"S{run}")
-        return "".join(out)
+        return self._runs("", "")
 
     def pretty(self):
         """Readable form, e.g. `S^2 T^12 S T^12 S`."""
+        return self._runs("^", " ")
+
+    def _runs(self, caret, sep):
+        # runs of S collapse to S<caret><n>; T tokens print as T<caret><k>
         out = []
-        run = 0
-        for tok in self._tokens:
-            if tok == "S":
-                run += 1
-                continue
-            if run:
-                out.append("S" if run == 1 else f"S^{run}")
-                run = 0
-            out.append(f"T^{tok}")
-        if run:
-            out.append("S" if run == 1 else f"S^{run}")
-        return " ".join(out)
+        for is_s, group in groupby(self._tokens, key=lambda tok: tok == "S"):
+            if is_s:
+                n = len(list(group))
+                out.append("S" if n == 1 else f"S{caret}{n}")
+            else:
+                out.extend(f"T{caret}{tok}" for tok in group)
+        return sep.join(out)
 
     @classmethod
     def parse(cls, text):

@@ -8,16 +8,21 @@ is self-verifying: every row of w*rho(S) must have squared conjugate norm
 exactly w^2 (which pins down the two composite entries (3+sqrt3) and
 i*(3+sqrt3) as the only values consistent with unitarity), and the standard
 presentation relations S^4 = 1, (ST)^3 = S^2 must hold exactly.
+
+Every evaluation, from one matrix entry to a full matrix product, runs
+through one matrix-vector kernel on integer coefficients; the power of w
+that the S tokens accumulate is divided out once, at the end.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import (
     GLOBAL_INDEX,
-    GLOBAL_INDEX_INV,
     ONE,
+    SQRT3,
     ZERO,
     Cyclotomic,
     _ZPOW,
@@ -25,7 +30,7 @@ from .cyclotomic import (
     quantum_integer,
     zeta_pow,
 )
-from .modular import decompose, gamma12_generators
+from .modular import Word, decompose, gamma12_generators
 from .report import Check, Report
 
 DIM = 10
@@ -76,11 +81,12 @@ class CycloMatrix:
             return CycloMatrix(tuple(tuple(e * other for e in row) for row in self._rows))
         if not isinstance(other, CycloMatrix):
             return NotImplemented
-        raw = _raw_mat_mul(
-            tuple(tuple(e._c for e in row) for row in self._rows),
-            tuple(tuple(e._c for e in row) for row in other._rows),
-        )
-        return CycloMatrix(tuple(tuple(Cyclotomic._raw(e) for e in row) for row in raw))
+        rows = [[e._c for e in row] for row in self._rows]
+        cols = [
+            [Cyclotomic._raw(e) for e in _mat_vec(rows, [row[j]._c for row in other._rows])]
+            for j in range(self.n)
+        ]
+        return CycloMatrix(zip(*cols))
 
     def __rmul__(self, other):
         if isinstance(other, Cyclotomic):
@@ -112,34 +118,6 @@ class CycloMatrix:
                 if self._rows[i][j] != other._rows[i][j]:
                     return i, j, self._rows[i][j], other._rows[i][j]
         return None
-
-
-def _raw_mat_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        arow = a[i]
-        orow = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                if any(arow[k]) and any(b[k][j]):
-                    term = _mul_coeffs(arow[k], b[k][j])
-                    acc = term if acc is None else [x + y for x, y in zip(acc, term)]
-            orow.append(tuple(acc) if acc is not None else (0,) * 8)
-        out.append(tuple(orow))
-    return tuple(out)
-
-
-def _raw_scale_columns(a, diag_pows):
-    # right-multiply by the diagonal matrix with entries zeta^diag_pows[j]
-    return tuple(
-        tuple(
-            tuple(_mul_coeffs(row[j], _ZPOW[diag_pows[j]])) if diag_pows[j] else row[j]
-            for j in range(len(row))
-        )
-        for row in a
-    )
 
 
 # diagonal of rho(T) as zeta exponents:
@@ -174,20 +152,6 @@ def _s_numerator():
     return mat
 
 
-def _raw_identity():
-    e = [(0,) * 8] * DIM
-    rows = []
-    for i in range(DIM):
-        row = list(e)
-        row[i] = (1, 0, 0, 0, 0, 0, 0, 0)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _raw_from(mat):
-    return tuple(tuple(e._c for e in row) for row in mat.rows)
-
-
 def _self_check(ns):
     """Abort construction unless the hand-entered matrix passes its oracles."""
     w2 = GLOBAL_INDEX * GLOBAL_INDEX
@@ -208,52 +172,72 @@ def _relation_checks(ns):
     S^4 = I and (S T)^3 = S^2 become (wS)^4 = w^4 I and (wS T)^3 = w (wS)^2,
     which stay in integer coefficients.  T^12 = I is checked on exponents.
     """
-    raw_ns = _raw_from(ns)
-    w_raw = GLOBAL_INDEX._c
-
-    ns2 = _raw_mat_mul(raw_ns, raw_ns)
-    ns4 = _raw_mat_mul(ns2, ns2)
-    w4 = _mul_coeffs(_mul_coeffs(w_raw, w_raw), _mul_coeffs(w_raw, w_raw))
-    expect = tuple(
-        tuple(tuple(w4) if i == j else (0,) * 8 for j in range(DIM)) for i in range(DIM)
-    )
-    checks = [Check("rho(S)^4 = I", _raw_eq(ns4, expect), _raw_witness(ns4, expect))]
-
-    nst = _raw_scale_columns(raw_ns, _T_EXP)
-    nst3 = _raw_mat_mul(_raw_mat_mul(nst, nst), nst)
-    w_ns2 = tuple(tuple(tuple(_mul_coeffs(e, w_raw)) for e in row) for row in ns2)
-    checks.append(
-        Check("(rho(S) rho(T))^3 = rho(S)^2", _raw_eq(nst3, w_ns2), _raw_witness(nst3, w_ns2))
-    )
-
-    t12_trivial = all((e * 12) % 24 == 0 for e in _T_EXP)
-    checks.append(Check("rho(T)^12 = I", t12_trivial, None))
-    return checks
+    ns2 = ns * ns
+    nst = ns * rho_t()
+    return [
+        _equality_check(
+            "rho(S)^4 = I", ns2 * ns2, CycloMatrix.identity(DIM) * GLOBAL_INDEX**4
+        ),
+        _equality_check("(rho(S) rho(T))^3 = rho(S)^2", nst * nst * nst, ns2 * GLOBAL_INDEX),
+        Check("rho(T)^12 = I", all((e * 12) % 24 == 0 for e in _T_EXP), None),
+    ]
 
 
-def _raw_eq(a, b):
-    return all(
-        all(x == y for x, y in zip(ea, eb))
-        for ra, rb in zip(a, b)
-        for ea, eb in zip(ra, rb)
-    )
+def _mat_vec(rows, v):
+    """The matrix `rows` times the column `v`, both of raw coefficient
+    tuples, skipping zero entries."""
+    out = []
+    for row in rows:
+        acc = ZERO._c
+        for a, x in zip(row, v):
+            if any(a) and any(x):
+                acc = [s + t for s, t in zip(acc, _mul_coeffs(a, x))]
+        out.append(acc)
+    return out
 
 
-def _raw_witness(a, b):
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for j, (ea, eb) in enumerate(zip(ra, rb)):
-            if any(x != y for x, y in zip(ea, eb)):
-                got = Cyclotomic._raw(ea)
-                want = Cyclotomic._raw(eb)
-                return f"({i + 1},{j + 1}): expected {want.to_text()}, got {got.to_text()}"
-    return None
+def _apply_word(word, v):
+    """(w^m rho(word) v, m) for a column v of raw coefficient tuples.
+
+    The tokens act on v right to left: S multiplies by the integer matrix
+    w*rho(S), T^k scales coordinate i by zeta^(k * _T_EXP[i]).  m counts the
+    S tokens, so v stays integral and the caller divides by w^m once.
+    """
+    ns = [[e._c for e in row] for row in _s_numerator().rows]
+    m = 0
+    for tok in reversed(word.tokens):
+        if tok == "S":
+            v = _mat_vec(ns, v)
+            m += 1
+        else:
+            v = [
+                _mul_coeffs(x, _ZPOW[(e * tok) % 24]) if (e * tok) % 24 else x
+                for x, e in zip(v, _T_EXP)
+            ]
+    return v, m
+
+
+# w * (6 - 2*sqrt3) = 24, so 1/w^m = (6 - 2*sqrt3)^m / 24^m: integer products,
+# then one Fraction per coefficient.
+_W_COFACTOR = 6 - 2 * SQRT3
+
+
+def _over_w_power(v, m):
+    """The raw column v divided by w^m, as Cyclotomic values."""
+    num = (_W_COFACTOR**m)._c
+    den = 24**m
+    return [Cyclotomic(Fraction(c, den) for c in _mul_coeffs(x, num)) for x in v]
+
+
+def _unit(j):
+    """The basis column e_j in raw coefficients."""
+    return [ONE._c if i == j else ZERO._c for i in range(DIM)]
 
 
 @lru_cache(maxsize=1)
 def rho_s():
     """rho(S), exact; aborts if the transcription self-checks fail."""
-    ns = _s_numerator()
-    return ns * GLOBAL_INDEX_INV
+    return rho_word(Word(["S"]))
 
 
 @lru_cache(maxsize=1)
@@ -272,28 +256,10 @@ def rho_t_power(k):
     )
 
 
-def _word_raw_and_scount(word):
-    raw = _raw_identity()
-    m = 0
-    ns = _raw_from(_s_numerator())
-    for tok in word:
-        if tok == "S":
-            raw = _raw_mat_mul(raw, ns)
-            m += 1
-        else:
-            raw = _raw_scale_columns(raw, tuple((e * tok) % 24 for e in _T_EXP))
-    return raw, m
-
-
 def rho_word(word):
-    """Image of a generator word, computed with w-denominators pulled out."""
-    raw, m = _word_raw_and_scount(word)
-    if m == 0:
-        return CycloMatrix(tuple(tuple(Cyclotomic._raw(e) for e in row) for row in raw))
-    scale = GLOBAL_INDEX_INV**m
-    return CycloMatrix(
-        tuple(tuple(Cyclotomic._raw(e) * scale for e in row) for row in raw)
-    )
+    """Image of a generator word: the kernel applied to each basis column."""
+    cols = [_over_w_power(*_apply_word(word, _unit(j))) for j in range(DIM)]
+    return CycloMatrix(zip(*cols))
 
 
 def rho_matrix(m):
@@ -303,40 +269,9 @@ def rho_matrix(m):
 
 
 def rho_entry_11(word):
-    """First matrix entry of rho(word), via one matrix-vector sweep.
-
-    Applies the tokens to the basis vector e = (1, 0, ..., 0) right-to-left,
-    keeping integer coefficients and dividing by the accumulated power of w
-    only at the end.
-    """
-    v = [(0,) * 8] * DIM
-    v[0] = (1, 0, 0, 0, 0, 0, 0, 0)
-    m = 0
-    ns = _raw_from(_s_numerator())
-    for tok in reversed(word.tokens):
-        if tok == "S":
-            new = []
-            for i in range(DIM):
-                acc = None
-                row = ns[i]
-                for j in range(DIM):
-                    if any(row[j]) and any(v[j]):
-                        term = _mul_coeffs(row[j], v[j])
-                        acc = term if acc is None else [x + y for x, y in zip(acc, term)]
-                new.append(tuple(acc) if acc is not None else (0,) * 8)
-            v = new
-            m += 1
-        else:
-            v = [
-                tuple(_mul_coeffs(v[i], _ZPOW[(_T_EXP[i] * tok) % 24]))
-                if (_T_EXP[i] * tok) % 24
-                else v[i]
-                for i in range(DIM)
-            ]
-    first = Cyclotomic._raw(v[0])
-    if m == 0:
-        return first
-    return first * GLOBAL_INDEX_INV**m
+    """First matrix entry of rho(word): the kernel applied to e_1 alone."""
+    v, m = _apply_word(word, _unit(0))
+    return _over_w_power(v[:1], m)[0]
 
 
 def verify_relations():
@@ -348,27 +283,12 @@ def verify_unitary():
     """Report that rho(S) and rho(T) are exactly unitary."""
     ident = CycloMatrix.identity(DIM)
     s = rho_s()
-    checks = []
-    prod = s * s.conjugate_transpose()
-    diff = prod.first_difference(ident)
-    checks.append(
-        Check(
-            "rho(S) rho(S)* = I",
-            diff is None,
-            None if diff is None else _diff_str(diff),
-        )
-    )
     t = rho_t()
-    prod = t * t.conjugate_transpose()
-    diff = prod.first_difference(ident)
-    checks.append(
-        Check(
-            "rho(T) rho(T)* = I",
-            diff is None,
-            None if diff is None else _diff_str(diff),
-        )
+    checks = (
+        _equality_check("rho(S) rho(S)* = I", s * s.conjugate_transpose(), ident),
+        _equality_check("rho(T) rho(T)* = I", t * t.conjugate_transpose(), ident),
     )
-    return Report("unitarity", tuple(checks))
+    return Report("unitarity", checks)
 
 
 def verify_kernel_generators():
@@ -392,6 +312,11 @@ def verify_kernel_generators():
             continue
         checks.append(Check(gen.name, True))
     return Report("kernel", tuple(checks))
+
+
+def _equality_check(name, got, want):
+    diff = got.first_difference(want)
+    return Check(name, diff is None, None if diff is None else _diff_str(diff))
 
 
 def _diff_str(diff):

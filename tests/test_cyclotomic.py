@@ -296,6 +296,10 @@ def test_text_rejects_malformed():
         Cyclotomic.from_text("1/1 + 2/1")
     with pytest.raises(ValueError):
         Cyclotomic.from_text(ONE.to_text().replace("z^7", "z^6"))
+    with pytest.raises(ValueError):
+        Cyclotomic.from_text(ONE.to_text().replace("1/1", "1/0"))
+    with pytest.raises(ValueError):
+        Cyclotomic.from_json_coeffs([[1, 0]] + [[0, 1]] * 7)
 
 
 def test_json_round_trip_exact():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from e6lens.cyclotomic import GLOBAL_INDEX, ONE, SQRT3, Cyclotomic, zeta_pow
+from e6lens.cyclotomic import GLOBAL_INDEX, ONE, SQRT3, ZERO, Cyclotomic, zeta_pow
 from e6lens.modular import IDENTITY, SL2Z, Word, decompose, gamma12_generators
 from e6lens.rep import (
     DIM,
@@ -167,6 +167,30 @@ def test_entry_11_fast_path_matches_full_matrix():
     for _ in range(20):
         word = rand_word(rng, 6)
         assert rho_entry_11(word) == rho_word(word).entry(0, 0)
+
+
+def test_kernel_matches_naive_cyclotomic_products():
+    # reference: entrywise Cyclotomic arithmetic only, no rep helpers
+    w_inv = GLOBAL_INDEX.inv()
+    s = [[e * w_inv for e in row] for row in _s_numerator().rows]
+    assert [list(row) for row in rho_s().rows] == s
+
+    def naive(a, b):
+        return [
+            [sum((a[i][k] * b[k][j] for k in range(DIM)), start=ZERO) for j in range(DIM)]
+            for i in range(DIM)
+        ]
+
+    rng = random.Random(53)
+    for _ in range(8):
+        word = rand_word(rng, 5)
+        expect = [[ONE if i == j else ZERO for j in range(DIM)] for i in range(DIM)]
+        for tok in word.tokens:
+            factor = s if tok == "S" else [list(row) for row in rho_t_power(tok).rows]
+            product = CycloMatrix(expect) * CycloMatrix(factor)
+            expect = naive(expect, factor)
+            assert [list(row) for row in product.rows] == expect
+        assert [list(row) for row in rho_word(word).rows] == expect
 
 
 def test_rho_word_matches_public_matrix_products():
