@@ -2,19 +2,17 @@
 
 Computes Z(L(p, q)) two independent ways -- through the 10-dimensional
 SL(2,Z) representation and through the closed-form case table -- in exact
-arithmetic over Q(zeta_24), and machine-verifies the representation
-relations, the level-12 congruence kernel, mod-12 periodicity and homotopy
-invariance.
+arithmetic over Q(zeta_12) = Q(i, sqrt3), and machine-verifies the
+representation relations, the level-12 congruence kernel, mod-12
+periodicity and homotopy invariance.
 """
 
 from .cyclotomic import (
     GLOBAL_INDEX,
     IMAG,
     ONE,
-    SQRT2,
     SQRT3,
     ZERO,
-    ZETA,
     Cyclotomic,
     quantum_integer,
     zeta_pow,
@@ -61,7 +59,7 @@ from .report import Check, Report
 __version__ = "0.1.0"
 
 __all__ = [
-    "GLOBAL_INDEX", "IMAG", "ONE", "SQRT2", "SQRT3", "ZERO", "ZETA",
+    "GLOBAL_INDEX", "IMAG", "ONE", "SQRT3", "ZERO",
     "Cyclotomic", "quantum_integer", "zeta_pow",
     "LensSpace", "check_well_defined", "closed_form", "homotopy_equivalent",
     "state_sum", "sweep_table", "verify_closed_form", "verify_corollary",

@@ -2,7 +2,8 @@
 verification suites, or test homotopy equivalence.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error (argparse or bad arguments such as non-coprime p, q).
+error (argparse or bad arguments such as non-coprime p, q, or a --pmax or
+--precision outside the library's bounds).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import sys
 
 from . import invariant, rep
+from .cyclotomic import MAX_PRECISION_BITS, MIN_PRECISION_BITS, check_precision
 from .report import merge
 
 VERIFY_TARGETS = (
@@ -36,19 +38,23 @@ def _build_parser():
     c = sub.add_parser("compute", help="compute Z(L(p,q))")
     c.add_argument("p", type=int)
     c.add_argument("q", type=int)
+    precision_help = (f"internal float precision in bits "
+                      f"({MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}, default 64)")
     c.add_argument("--precision", type=int, default=64, metavar="BITS",
-                   help="internal float precision in bits (>= 53, default 64)")
+                   help=precision_help)
 
     t = sub.add_parser("table", help="sweep all coprime (p,q) with p <= pmax")
-    t.add_argument("--pmax", type=int, default=12)
+    t.add_argument("--pmax", type=int, default=12,
+                   help=f"sweep bound (1..{invariant.MAX_PMAX}, default 12)")
     t.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    t.add_argument("--precision", type=int, default=64, metavar="BITS")
+    t.add_argument("--precision", type=int, default=64, metavar="BITS",
+                   help=precision_help)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("target", type=str.lower, choices=VERIFY_TARGETS)
     v.add_argument("--pmax", type=int, default=None,
-                   help="sweep bound (defaults: closedform/periodicity/"
-                        "welldefined 48, corollary 60)")
+                   help=f"sweep bound, at most {invariant.MAX_PMAX} (defaults: "
+                        "closedform/periodicity/welldefined 48, corollary 60)")
     v.add_argument("--format", choices=("text", "json"), default="text")
 
     h = sub.add_parser("homotopy", help="orientation-preserving homotopy test")
@@ -71,9 +77,7 @@ def _lens_or_exit(p, q, out):
 
 def _cmd_compute(args, out):
     space = _lens_or_exit(args.p, args.q, out)
-    if args.precision < 53:
-        print("error: --precision must be at least 53", file=out)
-        return 2
+    check_precision(args.precision)
     value = invariant.state_sum(space)
     re, im = value.approx(args.precision)
     print(f"Z({space}) exact: {value.to_text()}", file=out)
@@ -83,12 +87,7 @@ def _cmd_compute(args, out):
 
 
 def _cmd_table(args, out):
-    if args.pmax < 1:
-        print("error: --pmax must be at least 1", file=out)
-        return 2
-    if args.precision < 53:
-        print("error: --precision must be at least 53", file=out)
-        return 2
+    check_precision(args.precision)
     rows = invariant.sweep_table(args.pmax)
     if args.format == "csv":
         out.write(invariant.table_csv(rows, args.precision))
@@ -117,11 +116,7 @@ def _verify_reports(target, pmax):
 
 
 def _cmd_verify(args, out):
-    try:
-        reports = list(_verify_reports(args.target, args.pmax))
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
+    reports = list(_verify_reports(args.target, args.pmax))
     combined = merge(args.target, reports)
     if args.format == "json":
         out.write(combined.to_json())
@@ -159,6 +154,9 @@ def main(argv=None):
             return _cmd_homotopy(args, out)
     except SystemExit as exc:
         return exc.code
+    except ValueError as exc:  # the library's rejection of an argument
+        print(f"error: {exc}", file=out)
+        return 2
     return 2
 
 

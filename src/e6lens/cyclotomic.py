@@ -1,12 +1,19 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta) with zeta = exp(pi*i/12).
+"""Exact arithmetic in the cyclotomic field Q(zeta^2) = Q(zeta_12) = Q(i, sqrt3),
+with zeta = exp(pi*i/12).
 
-zeta is a primitive 24th root of unity with minimal polynomial
-Phi_24(x) = x^8 - x^4 + 1, so every field element is uniquely a rational
-combination of the power basis {1, zeta, ..., zeta^7} and exact equality
-is coefficient-wise equality.  The field contains i = zeta^6,
-sqrt(2) = zeta^3 + zeta^-3 and sqrt(3) = zeta^2 + zeta^-2, hence all the
-quantum integers [n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) and the global
-index 2 + [3]^2 = 6 + 2*sqrt(3).
+zeta^2 = exp(pi*i/6) is a primitive 12th root of unity with minimal
+polynomial Phi_12(x) = x^4 - x^2 + 1, so every field element is uniquely a
+rational combination of {1, zeta^2, zeta^4, zeta^6} and exact equality is
+coefficient-wise equality.  The field contains i = zeta^6 and
+sqrt(3) = zeta^2 + zeta^-2, hence every value of the E6 lens space
+invariant, every entry of w*rho(S) and rho(T), the odd quantum integers
+[n] = zeta^(n-1) + zeta^(n-3) + ... + zeta^(1-n) and the global index
+2 + [3]^2 = 6 + 2*sqrt(3).  It does not contain zeta itself, sqrt(2) or
+the even quantum integers.
+
+Serialization keeps the power basis {1, zeta, ..., zeta^7} of the larger
+field Q(zeta_24): the constructor, `coeffs`, `to_text` and `to_json_coeffs`
+use 8 slots, and the odd slots are always zero.
 
 Coefficients are arbitrary-precision rationals (stdlib Fraction, always
 reduced, positive denominator).  Internally integer coefficients are kept
@@ -20,50 +27,51 @@ import math
 import re
 from fractions import Fraction
 
-DEGREE = 8  # [Q(zeta_24) : Q]
+DEGREE = 4  # [Q(zeta_12) : Q]
+SLOTS = 8  # serialized coefficients: the power basis of Q(zeta_24)
 
-
-def _power_table():
-    # zeta^k for k = 0..23 in the power basis, via zeta^8 = zeta^4 - 1.
-    rows = [(1, 0, 0, 0, 0, 0, 0, 0)]
-    row = list(rows[0])
-    for _ in range(23):
-        top = row[7]
-        row = [0] + row[:7]
-        row[4] += top
-        row[0] -= top
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-_ZPOW = _power_table()
+# approx() accepts precisions in this range (bits)
+MIN_PRECISION_BITS = 53
+MAX_PRECISION_BITS = 1 << 16
 
 
 def _mul_coeffs(a, b):
-    """Product of two coefficient vectors, reduced modulo x^8 - x^4 + 1."""
-    prod = [0] * 15
+    """Product of two coefficient vectors, reduced modulo x^4 - x^2 + 1."""
+    prod = [0] * 7
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] += ai * bj
-    for k in range(14, 7, -1):
+    for k in range(6, 3, -1):
         c = prod[k]
         if c:
-            prod[k - 4] += c
-            prod[k - 8] -= c
-    return prod[:8]
+            prod[k - 2] += c
+            prod[k - 4] -= c
+    return prod[:4]
+
+
+def _power_table():
+    # zeta^(2j) for j = 0..11 in the basis
+    rows = [(1, 0, 0, 0)]
+    for _ in range(11):
+        rows.append(tuple(_mul_coeffs(rows[-1], (0, 1, 0, 0))))
+    return tuple(rows)
+
+
+_Z2POW = _power_table()
 
 
 def _fraction(num, den):
-    # parsers reject a zero denominator as malformed input
-    if den == 0:
-        raise ValueError(f"zero denominator in {num}/{den}")
+    """num/den for a reduced fraction with den > 0, the only form the
+    serializers write; anything else is malformed input."""
+    if den <= 0 or math.gcd(num, den) != 1:
+        raise ValueError(f"{num}/{den} is not a reduced fraction with a positive denominator")
     return Fraction(num, den)
 
 
 def _norm_coeff(c):
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
@@ -71,31 +79,34 @@ def _norm_coeff(c):
 
 
 class Cyclotomic:
-    """An element of Q(zeta_24), immutable, compared coefficient-wise."""
+    """An element of Q(zeta_12), immutable, compared coefficient-wise."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs):
+        """From the 8 coefficients of zeta^0..zeta^7; the odd ones must be 0."""
         c = tuple(_norm_coeff(x) for x in coeffs)
-        if len(c) != DEGREE:
-            raise ValueError(f"need {DEGREE} coefficients, got {len(c)}")
-        object.__setattr__(self, "_c", c)
+        if len(c) != SLOTS:
+            raise ValueError(f"need {SLOTS} coefficients, got {len(c)}")
+        if any(c[1::2]):
+            raise ValueError("odd powers of zeta: the value is outside Q(zeta_12)")
+        object.__setattr__(self, "_c", c[::2])
 
     @classmethod
     def _raw(cls, coeffs):
-        # trusted fast path: coeffs already a length-8 sequence of int/Fraction
+        # trusted fast path: coeffs already a length-4 sequence of int/Fraction
         self = object.__new__(cls)
         object.__setattr__(self, "_c", tuple(coeffs))
         return self
 
     @classmethod
     def from_rational(cls, r):
-        return cls._raw((_norm_coeff(r), 0, 0, 0, 0, 0, 0, 0))
+        return cls._raw((_norm_coeff(r), 0, 0, 0))
 
     @property
     def coeffs(self):
-        """The 8 basis coefficients as Fractions (coefficient of zeta^k at k)."""
-        return tuple(Fraction(x) for x in self._c)
+        """The 8 coefficients of zeta^0..zeta^7 as Fractions (odd ones 0)."""
+        return tuple(Fraction(x) for c in self._c for x in (c, 0))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
@@ -105,7 +116,7 @@ class Cyclotomic:
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return Cyclotomic.from_rational(other)
         return None
 
@@ -181,26 +192,24 @@ class Cyclotomic:
         return not any(self._c)
 
     def inv(self):
-        """Multiplicative inverse: the product of the seven other Galois
+        """Multiplicative inverse: the product of the three other Galois
         conjugates, divided by the norm (their product with self, rational)."""
         if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_24)")
-        others = ONE
-        for k in (5, 7, 11, 13, 17, 19, 23):
-            others = others * self._galois(k)
+            raise ZeroDivisionError("inverse of zero in Q(zeta_12)")
+        others = self._galois(5) * self._galois(7) * self._galois(11)
         norm = Fraction((self * others)._c[0])
-        return Cyclotomic(c / norm for c in others._c)
+        return Cyclotomic._raw(_norm_coeff(c / norm) for c in others._c)
 
     def conjugate(self):
-        """Complex conjugation, the field automorphism zeta -> zeta^-1."""
-        return self._galois(23)
+        """Complex conjugation, the field automorphism zeta^2 -> zeta^-2."""
+        return self._galois(11)
 
     def _galois(self, k):
-        """The field automorphism zeta -> zeta^k, for k coprime to 24."""
+        """The field automorphism zeta^2 -> zeta^(2k), for k coprime to 12."""
         out = [0] * DEGREE
         for j, c in enumerate(self._c):
             if c:
-                for i, z in enumerate(_ZPOW[(j * k) % 24]):
+                for i, z in enumerate(_Z2POW[(j * k) % 12]):
                     if z:
                         out[i] += c * z
         return Cyclotomic._raw(out)
@@ -219,7 +228,7 @@ class Cyclotomic:
     def _sign_of_real(self):
         # The value is a fixed nonzero algebraic number, so doubling the
         # evaluation precision must eventually separate it from zero.
-        re, _ = self._surd_parts()
+        re, _ = self.surd_parts()
         bits = 128
         while True:
             val = _eval_surd(re, bits)
@@ -229,28 +238,16 @@ class Cyclotomic:
 
     # -- numeric embedding ---------------------------------------------------
 
-    def _surd_parts(self):
-        """(real, imag) parts as coefficient 4-tuples over {1, v2, v3, v6}."""
-        re = [Fraction(0)] * 4
-        im = [Fraction(0)] * 4
-        for k, c in enumerate(self._c):
-            if c:
-                for i in range(4):
-                    if _RE_SURD[k][i]:
-                        re[i] += c * _RE_SURD[k][i]
-                    if _IM_SURD[k][i]:
-                        im[i] += c * _IM_SURD[k][i]
-        return tuple(re), tuple(im)
-
     def surd_parts(self):
-        """Exact (real, imag) decomposition over the basis {1, sqrt2, sqrt3, sqrt6}."""
-        return self._surd_parts()
+        """Exact (real, imag) decomposition, each a pair (a, b) for a + b*sqrt3."""
+        c0, c1, c2, c3 = (Fraction(x) for x in self._c)
+        # zeta^2 = (sqrt3 + i)/2, zeta^4 = (1 + i*sqrt3)/2, zeta^6 = i
+        return (c0 + c2 / 2, c1 / 2), (c1 / 2 + c3, c2 / 2)
 
     def approx(self, precision_bits=64):
         """Rational (re, im) approximation, each within 2^-precision_bits."""
-        if precision_bits < 53:
-            raise ValueError("precision_bits must be >= 53")
-        re, im = self._surd_parts()
+        check_precision(precision_bits)
+        re, im = self.surd_parts()
         return _eval_surd(re, precision_bits), _eval_surd(im, precision_bits)
 
     def to_complex(self, precision_bits=64):
@@ -261,58 +258,58 @@ class Cyclotomic:
 
     def to_text(self):
         """Canonical text form: `c0 + c1*z + c2*z^2 + ... + c7*z^7`, ci as num/den."""
-        terms = []
-        for k, c in enumerate(self._c):
-            f = Fraction(c)
-            base = f"{f.numerator}/{f.denominator}"
-            if k == 0:
-                terms.append(base)
-            elif k == 1:
-                terms.append(base + "*z")
-            else:
-                terms.append(f"{base}*z^{k}")
-        return " + ".join(terms)
+        return " + ".join(
+            f"{f.numerator}/{f.denominator}{suffix}"
+            for f, suffix in zip(self.coeffs, _TEXT_SUFFIXES)
+        )
 
     @classmethod
     def from_text(cls, text):
+        """The inverse of to_text; rejects every string to_text cannot write."""
         parts = text.split(" + ")
-        if len(parts) != DEGREE:
-            raise ValueError(f"expected {DEGREE} terms, got {len(parts)}")
+        if len(parts) != SLOTS:
+            raise ValueError(f"expected {SLOTS} terms, got {len(parts)}")
         coeffs = []
-        for k, part in enumerate(parts):
-            suffix = "" if k == 0 else ("*z" if k == 1 else f"*z^{k}")
-            if suffix and not part.endswith(suffix):
+        for k, (part, suffix) in enumerate(zip(parts, _TEXT_SUFFIXES)):
+            if not part.endswith(suffix):
                 raise ValueError(f"term {k} must end with {suffix!r}: {part!r}")
-            frac = part[: len(part) - len(suffix)] if suffix else part
-            m = re.fullmatch(r"(-?\d+)/(\d+)", frac)
+            m = _TEXT_FRACTION.fullmatch(part[: len(part) - len(suffix)])
             if not m:
-                raise ValueError(f"malformed coefficient {frac!r}")
+                raise ValueError(f"malformed coefficient in term {k}: {part!r}")
             coeffs.append(_fraction(int(m.group(1)), int(m.group(2))))
         return cls(coeffs)
 
     def to_json_coeffs(self):
         """JSON-ready form: list of 8 [numerator, denominator] pairs."""
-        return [[Fraction(c).numerator, Fraction(c).denominator] for c in self._c]
+        return [[f.numerator, f.denominator] for f in self.coeffs]
 
     @classmethod
     def from_json_coeffs(cls, data):
-        if len(data) != DEGREE:
-            raise ValueError(f"expected {DEGREE} pairs, got {len(data)}")
-        return cls(_fraction(int(n), int(d)) for n, d in data)
+        """The inverse of to_json_coeffs; rejects everything it cannot write."""
+        if not isinstance(data, (list, tuple)) or len(data) != SLOTS:
+            raise ValueError(f"expected a list of {SLOTS} pairs")
+        coeffs = []
+        for pair in data:
+            if not (
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and all(type(x) is int for x in pair)
+            ):
+                raise ValueError(f"expected an [int, int] pair, got {pair!r}")
+            coeffs.append(_fraction(*pair))
+        return cls(coeffs)
 
     # -- display -------------------------------------------------------------
 
     def __str__(self):
-        return _join_terms(zip(self._c, _POWER_LABELS))
+        return _join_terms(zip(self._c, ("", "z^2", "z^4", "z^6")))
 
     def __repr__(self):
         return f"Cyclotomic<{self}>"
 
     def surd_str(self):
-        """Human form over {1, sqrt2, sqrt3, sqrt6} and i, e.g. `2 + sqrt3`."""
-        re, im = self._surd_parts()
-        re_s = _join_terms(zip(re, _SURD_LABELS))
-        im_s = _join_terms(zip(im, _SURD_LABELS))
+        """Human form over {1, sqrt3} and i, e.g. `2 + sqrt3`."""
+        re_s, im_s = (_join_terms(zip(part, ("", "sqrt3"))) for part in self.surd_parts())
         if im_s == "0":
             return re_s
         if im_s == "1":
@@ -328,50 +325,29 @@ class Cyclotomic:
         return f"{re_s} + {im_wrapped}"
 
 
-# cos/sin(k*pi/12) for k = 0..7 over {1, sqrt2, sqrt3, sqrt6}:
-# cos(pi/12) = (sqrt6 + sqrt2)/4, sin(pi/12) = (sqrt6 - sqrt2)/4, etc.
-_Q = Fraction(1, 4)
-_H = Fraction(1, 2)
-_RE_SURD = (
-    (1, 0, 0, 0),
-    (0, _Q, 0, _Q),
-    (0, 0, _H, 0),
-    (0, _H, 0, 0),
-    (_H, 0, 0, 0),
-    (0, -_Q, 0, _Q),
-    (0, 0, 0, 0),
-    (0, _Q, 0, -_Q),
-)
-_IM_SURD = (
-    (0, 0, 0, 0),
-    (0, -_Q, 0, _Q),
-    (_H, 0, 0, 0),
-    (0, _H, 0, 0),
-    (0, 0, _H, 0),
-    (0, _Q, 0, _Q),
-    (1, 0, 0, 0),
-    (0, _Q, 0, _Q),
-)
-_SURD_LABELS = ("", "sqrt2", "sqrt3", "sqrt6")
+_TEXT_SUFFIXES = ("", "*z") + tuple(f"*z^{k}" for k in range(2, SLOTS))
+# exactly the numerals str(int) writes: no sign on 0, no leading zeros
+_TEXT_FRACTION = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
-def _sqrt_lower(m, bits):
-    # rational lower bound of sqrt(m) within 2^-bits
-    return Fraction(math.isqrt(m << (2 * bits)), 1 << bits)
+def check_precision(precision_bits):
+    """Raise ValueError unless approx() accepts precision_bits."""
+    if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
+        raise ValueError(
+            f"precision must be between {MIN_PRECISION_BITS} and {MAX_PRECISION_BITS} bits"
+        )
+
+
+def _sqrt3_lower(bits):
+    # rational lower bound of sqrt(3) within 2^-bits
+    return Fraction(math.isqrt(3 << (2 * bits)), 1 << bits)
 
 
 def _eval_surd(parts, bits):
-    """Evaluate a + b*sqrt2 + c*sqrt3 + d*sqrt6 within 2^-bits."""
-    growth = sum(abs(x) for x in parts[1:])
-    guard = bits + 8 + (int(growth) + 2).bit_length()
-    val = parts[0]
-    for coeff, m in zip(parts[1:], (2, 3, 6)):
-        if coeff:
-            val += coeff * _sqrt_lower(m, guard)
-    return val
-
-
-_POWER_LABELS = ("", "z") + tuple(f"z^{k}" for k in range(2, DEGREE))
+    """Evaluate a + b*sqrt3 within 2^-bits."""
+    a, b = parts
+    guard = bits + 8 + (int(abs(b)) + 2).bit_length()
+    return a + b * _sqrt3_lower(guard) if b else a
 
 
 def _join_terms(pairs):
@@ -397,24 +373,26 @@ def _join_terms(pairs):
 
 
 def zeta_pow(k):
-    """zeta^k reduced to the power basis (any integer k)."""
-    return Cyclotomic._raw(_ZPOW[k % 24])
+    """zeta^k for even k (any sign); odd powers lie outside Q(zeta_12)."""
+    if k % 2:
+        raise ValueError(f"zeta^{k} is outside Q(zeta_12): the power must be even")
+    return Cyclotomic._raw(_Z2POW[(k // 2) % 12])
 
 
-ZERO = Cyclotomic._raw((0,) * 8)
-ONE = Cyclotomic._raw((1, 0, 0, 0, 0, 0, 0, 0))
-ZETA = zeta_pow(1)
+ZERO = Cyclotomic._raw((0, 0, 0, 0))
+ONE = Cyclotomic._raw((1, 0, 0, 0))
 IMAG = zeta_pow(6)
-SQRT2 = zeta_pow(3) + zeta_pow(-3)
 SQRT3 = zeta_pow(2) + zeta_pow(-2)
 
-_DELTA_INV = (ZETA - zeta_pow(-1)).inv()  # 1/(zeta - zeta^-1)
-_QINT = tuple((zeta_pow(n) - zeta_pow(-n)) * _DELTA_INV for n in range(24))
+# [n] = zeta^(n-1) + zeta^(n-3) + ... + zeta^(1-n) for odd n = 1..23
+_QINT = {n: sum((zeta_pow(n - 1 - 2 * j) for j in range(n)), ZERO) for n in range(1, 24, 2)}
 
 
 def quantum_integer(n):
-    """[n] = (zeta^n - zeta^-n)/(zeta - zeta^-1); satisfies [12-n] = [n],
-    [n+12] = -[n]."""
+    """[n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) for odd n; satisfies
+    [12-n] = [n], [n+12] = -[n].  Even n give values outside Q(zeta_12)."""
+    if n % 2 == 0:
+        raise ValueError(f"[{n}] is outside Q(zeta_12): n must be odd")
     return _QINT[n % 24]
 
 

@@ -9,9 +9,12 @@ The case table, with g = gcd(|p|, 12) and r = p mod 12:
 
     g = 1        |[p]|                (1 if p = +-1, 2+sqrt3 if p = +-5 mod 12)
     g = 2, 6     [4][3]/[2] = 3 + sqrt3
-    g = 3        zeta^(+-3) [4]       sign + iff (r, q mod 3) in {(9,1), (3,2)}
+    g = 3        zeta^(+-3) [4] = (1 +- i)(3 + sqrt3)/2
+                                      sign + iff (r, q mod 3) in {(9,1), (3,2)}
     g = 4        2 zeta^(+-2) [3]     sign + iff (r, q mod 4) in {(4,1), (8,3)}
     g = 12       2 [4][3]/[2] if q = +-1 mod 12, else 0 (q = +-5 mod 12)
+
+Every entry lies in Q(zeta_12) = Q(i, sqrt3), although zeta^3 and [4] do not.
 
 The complex cases carry opposite signs on the two residues r of p sharing a
 gcd; this is forced by the state sum (the gluing matrix of L(p, 1) is
@@ -32,10 +35,14 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import GLOBAL_INDEX, ZERO, Cyclotomic, quantum_integer, zeta_pow
+from .cyclotomic import GLOBAL_INDEX, IMAG, SQRT3, ZERO, Cyclotomic, quantum_integer, zeta_pow
 from .modular import cofactors, decompose, lens_matrix
 from .rep import rho_entry_11
 from .report import Check, Report
+
+# Largest sweep bound that sweep_table and the verification sweeps accept:
+# at 120 (the benchmark's table) the slowest sweep takes tens of seconds.
+MAX_PMAX = 120
 
 
 @dataclass(frozen=True)
@@ -81,23 +88,21 @@ def closed_form(space):
     if g == 1:
         return quantum_integer(p).abs_real()
     if g in (2, 6):
-        return _binomial_42()
+        return _BINOMIAL_42
     if g == 3:
         plus = (q % 3 == 1) == (r == 9)
-        return zeta_pow(3 if plus else -3) * quantum_integer(4)
+        return _ZETA3_Q4 if plus else _ZETA3_Q4.conjugate()
     if g == 4:
         plus = (q % 4 == 1) == (r == 4)
         return 2 * zeta_pow(2 if plus else -2) * quantum_integer(3)
     # 12 | p
     if q % 12 in (1, 11):
-        return 2 * _binomial_42()
+        return 2 * _BINOMIAL_42
     return ZERO
 
 
-@lru_cache(maxsize=1)
-def _binomial_42():
-    # [4][3]/[2] = 3 + sqrt3
-    return quantum_integer(4) * quantum_integer(3) / quantum_integer(2)
+_BINOMIAL_42 = 3 + SQRT3  # [4][3]/[2]
+_ZETA3_Q4 = (1 + IMAG) * _BINOMIAL_42 / 2  # zeta^3 [4]; [4] is real
 
 
 def homotopy_equivalent(one, two):
@@ -115,6 +120,11 @@ def homotopy_equivalent(one, two):
 # verification sweeps
 
 
+def _check_pmax(p_max, least=1):
+    if not least <= p_max <= MAX_PMAX:
+        raise ValueError(f"p_max must be between {least} and {MAX_PMAX}")
+
+
 def _coprime_pairs(p_max):
     for p in range(1, p_max + 1):
         for q in range(max(p, 1)):
@@ -124,6 +134,7 @@ def _coprime_pairs(p_max):
 
 def verify_closed_form(p_max=48):
     """Exact agreement of the two routes on all coprime pairs up to p_max."""
+    _check_pmax(p_max)
     checks = []
     for p in range(1, p_max + 1):
         bad = None
@@ -168,6 +179,7 @@ def check_well_defined(space, shifts):
 
 def verify_well_defined(p_max=48, shifts=range(-3, 4), sample=100, seed=7):
     """check_well_defined over a deterministic sample of coprime pairs."""
+    _check_pmax(p_max)
     pairs = list(_coprime_pairs(p_max))
     if sample and sample < len(pairs):
         pairs = sorted(random.Random(seed).sample(pairs, sample))
@@ -189,8 +201,7 @@ def verify_well_defined(p_max=48, shifts=range(-3, 4), sample=100, seed=7):
 def verify_periodicity(p_max=48):
     """Z(L(p,q)) = Z(L(p+12s, q+12t)) for every swept coprime pair and every
     nonnegative shift that stays in range (p+12s <= p_max, q+12t < p_max)."""
-    if p_max < 13:
-        raise ValueError("p_max must be at least 13")
+    _check_pmax(p_max, least=13)
     checks = []
     for p, q in _coprime_pairs(p_max - 12):
         value = _state_sum_cached(p, q)
@@ -218,6 +229,7 @@ def verify_periodicity(p_max=48):
 
 def verify_corollary(p_max=60):
     """Equal closed-form values on every homotopy-equivalent pair q, q' < p."""
+    _check_pmax(p_max)
     checks = []
     for p in range(1, p_max + 1):
         spaces = [LensSpace(p, q) for q in range(max(p, 1)) if math.gcd(p, q) == 1]
@@ -262,8 +274,7 @@ class TableRow:
 def sweep_table(p_max):
     """Rows (p, q, state-sum value, closed-form value, agreement flag) for
     all coprime pairs 1 <= p <= p_max, 0 <= q < max(p, 1), in (p, q) order."""
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
+    _check_pmax(p_max)
     rows = []
     for p, q in _coprime_pairs(p_max):
         space = LensSpace(p, q)

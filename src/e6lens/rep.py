@@ -1,13 +1,15 @@
 """The 10-dimensional unitary representation of SL(2,Z) behind the E6
-state sum, as exact matrices over Q(zeta_24).
+state sum, as exact matrices over Q(zeta_12) = Q(i, sqrt3).
 
-The image of S is (1/w) times an integer combination of quantum integers,
-with w = 6 + 2*sqrt(3) the global index; the image of T is diagonal with
-24th roots of unity.  The matrices are hand-entered data, so construction
-is self-verifying: every row of w*rho(S) must have squared conjugate norm
-exactly w^2 (which pins down the two composite entries (3+sqrt3) and
-i*(3+sqrt3) as the only values consistent with unitarity), and the standard
-presentation relations S^4 = 1, (ST)^3 = S^2 must hold exactly.
+The image of S is (1/w) times a matrix with entries in Z[i, sqrt3], with
+w = 6 + 2*sqrt(3) the global index; the image of T is diagonal with 12th
+roots of unity (even powers of zeta = exp(pi*i/12)), as the level-12
+congruence property of rho requires.  The matrices are hand-entered data,
+so construction is self-verifying: every row of w*rho(S) must have squared
+conjugate norm exactly w^2 (which pins down the two composite entries
+(3+sqrt3) and i*(3+sqrt3) as the only values consistent with unitarity),
+and the presentation relations S^4 = 1, (ST)^3 = S^2, T^12 = 1 must hold
+exactly.
 
 Every evaluation, from one matrix entry to a full matrix product, runs
 through one matrix-vector kernel on integer coefficients; the power of w
@@ -21,12 +23,14 @@ from functools import lru_cache
 
 from .cyclotomic import (
     GLOBAL_INDEX,
+    IMAG,
     ONE,
     SQRT3,
     ZERO,
     Cyclotomic,
-    _ZPOW,
+    _Z2POW,
     _mul_coeffs,
+    _norm_coeff,
     quantum_integer,
     zeta_pow,
 )
@@ -37,7 +41,7 @@ DIM = 10
 
 
 class CycloMatrix:
-    """Immutable square matrix over Q(zeta_24)."""
+    """Immutable square matrix over Q(zeta_12)."""
 
     __slots__ = ("_rows",)
 
@@ -120,9 +124,9 @@ class CycloMatrix:
         return None
 
 
-# diagonal of rho(T) as zeta exponents:
+# diagonal of rho(T) as exponents of zeta^2 (mod 12):
 # (1, -zeta^2, -1, 1, i, -zeta^2, 1, zeta^8, zeta^-4, -1)
-_T_EXP = (0, 14, 12, 0, 6, 14, 0, 8, 20, 12)
+_T_EXP = (0, 7, 6, 0, 3, 7, 0, 4, 10, 6)
 
 
 @lru_cache(maxsize=1)
@@ -130,10 +134,10 @@ def _s_numerator():
     """w * rho(S), all entries with integer coefficients."""
     o = ONE
     z = ZERO
-    t = quantum_integer(3)            # 1 + sqrt3
-    b = quantum_integer(2) ** 2       # 2 + sqrt3
-    x = quantum_integer(4) * quantum_integer(3) / quantum_integer(2)  # 3 + sqrt3
-    ix = zeta_pow(6) * x
+    t = quantum_integer(3)  # 1 + sqrt3
+    b = 2 + SQRT3           # [2]^2
+    x = 3 + SQRT3           # [4][3]/[2]
+    ix = IMAG * x
     t2 = 2 * t
     rows = (
         (o, t, o, b, t, t, x, t, t, b),
@@ -170,16 +174,17 @@ def _relation_checks(ns):
     """The standard SL(2,Z) presentation relations, on the w-scaled level.
 
     S^4 = I and (S T)^3 = S^2 become (wS)^4 = w^4 I and (wS T)^3 = w (wS)^2,
-    which stay in integer coefficients.  T^12 = I is checked on exponents.
+    which stay in integer coefficients.
     """
     ns2 = ns * ns
-    nst = ns * rho_t()
+    t = rho_t()
+    nst = ns * t
     return [
         _equality_check(
             "rho(S)^4 = I", ns2 * ns2, CycloMatrix.identity(DIM) * GLOBAL_INDEX**4
         ),
         _equality_check("(rho(S) rho(T))^3 = rho(S)^2", nst * nst * nst, ns2 * GLOBAL_INDEX),
-        Check("rho(T)^12 = I", all((e * 12) % 24 == 0 for e in _T_EXP), None),
+        _equality_check("rho(T)^12 = I", t**12, CycloMatrix.identity(DIM)),
     ]
 
 
@@ -200,7 +205,7 @@ def _apply_word(word, v):
     """(w^m rho(word) v, m) for a column v of raw coefficient tuples.
 
     The tokens act on v right to left: S multiplies by the integer matrix
-    w*rho(S), T^k scales coordinate i by zeta^(k * _T_EXP[i]).  m counts the
+    w*rho(S), T^k scales coordinate i by zeta^(2k * _T_EXP[i]).  m counts the
     S tokens, so v stays integral and the caller divides by w^m once.
     """
     ns = [[e._c for e in row] for row in _s_numerator().rows]
@@ -211,7 +216,7 @@ def _apply_word(word, v):
             m += 1
         else:
             v = [
-                _mul_coeffs(x, _ZPOW[(e * tok) % 24]) if (e * tok) % 24 else x
+                _mul_coeffs(x, _Z2POW[(e * tok) % 12]) if (e * tok) % 12 else x
                 for x, e in zip(v, _T_EXP)
             ]
     return v, m
@@ -226,7 +231,9 @@ def _over_w_power(v, m):
     """The raw column v divided by w^m, as Cyclotomic values."""
     num = (_W_COFACTOR**m)._c
     den = 24**m
-    return [Cyclotomic(Fraction(c, den) for c in _mul_coeffs(x, num)) for x in v]
+    return [
+        Cyclotomic._raw(_norm_coeff(Fraction(c, den)) for c in _mul_coeffs(x, num)) for x in v
+    ]
 
 
 def _unit(j):
@@ -250,7 +257,7 @@ def rho_t_power(k):
     """rho(T)^k by diagonal exponentiation (k mod 12)."""
     return CycloMatrix(
         tuple(
-            tuple(zeta_pow(_T_EXP[i] * k) if i == j else ZERO for j in range(DIM))
+            tuple(zeta_pow(2 * _T_EXP[i] * k) if i == j else ZERO for j in range(DIM))
             for i in range(DIM)
         )
     )

@@ -1,6 +1,6 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass/fail line per criterion.  All equalities are exact (coefficient-wise in
-Q(zeta_24)) unless a float tolerance is stated.
+Q(zeta_12)) unless a float tolerance is stated.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """

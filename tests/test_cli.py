@@ -1,5 +1,6 @@
 """Command line surface: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from e6lens import cli, invariant
+from e6lens.cyclotomic import MAX_PRECISION_BITS
 from e6lens.report import Check, Report
 
 
@@ -72,6 +74,41 @@ def test_table_text(capsys):
 def test_table_bad_pmax(capsys):
     code, _ = run_cli(capsys, "table", "--pmax", "0")
     assert code == 2
+
+
+def test_precision_cap_is_usage_error(capsys):
+    code, out = run_cli(capsys, "compute", "5", "1", "--precision", str(MAX_PRECISION_BITS))
+    assert code == 0
+    assert "3.732050808" in out
+    for argv in (["compute", "5", "1"], ["table", "--pmax", "3"]):
+        code, out = run_cli(capsys, *argv, "--precision", str(MAX_PRECISION_BITS + 1))
+        assert code == 2, argv
+        assert out.startswith("error: ") and "precision" in out
+
+
+def test_pmax_cap_is_usage_error(capsys):
+    over = str(invariant.MAX_PMAX + 1)
+    for argv in (["table", "--pmax", over], ["verify", "closedform", "--pmax", over]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out.startswith("error: ") and "p_max" in out
+
+
+# sha256 of `e6lens table --pmax 48 --format <fmt>`: the reference output,
+# first measured when values were computed in Q(zeta_24); a change to the
+# arithmetic must reproduce it byte for byte
+TABLE_48_SHA256 = {
+    "csv": "7424e30957b63df6b11755d786b7cc9062542c323d16f863e90fd92166742b7d",
+    "json": "1a71dd06c7f6affb539e85b5670d781290cf1f9c17c8c0cbe4a8ea0c15f6b61e",
+    "text": "ce63cb7a69a0d3361ca8e003ebf7171a988618d2ad7e9dc0dadde6215c22864f",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_48_SHA256))
+def test_table_output_is_pinned(capsys, fmt):
+    code, out = run_cli(capsys, "table", "--pmax", "48", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_48_SHA256[fmt]
 
 
 def test_verify_relations_passes(capsys):

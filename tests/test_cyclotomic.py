@@ -1,5 +1,5 @@
-"""Exact arithmetic in Q(zeta_24): basis reduction, field ops, quantum
-integers, conjugation, sign determination and serialization."""
+"""Exact arithmetic in Q(zeta_12) = Q(zeta^2): basis reduction, field ops,
+quantum integers, conjugation, sign determination and serialization."""
 
 import cmath
 import math
@@ -11,8 +11,8 @@ import pytest
 from e6lens.cyclotomic import (
     GLOBAL_INDEX,
     IMAG,
+    MAX_PRECISION_BITS,
     ONE,
-    SQRT2,
     SQRT3,
     ZERO,
     Cyclotomic,
@@ -26,9 +26,11 @@ def c(*coeffs):
 
 
 def rand_cyc(rng, small=9):
-    return Cyclotomic(
-        [Fraction(rng.randint(-small, small), rng.randint(1, small)) for _ in range(8)]
-    )
+    # a random element of the field: random even slots, zero odd slots
+    coeffs = [0] * 8
+    for k in range(0, 8, 2):
+        coeffs[k] = Fraction(rng.randint(-small, small), rng.randint(1, small))
+    return Cyclotomic(coeffs)
 
 
 # -- power reduction ---------------------------------------------------------
@@ -57,17 +59,22 @@ def test_minimal_polynomial_annihilates():
 
 
 def test_all_powers_match_float_embedding():
-    for k in range(24):
+    for k in range(0, 24, 2):
         val = zeta_pow(k).to_complex(64)
         expect = cmath.exp(1j * k * math.pi / 12)
         assert abs(val - expect) < 1e-14, k
+    for k in range(-23, 24, 2):
+        with pytest.raises(ValueError):
+            zeta_pow(k)
 
 
 # -- ring and field operations -----------------------------------------------
 
 
 def test_root_of_unity_inverse_pair():
-    assert zeta_pow(1) * zeta_pow(23) == ONE
+    assert zeta_pow(2) * zeta_pow(22) == ONE
+    with pytest.raises(ValueError):
+        zeta_pow(1)
 
 
 def test_sqrt3_squares_to_three():
@@ -76,10 +83,12 @@ def test_sqrt3_squares_to_three():
     assert SQRT3 * SQRT3 == c(3, 0, 0, 0, 0, 0, 0, 0)
 
 
-def test_sqrt2_squares_to_two():
-    # sqrt2 = zeta^3 + zeta^-3 = zeta + zeta^3 - zeta^5
-    assert SQRT2 == c(0, 1, 0, 1, 0, -1, 0, 0)
-    assert SQRT2 * SQRT2 == c(2, 0, 0, 0, 0, 0, 0, 0)
+def test_sqrt2_is_outside_the_field():
+    # sqrt2 = zeta^3 + zeta^-3 = zeta + zeta^3 - zeta^5 needs odd slots
+    with pytest.raises(ValueError, match="outside"):
+        c(0, 1, 0, 1, 0, -1, 0, 0)
+    with pytest.raises(ValueError):
+        zeta_pow(3)
 
 
 def test_imag_unit_squares_to_minus_one():
@@ -98,7 +107,8 @@ def test_inverse_of_global_index_by_hand():
 
 
 def test_inverse_of_zeta_is_reduced_power():
-    assert zeta_pow(1).inv() == zeta_pow(23)
+    assert zeta_pow(2).inv() == zeta_pow(22)
+    assert zeta_pow(6).inv() == zeta_pow(18)
 
 
 def test_inverse_of_zero_raises():
@@ -139,15 +149,20 @@ def test_division_and_powers():
 
 
 def test_quantum_integer_base_cases():
-    assert quantum_integer(0) == ZERO
     assert quantum_integer(1) == ONE
+    assert quantum_integer(-1) == -ONE
+    with pytest.raises(ValueError):
+        quantum_integer(0)
 
 
 def test_quantum_integer_surd_values():
-    # [2] = (1+sqrt3)/sqrt2, [3] = 1+sqrt3, [4] = (3+sqrt3)/sqrt2
-    assert quantum_integer(2) * SQRT2 == 1 + SQRT3
+    # [3] = 1+sqrt3; [2] = (1+sqrt3)/sqrt2 and [4] = (3+sqrt3)/sqrt2 are
+    # outside the field, but [2]^2 = zeta^2 + 2 + zeta^-2 is inside
     assert quantum_integer(3) == 1 + SQRT3
-    assert quantum_integer(4) * SQRT2 == 3 + SQRT3
+    assert zeta_pow(2) + 2 + zeta_pow(-2) == 2 + SQRT3
+    for n in (2, 4):
+        with pytest.raises(ValueError):
+            quantum_integer(n)
 
 
 def test_quantum_integer_five():
@@ -158,7 +173,8 @@ def test_quantum_integer_five():
 
 
 def test_quantum_binomial_is_three_plus_sqrt3():
-    x = quantum_integer(4) * quantum_integer(3) / quantum_integer(2)
+    # [4]/[2] = zeta^2 + zeta^-2, so [4][3]/[2] = (zeta^2 + zeta^-2)[3]
+    x = (zeta_pow(2) + zeta_pow(-2)) * quantum_integer(3)
     assert x == 3 + SQRT3
 
 
@@ -168,14 +184,17 @@ def test_global_index_value():
 
 
 def test_quantum_integer_identities_exact():
-    for n in range(-48, 49):
+    for n in range(-47, 49, 2):
         assert quantum_integer(12 - n) == quantum_integer(n)
         assert quantum_integer(n + 12) == -quantum_integer(n)
+    for n in range(-48, 49, 2):
+        with pytest.raises(ValueError):
+            quantum_integer(n)
 
 
 def test_quantum_integer_float_embedding():
     s1 = math.sin(math.pi / 12)
-    for n in range(1, 12):
+    for n in range(1, 12, 2):
         val = quantum_integer(n).to_complex(64)
         expect = math.sin(n * math.pi / 12) / s1
         assert abs(val.real - expect) < 1e-12
@@ -195,7 +214,7 @@ def test_conjugate_negates_imag_unit():
 
 
 def test_conjugate_fixes_quantum_integers():
-    for n in range(-12, 13):
+    for n in range(-11, 13, 2):
         qi = quantum_integer(n)
         assert qi.conjugate() == qi
         assert qi.is_real()
@@ -233,7 +252,7 @@ def test_abs_real_rejects_non_real():
     with pytest.raises(ValueError):
         IMAG.abs_real()
     with pytest.raises(ValueError):
-        zeta_pow(1).abs_real()
+        zeta_pow(2).abs_real()
 
 
 def test_abs_real_tiny_value_forces_precision_escalation():
@@ -255,8 +274,9 @@ def test_to_complex_imag_unit():
 
 
 def test_to_complex_quantum_two():
-    val = quantum_integer(2).to_complex(64)
-    assert abs(val - 1.9318516525781366) < 1e-12
+    # [2] is outside the field; its square [2]^2 = 2 + sqrt3 is inside
+    val = (2 + SQRT3).to_complex(64)
+    assert abs(val - 1.9318516525781366**2) < 1e-12
 
 
 def test_to_complex_global_index():
@@ -269,10 +289,17 @@ def test_to_complex_precision_floor():
         ONE.approx(52)
 
 
+def test_approx_precision_cap():
+    re, _ = SQRT3.approx(MAX_PRECISION_BITS)
+    assert abs(re * re - 3) < Fraction(1, 2**MAX_PRECISION_BITS)
+    with pytest.raises(ValueError):
+        ONE.approx(MAX_PRECISION_BITS + 1)
+
+
 def test_approx_is_high_precision():
-    re, im = SQRT2.approx(128)
+    re, im = SQRT3.approx(128)
     assert im == 0
-    assert abs(re * re - 2) < Fraction(1, 2**120)
+    assert abs(re * re - 3) < Fraction(1, 2**120)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -300,6 +327,60 @@ def test_text_rejects_malformed():
         Cyclotomic.from_text(ONE.to_text().replace("1/1", "1/0"))
     with pytest.raises(ValueError):
         Cyclotomic.from_json_coeffs([[1, 0]] + [[0, 1]] * 7)
+    # only what to_text writes: reduced, no signed zero or leading zeros,
+    # no stray spaces or signs, zero odd slots
+    one = ONE.to_text()
+    for bad in (
+        one.replace("1/1", "2/2", 1),
+        one.replace("1/1", "-0/1", 1),
+        one.replace("0/1*z^2", "0/3*z^2"),
+        one.replace("1/1", "01/1", 1),
+        one.replace("1/1", "1/01", 1),
+        one.replace("1/1", "+1/1", 1),
+        one.replace("1/1", "1/-1", 1),
+        " " + one,
+        one + " ",
+        one.replace("0/1*z^3", "1/1*z^3"),
+        one.replace("1/1", "\u0661/1", 1),  # a non-ASCII digit
+    ):
+        with pytest.raises(ValueError):
+            Cyclotomic.from_text(bad)
+    zeros = [[0, 1]] * 7
+    for bad in (
+        [[1.5, 1]] + zeros,
+        [["7", "1"]] + zeros,
+        [[1, -2]] + zeros,
+        [[True, 1]] + zeros,
+        [[2, 4]] + zeros,
+        [[0, 2]] + zeros,
+        [[1, 1, 1]] + zeros,
+        [[1]] + zeros,
+        [[1, 1], [1, 1]] + zeros[2:],  # odd slot: outside Q(zeta_12)
+        zeros,
+        "1/1",
+        5,
+        None,
+    ):
+        with pytest.raises(ValueError):
+            Cyclotomic.from_json_coeffs(bad)
+
+
+def test_text_round_trip_is_canonical():
+    # random strings in the serialized form parse and print back unchanged
+    rng = random.Random(31)
+    suffixes = [""] + ["*z"] + [f"*z^{k}" for k in range(2, 8)]
+    for _ in range(200):
+        terms = []
+        for k, suffix in enumerate(suffixes):
+            num, den = rng.randint(-(10**30), 10**30), rng.randint(1, 10**30)
+            if k % 2 or rng.random() < 0.3:
+                num = 0
+            g = math.gcd(num, den)
+            terms.append(f"{num // g}/{den // g}{suffix}")
+        text = " + ".join(terms)
+        assert Cyclotomic.from_text(text).to_text() == text
+        data = Cyclotomic.from_text(text).to_json_coeffs()
+        assert Cyclotomic.from_json_coeffs(data).to_json_coeffs() == data
 
 
 def test_json_round_trip_exact():
@@ -321,6 +402,13 @@ def test_equality_across_coefficient_kinds():
 def test_rejects_float_coefficients():
     with pytest.raises(TypeError):
         Cyclotomic([0.5] + [0] * 7)
+
+
+def test_rejects_bool_coefficients():
+    with pytest.raises(TypeError):
+        Cyclotomic([True] + [0] * 7)
+    with pytest.raises(TypeError):
+        Cyclotomic.from_rational(False)
 
 
 def test_surd_display():

@@ -5,6 +5,7 @@ cyclotomic layer, so a systematic defect there cannot hide."""
 
 import cmath
 import math
+import random
 
 from e6lens.invariant import LensSpace, state_sum
 from e6lens.modular import cofactors, decompose, lens_matrix
@@ -71,6 +72,21 @@ def test_exact_state_sum_matches_float_oracle_sweep():
 
 def test_exact_state_sum_matches_float_oracle_edges():
     for p, q in [(0, 1), (-1, 0), (-5, 2), (3, -2), (-12, 7), (25, 18), (7, 100)]:
+        exact = state_sum(LensSpace(p, q)).to_complex(64)
+        numeric = _state_sum_float(p, q)
+        assert abs(exact - numeric) < 1e-8, (p, q)
+
+
+def test_exact_state_sum_matches_float_oracle_wide_sample():
+    # |p|, |q| up to 10^6 with both signs, and one pair with a 64-bit p
+    rng = random.Random(97)
+    pairs = [(18446744073709551557, 1234567890123)]
+    while len(pairs) < 200:
+        p, q = rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)
+        if math.gcd(p, q) == 1:
+            pairs.append((p, q))
+    assert any(p < 0 for p, _ in pairs) and any(q < 0 for _, q in pairs)
+    for p, q in pairs:
         exact = state_sum(LensSpace(p, q)).to_complex(64)
         numeric = _state_sum_float(p, q)
         assert abs(exact - numeric) < 1e-8, (p, q)

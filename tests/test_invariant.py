@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from e6lens.cyclotomic import GLOBAL_INDEX, ONE, SQRT3, ZERO, quantum_integer, zeta_pow
+from e6lens.cyclotomic import GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, quantum_integer, zeta_pow
 from e6lens.invariant import (
+    MAX_PMAX,
     LensSpace,
     check_well_defined,
     closed_form,
@@ -70,12 +71,14 @@ def test_closed_form_gcd_two_and_six():
 
 
 def test_closed_form_gcd_three_signs():
-    # sign of the zeta^3 factor flips between p = 3 and p = 9 mod 12
-    q4 = quantum_integer(4)
-    assert closed_form(LensSpace(3, 1)) == zeta_pow(-3) * q4
-    assert closed_form(LensSpace(3, 2)) == zeta_pow(3) * q4
-    assert closed_form(LensSpace(9, 1)) == zeta_pow(3) * q4
-    assert closed_form(LensSpace(9, 2)) == zeta_pow(-3) * q4
+    # sign of the zeta^3 factor flips between p = 3 and p = 9 mod 12;
+    # zeta^(+-3) [4] = (1 +- i)(3 + sqrt3)/2
+    plus = (1 + IMAG) * X / 2
+    minus = (1 - IMAG) * X / 2
+    assert closed_form(LensSpace(3, 1)) == minus
+    assert closed_form(LensSpace(3, 2)) == plus
+    assert closed_form(LensSpace(9, 1)) == plus
+    assert closed_form(LensSpace(9, 2)) == minus
 
 
 def test_closed_form_gcd_four_signs():
@@ -233,7 +236,7 @@ def test_sweep_table_single_row():
 
 def test_sweep_table_contains_expected_rows():
     rows = {(r.p, r.q): r for r in sweep_table(12)}
-    assert rows[(3, 1)].state == zeta_pow(-3) * quantum_integer(4)
+    assert rows[(3, 1)].state == (1 - IMAG) * (3 + SQRT3) / 2  # zeta^-3 [4]
     assert rows[(12, 5)].state == ZERO
     assert all(r.agrees for r in rows.values())
 
@@ -241,6 +244,14 @@ def test_sweep_table_contains_expected_rows():
 def test_sweep_table_rejects_bad_bound():
     with pytest.raises(ValueError):
         sweep_table(0)
+
+
+def test_sweeps_reject_pmax_past_cap():
+    over = MAX_PMAX + 1
+    for sweep in (sweep_table, verify_closed_form, verify_well_defined,
+                  verify_periodicity, verify_corollary):
+        with pytest.raises(ValueError, match="p_max"):
+            sweep(over)
 
 
 def test_table_formats_deterministic():
