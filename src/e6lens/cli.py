@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import invariant, rep
@@ -53,7 +52,8 @@ def _build_parser():
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("target", type=str.lower, choices=VERIFY_TARGETS)
     v.add_argument("--pmax", type=int, default=None,
-                   help=f"sweep bound, at most {invariant.MAX_PMAX} (defaults: "
+                   help=f"sweep bound, at most {invariant.MAX_PMAX}, at least "
+                        f"{invariant.MIN_PMAX['periodicity']} for periodicity (defaults: "
                         "closedform/periodicity/welldefined 48, corollary 60)")
     v.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -66,17 +66,8 @@ def _build_parser():
     return parser
 
 
-def _lens_or_exit(p, q, out):
-    try:
-        return invariant.LensSpace(p, q)
-    except ValueError:
-        g = math.gcd(p, q)
-        print(f"error: gcd({p},{q})={g}; p and q must be coprime", file=out)
-        raise SystemExit(2)
-
-
 def _cmd_compute(args, out):
-    space = _lens_or_exit(args.p, args.q, out)
+    space = invariant.LensSpace(args.p, args.q)
     check_precision(args.precision)
     value = invariant.state_sum(space)
     re, im = value.approx(args.precision)
@@ -99,24 +90,29 @@ def _cmd_table(args, out):
     return 0
 
 
-def _verify_reports(target, pmax):
+def _verify_reports(target, bound):
     if target in ("relations", "all"):
         yield rep.verify_relations()
         yield rep.verify_unitary()
     if target in ("kernel", "all"):
         yield rep.verify_kernel_generators()
     if target in ("welldefined", "all"):
-        yield invariant.verify_well_defined(p_max=pmax or 48)
+        yield invariant.verify_well_defined(**bound)
     if target in ("periodicity", "all"):
-        yield invariant.verify_periodicity(p_max=pmax or 48)
+        yield invariant.verify_periodicity(**bound)
     if target in ("closedform", "all"):
-        yield invariant.verify_closed_form(p_max=pmax or 48)
+        yield invariant.verify_closed_form(**bound)
     if target in ("corollary", "all"):
-        yield invariant.verify_corollary(p_max=pmax or 60)
+        yield invariant.verify_corollary(**bound)
 
 
 def _cmd_verify(args, out):
-    reports = list(_verify_reports(args.target, args.pmax))
+    bound = {}
+    sweeps = [sweep for sweep in invariant.MIN_PMAX if args.target in (sweep, "all")]
+    if sweeps and args.pmax is not None:  # checked before any suite runs
+        invariant.check_pmax(args.pmax, *sweeps)
+        bound = {"p_max": args.pmax}
+    reports = list(_verify_reports(args.target, bound))
     combined = merge(args.target, reports)
     if args.format == "json":
         out.write(combined.to_json())
@@ -132,8 +128,8 @@ def _cmd_verify(args, out):
 
 
 def _cmd_homotopy(args, out):
-    one = _lens_or_exit(args.p, args.q, out)
-    two = _lens_or_exit(args.p2, args.q2, out)
+    one = invariant.LensSpace(args.p, args.q)
+    two = invariant.LensSpace(args.p2, args.q2)
     eq = invariant.homotopy_equivalent(one, two)
     print(f"{one} ~ {two}: {'true' if eq else 'false'}", file=out)
     return 0
@@ -152,8 +148,6 @@ def main(argv=None):
             return _cmd_verify(args, out)
         if args.command == "homotopy":
             return _cmd_homotopy(args, out)
-    except SystemExit as exc:
-        return exc.code
     except ValueError as exc:  # the library's rejection of an argument
         print(f"error: {exc}", file=out)
         return 2

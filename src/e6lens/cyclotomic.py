@@ -226,15 +226,10 @@ class Cyclotomic:
         return self if self._sign_of_real() > 0 else -self
 
     def _sign_of_real(self):
-        # The value is a fixed nonzero algebraic number, so doubling the
-        # evaluation precision must eventually separate it from zero.
-        re, _ = self.surd_parts()
-        bits = 128
-        while True:
-            val = _eval_surd(re, bits)
-            if abs(val) > Fraction(1, 1 << (bits // 2)):
-                return 1 if val > 0 else -1
-            bits *= 2
+        # a + b*sqrt3 (nonzero, and sqrt3 is irrational, so a^2 != 3b^2) has
+        # the sign of whichever term is larger in absolute value.
+        (a, b), _ = self.surd_parts()
+        return 1 if (a if a * a > 3 * b * b else b) > 0 else -1
 
     # -- numeric embedding ---------------------------------------------------
 

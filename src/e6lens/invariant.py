@@ -34,6 +34,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 from .cyclotomic import GLOBAL_INDEX, IMAG, SQRT3, ZERO, Cyclotomic, quantum_integer, zeta_pow
 from .modular import cofactors, decompose, lens_matrix
@@ -43,6 +45,10 @@ from .report import Check, Report
 # Largest sweep bound that sweep_table and the verification sweeps accept:
 # at 120 (the benchmark's table) the slowest sweep takes tens of seconds.
 MAX_PMAX = 120
+
+# The least bound of each verification sweep, by suite name: periodicity
+# compares p with p + 12, so it needs p_max >= 13.
+MIN_PMAX = {"welldefined": 1, "periodicity": 13, "closedform": 1, "corollary": 1}
 
 
 @dataclass(frozen=True)
@@ -55,9 +61,7 @@ class LensSpace:
     def __post_init__(self):
         g = math.gcd(self.p, self.q)
         if g != 1:
-            raise ValueError(
-                f"p and q must be coprime, but gcd({self.p}, {self.q}) = {g}"
-            )
+            raise ValueError(f"gcd({self.p},{self.q})={g}; p and q must be coprime")
 
     def __str__(self):
         return f"L({self.p},{self.q})"
@@ -120,36 +124,32 @@ def homotopy_equivalent(one, two):
 # verification sweeps
 
 
-def _check_pmax(p_max, least=1):
+def check_pmax(p_max, *sweeps):
+    """Raise ValueError unless every named verification sweep (keys of
+    MIN_PMAX) accepts p_max; with no name, the bound of sweep_table."""
+    least = max((MIN_PMAX[sweep] for sweep in sweeps), default=1)
     if not least <= p_max <= MAX_PMAX:
         raise ValueError(f"p_max must be between {least} and {MAX_PMAX}")
 
 
 def _coprime_pairs(p_max):
     for p in range(1, p_max + 1):
-        for q in range(max(p, 1)):
+        for q in range(p):
             if math.gcd(p, q) == 1:
                 yield p, q
 
 
 def verify_closed_form(p_max=48):
-    """Exact agreement of the two routes on all coprime pairs up to p_max."""
-    _check_pmax(p_max)
+    """Exact agreement of the two routes on all coprime pairs up to p_max,
+    one check per p, read from the agreement flags of sweep_table."""
+    check_pmax(p_max, "closedform")
     checks = []
-    for p in range(1, p_max + 1):
-        bad = None
-        count = 0
-        for q in range(max(p, 1)):
-            if math.gcd(p, q) != 1:
-                continue
-            count += 1
-            space = LensSpace(p, q)
-            if state_sum(space) != closed_form(space):
-                bad = q
-                break
+    for p, rows in groupby(sweep_table(p_max), key=attrgetter("p")):
+        rows = list(rows)
+        bad = next((row.q for row in rows if not row.agrees), None)
         checks.append(
             Check(
-                f"state sum = closed form, p={p} ({count} pairs)",
+                f"state sum = closed form, p={p} ({len(rows)} pairs)",
                 bad is None,
                 None if bad is None else f"first mismatch at q={bad}",
             )
@@ -179,7 +179,7 @@ def check_well_defined(space, shifts):
 
 def verify_well_defined(p_max=48, shifts=range(-3, 4), sample=100, seed=7):
     """check_well_defined over a deterministic sample of coprime pairs."""
-    _check_pmax(p_max)
+    check_pmax(p_max, "welldefined")
     pairs = list(_coprime_pairs(p_max))
     if sample and sample < len(pairs):
         pairs = sorted(random.Random(seed).sample(pairs, sample))
@@ -201,7 +201,7 @@ def verify_well_defined(p_max=48, shifts=range(-3, 4), sample=100, seed=7):
 def verify_periodicity(p_max=48):
     """Z(L(p,q)) = Z(L(p+12s, q+12t)) for every swept coprime pair and every
     nonnegative shift that stays in range (p+12s <= p_max, q+12t < p_max)."""
-    _check_pmax(p_max, least=13)
+    check_pmax(p_max, "periodicity")
     checks = []
     for p, q in _coprime_pairs(p_max - 12):
         value = _state_sum_cached(p, q)
@@ -229,25 +229,17 @@ def verify_periodicity(p_max=48):
 
 def verify_corollary(p_max=60):
     """Equal closed-form values on every homotopy-equivalent pair q, q' < p."""
-    _check_pmax(p_max)
+    check_pmax(p_max, "corollary")
     checks = []
-    for p in range(1, p_max + 1):
-        spaces = [LensSpace(p, q) for q in range(max(p, 1)) if math.gcd(p, q) == 1]
-        bad = None
-        pairs = 0
-        for i, one in enumerate(spaces):
-            for two in spaces[i:]:
-                if not homotopy_equivalent(one, two):
-                    continue
-                pairs += 1
-                if closed_form(one) != closed_form(two):
-                    bad = (one.q, two.q)
-                    break
-            if bad:
-                break
+    for p, coprime in groupby(_coprime_pairs(p_max), key=itemgetter(0)):
+        spaces = [LensSpace(p, q) for _, q in coprime]
+        pairs = [(one, two) for i, one in enumerate(spaces) for two in spaces[i:]
+                 if homotopy_equivalent(one, two)]
+        bad = next(((one.q, two.q) for one, two in pairs
+                    if closed_form(one) != closed_form(two)), None)
         checks.append(
             Check(
-                f"p={p} ({pairs} equivalent pairs)",
+                f"p={p} ({len(pairs)} equivalent pairs)",
                 bad is None,
                 None if bad is None else f"L({p},{bad[0]}) vs L({p},{bad[1]})",
             )
@@ -273,8 +265,8 @@ class TableRow:
 
 def sweep_table(p_max):
     """Rows (p, q, state-sum value, closed-form value, agreement flag) for
-    all coprime pairs 1 <= p <= p_max, 0 <= q < max(p, 1), in (p, q) order."""
-    _check_pmax(p_max)
+    all coprime pairs 1 <= p <= p_max, 0 <= q < p, in (p, q) order."""
+    check_pmax(p_max)
     rows = []
     for p, q in _coprime_pairs(p_max):
         space = LensSpace(p, q)

@@ -208,21 +208,6 @@ def decompose(m):
     return Word(tokens)
 
 
-def xgcd(a, b):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def cofactors(p, q):
     """The canonical (a, b) with a*q - b*p = 1.
 
@@ -261,29 +246,21 @@ def in_gamma12(m):
 def congruent_lift(p, q, p2, q2):
     """Cofactor pairs for (p, q) and (p2, q2) that agree mod 12.
 
-    Requires both pairs coprime and p = p2, q = q2 mod 12.  Constructive:
-    take (a, b) for (p, q), write (a2, b2) = (a, b) + 12(x, y) and solve the
-    linear Diophantine equation p2*y - q2*x = a*w - z*b, where z = (p2-p)/12
-    and w = (q2-q)/12.  Returns (a, b, a2, b2) with a*q - b*p = 1,
-    a2*q2 - b2*p2 = 1, a = a2 and b = b2 mod 12.
+    Requires both pairs coprime and p = p2, q = q2 mod 12.  Both canonical
+    cofactor pairs solve x*q - y*p = 1 mod 12, whose solutions differ by
+    multiples of (p, q) mod 12, so exactly one shift (a2, b2) + k*(p2, q2)
+    with 0 <= k < 12 matches (a, b) mod 12.  Returns (a, b, a2, b2) with
+    a*q - b*p = 1, a2*q2 - b2*p2 = 1, a = a2 and b = b2 mod 12.
     """
     if math.gcd(p, q) != 1 or math.gcd(p2, q2) != 1:
         raise ValueError("both (p, q) and (p2, q2) must be coprime")
     if (p - p2) % 12 or (q - q2) % 12:
         raise ValueError("need p = p2 and q = q2 mod 12")
     a, b = cofactors(p, q)
-    z = (p2 - p) // 12
-    w = (q2 - q) // 12
-    rhs = a * w - z * b
-    g, u, v = xgcd(p2, q2)
-    assert g == 1
-    # p2*y - q2*x = rhs with y = u*rhs, x = -v*rhs
-    y = u * rhs
-    x = -v * rhs
-    a2 = a + 12 * x
-    b2 = b + 12 * y
-    assert a2 * q2 - b2 * p2 == 1
-    return a, b, a2, b2
+    a2, b2 = cofactors(p2, q2)
+    k = next(k for k in range(12)
+             if (a2 + k * p2 - a) % 12 == 0 and (b2 + k * q2 - b) % 12 == 0)
+    return a, b, a2 + k * p2, b2 + k * q2
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from e6lens import cli, invariant
+from e6lens import cli, invariant, rep
 from e6lens.cyclotomic import MAX_PRECISION_BITS
 from e6lens.report import Check, Report
 
@@ -111,6 +111,17 @@ def test_table_output_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_48_SHA256[fmt]
 
 
+# sha256 of `e6lens verify all --pmax 24 --format json`, first measured when
+# the CLI restated the sweep defaults and bounds itself
+VERIFY_ALL_24_JSON_SHA256 = "52a7d997e967b6734f5d5022e7e7632f088682892245bbbcf9809a007d16b0b1"
+
+
+def test_verify_all_output_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--pmax", "24", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_24_JSON_SHA256
+
+
 def test_verify_relations_passes(capsys):
     code, out = run_cli(capsys, "verify", "relations")
     assert code == 0
@@ -143,10 +154,24 @@ def test_verify_small_sweeps_pass(capsys):
         assert code == 0, target
 
 
-def test_verify_bad_pmax_is_usage_error(capsys):
+def test_verify_bad_pmax_is_usage_error(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "periodicity", "--pmax", "5")
     assert code == 2
     assert "error" in out
+    # 0 is a bad bound for every sweep, not a request for the default
+    for target in ("welldefined", "periodicity", "closedform", "corollary", "all"):
+        code, out = run_cli(capsys, "verify", target, "--pmax", "0")
+        assert code == 2, target
+        assert out.startswith("error: "), target
+    # the bound is checked against every sweep before the first suite runs
+
+    def must_not_run():
+        raise AssertionError("a suite ran before the bound was checked")
+
+    monkeypatch.setattr(rep, "verify_relations", must_not_run)
+    code, out = run_cli(capsys, "verify", "all", "--pmax", "5")
+    assert code == 2
+    assert out == "error: p_max must be between 13 and 120\n"
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -256,13 +256,16 @@ def test_abs_real_rejects_non_real():
 
 
 def test_abs_real_tiny_value_forces_precision_escalation():
-    # sqrt3 minus its floor at 80 bits: positive but below the 2^-64
-    # first-round threshold, so the sign search must double its precision
+    # values a + b*sqrt3 within 2^-80 (sqrt3 minus its floor at 80 bits) and
+    # about 2^-380 ((2 - sqrt3)^200) of zero, where a and b nearly cancel:
+    # no fixed-precision float test could sign them, the exact comparison
+    # of a^2 with 3b^2 must
     floor80 = Fraction(math.isqrt(3 << 160), 1 << 80)
-    tiny = SQRT3 - floor80
-    assert not tiny.is_zero()
-    assert tiny.abs_real() == tiny
-    assert (-tiny).abs_real() == tiny
+    tinies = [SQRT3 - floor80] + [(2 - SQRT3) ** k for k in range(1, 201)]
+    for tiny in tinies:
+        assert not tiny.is_zero()
+        assert tiny.abs_real() == tiny
+        assert (-tiny).abs_real() == tiny
 
 
 # -- numeric embedding ----------------------------------------------------------
