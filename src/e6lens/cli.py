@@ -16,15 +16,19 @@ from . import invariant, rep
 from .cyclotomic import MAX_PRECISION_BITS, MIN_PRECISION_BITS, check_precision
 from .report import merge
 
-VERIFY_TARGETS = (
-    "relations",
-    "kernel",
-    "welldefined",
-    "periodicity",
-    "closedform",
-    "corollary",
-    "all",
+# Every verification suite as (target, module, suite name), in the order of
+# `verify all`.  Suites are looked up by name when they run; the targets in
+# invariant.MIN_PMAX are the sweeps, which take --pmax.
+_SUITES = (
+    ("relations", rep, "verify_relations"),
+    ("relations", rep, "verify_unitary"),
+    ("kernel", rep, "verify_kernel_generators"),
+    ("welldefined", invariant, "verify_well_defined"),
+    ("periodicity", invariant, "verify_periodicity"),
+    ("closedform", invariant, "verify_closed_form"),
+    ("corollary", invariant, "verify_corollary"),
 )
+VERIFY_TARGETS = (*dict.fromkeys(target for target, _, _ in _SUITES), "all")
 
 
 def _build_parser():
@@ -90,29 +94,18 @@ def _cmd_table(args, out):
     return 0
 
 
-def _verify_reports(target, bound):
-    if target in ("relations", "all"):
-        yield rep.verify_relations()
-        yield rep.verify_unitary()
-    if target in ("kernel", "all"):
-        yield rep.verify_kernel_generators()
-    if target in ("welldefined", "all"):
-        yield invariant.verify_well_defined(**bound)
-    if target in ("periodicity", "all"):
-        yield invariant.verify_periodicity(**bound)
-    if target in ("closedform", "all"):
-        yield invariant.verify_closed_form(**bound)
-    if target in ("corollary", "all"):
-        yield invariant.verify_corollary(**bound)
-
-
 def _cmd_verify(args, out):
+    suites = [suite for suite in _SUITES if args.target in (suite[0], "all")]
+    sweeps = [target for target, _, _ in suites if target in invariant.MIN_PMAX]
     bound = {}
-    sweeps = [sweep for sweep in invariant.MIN_PMAX if args.target in (sweep, "all")]
-    if sweeps and args.pmax is not None:  # checked before any suite runs
+    if args.pmax is not None:  # checked before any suite runs
+        if not sweeps:
+            raise ValueError(f"{args.target} takes no --pmax; only "
+                             f"{', '.join(invariant.MIN_PMAX)} and all do")
         invariant.check_pmax(args.pmax, *sweeps)
         bound = {"p_max": args.pmax}
-    reports = list(_verify_reports(args.target, bound))
+    reports = [getattr(module, name)(**(bound if target in sweeps else {}))
+               for target, module, name in suites]
     combined = merge(args.target, reports)
     if args.format == "json":
         out.write(combined.to_json())

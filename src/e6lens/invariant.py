@@ -73,7 +73,9 @@ def state_sum(space):
     return _state_sum_cached(space.p, space.q)
 
 
-@lru_cache(maxsize=None)
+# One entry per pair of a MAX_PMAX box: the largest sweeps evict nothing,
+# and a stream of large p holds bounded memory.
+@lru_cache(maxsize=MAX_PMAX**2)
 def _state_sum_cached(p, q):
     a, b = cofactors(p, q)
     return _state_sum_with_cofactors(p, q, a, b)
@@ -109,15 +111,37 @@ _BINOMIAL_42 = 3 + SQRT3  # [4][3]/[2]
 _ZETA3_Q4 = (1 + IMAG) * _BINOMIAL_42 / 2  # zeta^3 [4]; [4] is real
 
 
+# homotopy_equivalent factors |p| by trial division up to this bound, which
+# decides every |p| < MAX_TRIAL_DIVISOR**2.
+MAX_TRIAL_DIVISOR = 10**6
+
+
 def homotopy_equivalent(one, two):
     """Orientation-preserving homotopy equivalence of L(p,q) and L(p',q'):
-    p = p' and q = n^2 q' mod p for some n (for p = 0: q = q')."""
+    p = p' and q = n^2 q' mod p for some n (for p = 0: q = q').
+
+    The unit q/q' must be a square mod each prime power of p: 1 mod 4 if
+    4 || p, 1 mod 8 if 8 | p, a quadratic residue mod each odd prime l | p
+    (Cohen, A Course in Computational Algebraic Number Theory, 1.5)."""
     if one.p != two.p:
         return False
-    p = abs(one.p)
+    p, q, q2 = abs(one.p), one.q, two.q
     if p == 0:
-        return one.q == two.q
-    return any((one.q - n * n * two.q) % p == 0 for n in range(p))
+        return q == q2
+    twos = (p & -p).bit_length() - 1
+    if twos >= 2 and (q - q2) % (4 if twos == 2 else 8):
+        return False
+    m, d = p >> twos, 3
+    while d * d <= m:
+        if d > MAX_TRIAL_DIVISOR:
+            raise ValueError(f"trial division up to {MAX_TRIAL_DIVISOR} does not factor |p| = {p}")
+        if m % d == 0:
+            if pow(q, d // 2, d) != pow(q2, d // 2, d):
+                return False
+            while m % d == 0:
+                m //= d
+        d += 2
+    return m == 1 or pow(q, m // 2, m) == pow(q2, m // 2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +170,9 @@ def verify_closed_form(p_max=48):
     checks = []
     for p, rows in groupby(sweep_table(p_max), key=attrgetter("p")):
         rows = list(rows)
-        bad = next((row.q for row in rows if not row.agrees), None)
-        checks.append(
-            Check(
-                f"state sum = closed form, p={p} ({len(rows)} pairs)",
-                bad is None,
-                None if bad is None else f"first mismatch at q={bad}",
-            )
-        )
+        bad = next((f"first mismatch at q={row.q}" for row in rows if not row.agrees), None)
+        name = f"state sum = closed form, p={p} ({len(rows)} pairs)"
+        checks.append(Check(name, bad is None, bad))
     return Report("closedform", tuple(checks))
 
 
@@ -186,15 +205,9 @@ def verify_well_defined(p_max=48, shifts=range(-3, 4), sample=100, seed=7):
     lo, hi = min(shifts), max(shifts)
     checks = []
     for p, q in pairs:
-        rep = check_well_defined(LensSpace(p, q), shifts)
-        failures = rep.failures()
-        checks.append(
-            Check(
-                f"L({p},{q}) shifts {lo}..{hi}",
-                not failures,
-                failures[0].witness if failures else None,
-            )
-        )
+        report = check_well_defined(LensSpace(p, q), shifts)
+        bad = next((check.witness for check in report.failures()), None)
+        checks.append(Check(f"L({p},{q}) shifts {lo}..{hi}", bad is None, bad))
     return Report("welldefined", tuple(checks))
 
 
@@ -205,25 +218,12 @@ def verify_periodicity(p_max=48):
     checks = []
     for p, q in _coprime_pairs(p_max - 12):
         value = _state_sum_cached(p, q)
-        bad = None
-        for s in range((p_max - p) // 12 + 1):
-            p2 = p + 12 * s
-            for t in range((p_max - 1 - q) // 12 + 1):
-                q2 = q + 12 * t
-                if (s, t) == (0, 0) or math.gcd(p2, q2) != 1:
-                    continue
-                if _state_sum_cached(p2, q2) != value:
-                    bad = (p2, q2)
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(
-                f"L({p},{q}) mod-12 shifts",
-                bad is None,
-                None if bad is None else f"differs at L({bad[0]},{bad[1]})",
-            )
-        )
+        shifted = ((p + 12 * s, q + 12 * t)
+                   for s in range((p_max - p) // 12 + 1)
+                   for t in range((p_max - 1 - q) // 12 + 1) if s or t)
+        bad = next((f"differs at L({p2},{q2})" for p2, q2 in shifted
+                    if math.gcd(p2, q2) == 1 and _state_sum_cached(p2, q2) != value), None)
+        checks.append(Check(f"L({p},{q}) mod-12 shifts", bad is None, bad))
     return Report("periodicity", tuple(checks))
 
 
@@ -235,15 +235,9 @@ def verify_corollary(p_max=60):
         spaces = [LensSpace(p, q) for _, q in coprime]
         pairs = [(one, two) for i, one in enumerate(spaces) for two in spaces[i:]
                  if homotopy_equivalent(one, two)]
-        bad = next(((one.q, two.q) for one, two in pairs
+        bad = next((f"L({p},{one.q}) vs L({p},{two.q})" for one, two in pairs
                     if closed_form(one) != closed_form(two)), None)
-        checks.append(
-            Check(
-                f"p={p} ({len(pairs)} equivalent pairs)",
-                bad is None,
-                None if bad is None else f"L({p},{bad[0]}) vs L({p},{bad[1]})",
-            )
-        )
+        checks.append(Check(f"p={p} ({len(pairs)} equivalent pairs)", bad is None, bad))
     return Report("corollary", tuple(checks))
 
 

@@ -5,11 +5,12 @@ The image of S is (1/w) times a matrix with entries in Z[i, sqrt3], with
 w = 6 + 2*sqrt(3) the global index; the image of T is diagonal with 12th
 roots of unity (even powers of zeta = exp(pi*i/12)), as the level-12
 congruence property of rho requires.  The matrices are hand-entered data,
-so construction is self-verifying: every row of w*rho(S) must have squared
-conjugate norm exactly w^2 (which pins down the two composite entries
-(3+sqrt3) and i*(3+sqrt3) as the only values consistent with unitarity),
-and the presentation relations S^4 = 1, (ST)^3 = S^2, T^12 = 1 must hold
-exactly.
+so construction is self-verifying: it runs the checks that verify_relations
+and verify_unitary report.  The presentation relations S^4 = 1,
+(ST)^3 = S^2, T^12 = 1 must hold exactly, and so must unitarity; the
+diagonal of (w rho(S))(w rho(S))* = w^2 I says that every row of w*rho(S)
+has squared conjugate norm w^2, which pins down the two composite entries
+(3+sqrt3) and i*(3+sqrt3).
 
 Every evaluation, from one matrix entry to a full matrix product, runs
 through one matrix-vector kernel on integer coefficients; the power of w
@@ -115,14 +116,6 @@ class CycloMatrix:
             tuple(tuple(self._rows[j][i].conjugate() for j in range(n)) for i in range(n))
         )
 
-    def first_difference(self, other):
-        """(i, j, self_entry, other_entry) at the first differing position."""
-        for i in range(self.n):
-            for j in range(self.n):
-                if self._rows[i][j] != other._rows[i][j]:
-                    return i, j, self._rows[i][j], other._rows[i][j]
-        return None
-
 
 # diagonal of rho(T) as exponents of zeta^2 (mod 12):
 # (1, -zeta^2, -1, 1, i, -zeta^2, 1, zeta^8, zeta^-4, -1)
@@ -158,16 +151,9 @@ def _s_numerator():
 
 def _self_check(ns):
     """Abort construction unless the hand-entered matrix passes its oracles."""
-    w2 = GLOBAL_INDEX * GLOBAL_INDEX
-    for i, row in enumerate(ns.rows):
-        norm = sum((e * e.conjugate() for e in row), start=ZERO)
-        if norm != w2:
-            raise RuntimeError(
-                f"row {i + 1} of w*rho(S) has squared norm {norm}, expected w^2"
-            )
-    for check in _relation_checks(ns):
+    for check in _relation_checks(ns) + _unitary_checks(ns):
         if not check.passed:
-            raise RuntimeError(f"presentation relation failed: {check.name}")
+            raise RuntimeError(f"self-check of w*rho(S) failed: {check.name} [{check.witness}]")
 
 
 def _relation_checks(ns):
@@ -185,6 +171,19 @@ def _relation_checks(ns):
         ),
         _equality_check("(rho(S) rho(T))^3 = rho(S)^2", nst * nst * nst, ns2 * GLOBAL_INDEX),
         _equality_check("rho(T)^12 = I", t**12, CycloMatrix.identity(DIM)),
+    ]
+
+
+def _unitary_checks(ns):
+    """Unitarity of rho(S) and rho(T); for S on the w-scaled level, where
+    rho(S) rho(S)* = I becomes (wS)(wS)* = w^2 I (w is real)."""
+    ident = CycloMatrix.identity(DIM)
+    t = rho_t()
+    return [
+        _equality_check(
+            "rho(S) rho(S)* = I", ns * ns.conjugate_transpose(), ident * GLOBAL_INDEX**2
+        ),
+        _equality_check("rho(T) rho(T)* = I", t * t.conjugate_transpose(), ident),
     ]
 
 
@@ -288,14 +287,7 @@ def verify_relations():
 
 def verify_unitary():
     """Report that rho(S) and rho(T) are exactly unitary."""
-    ident = CycloMatrix.identity(DIM)
-    s = rho_s()
-    t = rho_t()
-    checks = (
-        _equality_check("rho(S) rho(S)* = I", s * s.conjugate_transpose(), ident),
-        _equality_check("rho(T) rho(T)* = I", t * t.conjugate_transpose(), ident),
-    )
-    return Report("unitarity", checks)
+    return Report("unitarity", tuple(_unitary_checks(_s_numerator())))
 
 
 def verify_kernel_generators():
@@ -307,25 +299,20 @@ def verify_kernel_generators():
     ident = CycloMatrix.identity(DIM)
     checks = []
     for gen in gamma12_generators():
-        via_word = rho_word(gen.word)
-        diff = via_word.first_difference(ident)
-        if diff is not None:
-            checks.append(Check(gen.name, False, "via word " + _diff_str(diff)))
-            continue
-        via_matrix = rho_word(decompose(gen.matrix))
-        diff = via_matrix.first_difference(ident)
-        if diff is not None:
-            checks.append(Check(gen.name, False, "via matrix " + _diff_str(diff)))
-            continue
-        checks.append(Check(gen.name, True))
+        routes = (("via word", gen.word), ("via matrix", decompose(gen.matrix)))
+        diffs = ((route, _difference(rho_word(word), ident)) for route, word in routes)
+        bad = next((f"{route} {diff}" for route, diff in diffs if diff), None)
+        checks.append(Check(gen.name, bad is None, bad))
     return Report("kernel", tuple(checks))
 
 
 def _equality_check(name, got, want):
-    diff = got.first_difference(want)
-    return Check(name, diff is None, None if diff is None else _diff_str(diff))
+    bad = _difference(got, want)
+    return Check(name, bad is None, bad)
 
 
-def _diff_str(diff):
-    i, j, got, want = diff
-    return f"({i + 1},{j + 1}): expected {want.to_text()}, got {got.to_text()}"
+def _difference(got, want):
+    """The first entry where got differs from want, as text; None if equal."""
+    return next((f"({i + 1},{j + 1}): expected {b.to_text()}, got {a.to_text()}"
+                 for i, (row, want_row) in enumerate(zip(got.rows, want.rows))
+                 for j, (a, b) in enumerate(zip(row, want_row)) if a != b), None)

@@ -163,6 +163,12 @@ def test_verify_bad_pmax_is_usage_error(capsys, monkeypatch):
         code, out = run_cli(capsys, "verify", target, "--pmax", "0")
         assert code == 2, target
         assert out.startswith("error: "), target
+    # relations and kernel have no bound to set
+    for target in ("relations", "kernel"):
+        code, out = run_cli(capsys, "verify", target, "--pmax", "48")
+        assert code == 2, target
+        assert out == (f"error: {target} takes no --pmax; only welldefined, periodicity, "
+                       "closedform, corollary and all do\n")
     # the bound is checked against every sweep before the first suite runs
 
     def must_not_run():

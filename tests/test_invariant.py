@@ -6,9 +6,11 @@ import math
 
 import pytest
 
+from e6lens import invariant
 from e6lens.cyclotomic import GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, quantum_integer, zeta_pow
 from e6lens.invariant import (
     MAX_PMAX,
+    MAX_TRIAL_DIVISOR,
     LensSpace,
     check_well_defined,
     closed_form,
@@ -23,6 +25,8 @@ from e6lens.invariant import (
     verify_periodicity,
     verify_well_defined,
 )
+from e6lens.modular import cofactors
+from e6lens.report import Check
 
 X = 3 + SQRT3  # [4][3]/[2]
 
@@ -147,6 +151,16 @@ def test_verify_closed_form_report():
     assert report.passed, report.to_json()
 
 
+def test_verify_closed_form_names_first_mismatch(monkeypatch):
+    real = invariant.closed_form
+    monkeypatch.setattr(invariant, "closed_form", lambda space: (
+        ZERO if (space.p, space.q) in {(5, 2), (5, 3)} else real(space)))
+    report = verify_closed_form(p_max=6)
+    assert report.failures() == [
+        Check("state sum = closed form, p=5 (4 pairs)", False, "first mismatch at q=2")
+    ]
+
+
 # -- well-definedness -------------------------------------------------------------------
 
 
@@ -162,6 +176,19 @@ def test_verify_well_defined_sample():
     assert report.passed, report.to_json()
 
 
+def test_verify_well_defined_names_first_bad_shift(monkeypatch):
+    # a wrong value for every cofactor shift k >= 1 of L(3,2)
+    real = invariant._state_sum_with_cofactors
+    canonical_a = cofactors(3, 2)[0]
+    monkeypatch.setattr(invariant, "_state_sum_with_cofactors", lambda p, q, a, b: (
+        ZERO if (p, q) == (3, 2) and a > canonical_a else real(p, q, a, b)))
+    report = verify_well_defined(p_max=5, shifts=range(-1, 3), sample=0)
+    value = closed_form(LensSpace(3, 2))
+    assert report.failures() == [
+        Check("L(3,2) shifts -1..2", False, f"expected {value.to_text()}, got {ZERO.to_text()}")
+    ]
+
+
 # -- periodicity --------------------------------------------------------------------------
 
 
@@ -174,6 +201,35 @@ def test_periodicity_examples():
 def test_verify_periodicity_small():
     report = verify_periodicity(p_max=26)
     assert report.passed, report.to_json()
+
+
+def test_verify_periodicity_names_first_shift_in_order(monkeypatch):
+    # shifts of L(2,1) run (s, t) = (0, 1), (1, 0), (1, 1): L(2,13) comes
+    # before L(14,1)
+    real = invariant._state_sum_cached
+    monkeypatch.setattr(invariant, "_state_sum_cached", lambda p, q: (
+        ZERO if (p, q) in {(14, 1), (2, 13)} else real(p, q)))
+    report = verify_periodicity(p_max=14)
+    assert report.checks == (
+        Check("L(1,0) mod-12 shifts", True),
+        Check("L(2,1) mod-12 shifts", False, "differs at L(2,13)"),
+    )
+
+
+def test_state_sum_cache_is_bounded_and_holds_the_largest_sweeps():
+    # the pairs that verify_periodicity(MAX_PMAX) and then
+    # verify_closed_form(MAX_PMAX) evaluate: none is evicted while they run
+    top = MAX_PMAX
+    touched = {
+        (p + 12 * s, q + 12 * t)
+        for p in range(1, top - 11) for q in range(p)
+        for s in range((top - p) // 12 + 1) for t in range((top - 1 - q) // 12 + 1)
+        if math.gcd(p, q) == 1 and math.gcd(p + 12 * s, q + 12 * t) == 1
+    }
+    touched |= {(p, q) for p in range(1, top + 1) for q in range(p) if math.gcd(p, q) == 1}
+    maxsize = invariant._state_sum_cached.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    assert len(touched) <= maxsize
 
 
 def test_verify_periodicity_rejects_small_bound():
@@ -216,9 +272,58 @@ def test_homotopy_brute_force_against_known_case():
     assert equivalent == [1, 2, 4]
 
 
+def test_homotopy_matches_brute_force_over_squares():
+    # q ~ q' iff q/q' mod |p| lies in the set of squares: every pair with
+    # 0 <= q, q' < |p| <= 60 (and q in [-|p|, 0) against q' = 1), and every
+    # 0 <= q < p against q' = 1 for p <= 500
+    for p in [*range(-60, 0), *range(1, 501)]:
+        n = abs(p)
+        squares = {k * k % n for k in range(n)}
+        units = [q for q in range(n) if math.gcd(n, q) == 1]
+        pairs = [(q, 1) for q in units]
+        if n <= 60:
+            pairs += [(q, q2) for q in units for q2 in units]
+            pairs += [(q - n, 1) for q in units]
+        for q, q2 in pairs:
+            expected = q * pow(q2, -1, n) % n in squares
+            assert homotopy_equivalent(LensSpace(p, q), LensSpace(p, q2)) == expected, (p, q, q2)
+
+
+def test_homotopy_decides_large_p_by_trial_division():
+    prime = 999_999_999_989  # the largest prime below 10^12
+    assert prime < MAX_TRIAL_DIVISOR**2
+    assert homotopy_equivalent(LensSpace(prime, 3), LensSpace(prime, 12))
+    # -1 is a square mod a prime p iff p = 1 mod 4
+    assert prime % 4 == 1
+    assert homotopy_equivalent(LensSpace(prime, 1), LensSpace(prime, -1))
+    nonsquare = next(q for q in range(2, 100) if pow(q, prime // 2, prime) != 1)
+    assert not homotopy_equivalent(LensSpace(prime, 1), LensSpace(prime, nonsquare))
+    # 2^40 * 3^20 is past 10^12 but has only small factors
+    big = 2**40 * 3**20
+    assert homotopy_equivalent(LensSpace(big, 1), LensSpace(big, 25))
+    assert not homotopy_equivalent(LensSpace(big, 1), LensSpace(big, 5))
+
+
+def test_homotopy_rejects_p_past_trial_division():
+    mersenne = 2**127 - 1
+    with pytest.raises(ValueError, match="trial division"):
+        homotopy_equivalent(LensSpace(mersenne, 1), LensSpace(mersenne, 2))
+
+
 def test_verify_corollary_small():
     report = verify_corollary(p_max=12)
     assert report.passed, report.to_json()
+
+
+def test_verify_corollary_names_first_unequal_pair(monkeypatch):
+    # at p = 7 the classes are {1, 2, 4} and {3, 5, 6}
+    real = invariant.closed_form
+    monkeypatch.setattr(invariant, "closed_form", lambda space: (
+        ZERO if (space.p, space.q) == (7, 4) else real(space)))
+    report = verify_corollary(p_max=7)
+    assert report.failures() == [
+        Check("p=7 (12 equivalent pairs)", False, "L(7,1) vs L(7,4)")
+    ]
 
 
 # -- table driver ------------------------------------------------------------------------------

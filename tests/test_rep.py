@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from e6lens import rep
 from e6lens.cyclotomic import GLOBAL_INDEX, ONE, SQRT3, ZERO, Cyclotomic, zeta_pow
-from e6lens.modular import IDENTITY, SL2Z, Word, decompose, gamma12_generators
+from e6lens.modular import IDENTITY, SL2Z, GammaGenerator, T, Word, decompose, gamma12_generators
 from e6lens.rep import (
     DIM,
     CycloMatrix,
+    _relation_checks,
     _s_numerator,
     _self_check,
     rho_entry_11,
@@ -22,6 +24,7 @@ from e6lens.rep import (
     verify_relations,
     verify_unitary,
 )
+from e6lens.report import Check
 
 I10 = CycloMatrix.identity(DIM)
 
@@ -87,6 +90,16 @@ def test_construction_aborts_on_corrupt_entry():
         _self_check(CycloMatrix(rows))
 
 
+def test_construction_aborts_on_sign_flip_that_keeps_row_norms():
+    rows = [list(r) for r in _s_numerator().rows]
+    rows[0][6] = -rows[0][6]
+    corrupt = CycloMatrix(rows)
+    w2 = GLOBAL_INDEX * GLOBAL_INDEX
+    assert all(sum((e * e.conjugate() for e in row), start=ZERO) == w2 for row in corrupt.rows)
+    with pytest.raises(RuntimeError, match=r"rho\(S\)\^4 = I"):
+        _self_check(corrupt)
+
+
 # -- relations and unitarity ---------------------------------------------------------
 
 
@@ -109,6 +122,33 @@ def test_verify_unitary():
     assert report.passed, report.to_json()
     s = rho_s()
     assert s * s.conjugate_transpose() == I10
+
+
+def test_construction_aborts_on_similarity_that_keeps_relations():
+    # D ns D^-1 with D = diag(2, 1, ..., 1) commutes past rho(T), so every
+    # presentation relation still holds; only unitarity catches it
+    rows = [list(r) for r in _s_numerator().rows]
+    for j in range(1, DIM):
+        rows[0][j] = 2 * rows[0][j]
+        rows[j][0] = rows[j][0] / 2
+    corrupt = CycloMatrix(rows)
+    assert all(check.passed for check in _relation_checks(corrupt))
+    with pytest.raises(RuntimeError, match=r"rho\(S\) rho\(S\)\* = I"):
+        _self_check(corrupt)
+
+
+# -- kernel -----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("word, route", [(Word([1]), "via word"), (Word(), "via matrix")])
+def test_kernel_failure_names_route_and_entry(monkeypatch, word, route):
+    # a fake generator T: its word is T1 (fails via word) or empty (passes
+    # via word, fails via matrix); rho(T) has -zeta^2 at (2,2)
+    fake = GammaGenerator("fake", T, word)
+    monkeypatch.setattr(rep, "gamma12_generators", lambda: (fake,))
+    report = verify_kernel_generators()
+    witness = f"{route} (2,2): expected {ONE.to_text()}, got {zeta_pow(14).to_text()}"
+    assert report.checks == (Check("fake", False, witness),)
 
 
 # -- word evaluation ------------------------------------------------------------------
