@@ -36,7 +36,6 @@ from .modular import (
     T,
     Word,
     cofactors,
-    congruent_lift,
     decompose,
     gamma12_generators,
     in_gamma12,
@@ -45,10 +44,8 @@ from .modular import (
 )
 from .rep import (
     CycloMatrix,
-    rho_matrix,
     rho_s,
     rho_t,
-    rho_t_power,
     rho_word,
     verify_kernel_generators,
     verify_relations,
@@ -64,9 +61,9 @@ __all__ = [
     "LensSpace", "check_well_defined", "closed_form", "homotopy_equivalent",
     "state_sum", "sweep_table", "verify_closed_form", "verify_corollary",
     "verify_periodicity", "verify_well_defined",
-    "IDENTITY", "S", "SL2Z", "T", "Word", "cofactors", "congruent_lift",
-    "decompose", "gamma12_generators", "in_gamma12", "lens_matrix", "t_power",
-    "CycloMatrix", "rho_matrix", "rho_s", "rho_t", "rho_t_power", "rho_word",
+    "IDENTITY", "S", "SL2Z", "T", "Word", "cofactors", "decompose",
+    "gamma12_generators", "in_gamma12", "lens_matrix", "t_power",
+    "CycloMatrix", "rho_s", "rho_t", "rho_word",
     "verify_kernel_generators", "verify_relations", "verify_unitary",
     "Check", "Report",
 ]

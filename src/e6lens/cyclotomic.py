@@ -183,7 +183,8 @@ class Cyclotomic:
         return all(x == y for x, y in zip(self._c, o._c))
 
     def __hash__(self):
-        return hash(tuple(Fraction(x) for x in self._c))
+        # a rational value hashes as that rational, since it compares equal to it
+        return hash(self._c if any(self._c[1:]) else self._c[0])
 
     def __bool__(self):
         return any(self._c)

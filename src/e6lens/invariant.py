@@ -120,28 +120,36 @@ def homotopy_equivalent(one, two):
     """Orientation-preserving homotopy equivalence of L(p,q) and L(p',q'):
     p = p' and q = n^2 q' mod p for some n (for p = 0: q = q').
 
-    The unit q/q' must be a square mod each prime power of p: 1 mod 4 if
-    4 || p, 1 mod 8 if 8 | p, a quadratic residue mod each odd prime l | p
-    (Cohen, A Course in Computational Algebraic Number Theory, 1.5)."""
+    The unit q/q' must be a square mod each prime power of p, so q and q'
+    must have the same square class; its symbols are compared one by one,
+    and the first that differs decides."""
     if one.p != two.p:
         return False
-    p, q, q2 = abs(one.p), one.q, two.q
-    if p == 0:
-        return q == q2
+    if one.p == 0:
+        return one.q == two.q
+    return all(x == y for x, y in zip(_square_class(one.p, one.q), _square_class(one.p, two.q)))
+
+
+def _square_class(p, q):
+    """The symbols of the unit q mod |p| != 0 that fix it up to squares:
+    q mod 4 if 4 || p, q mod 8 if 8 | p, then q^((l-1)/2) mod l for each odd
+    prime l | p (Cohen, A Course in Computational Algebraic Number Theory,
+    1.5).  The odd primes come from trial division up to MAX_TRIAL_DIVISOR."""
+    p = abs(p)
     twos = (p & -p).bit_length() - 1
-    if twos >= 2 and (q - q2) % (4 if twos == 2 else 8):
-        return False
+    if twos >= 2:
+        yield q % (4 if twos == 2 else 8)
     m, d = p >> twos, 3
     while d * d <= m:
         if d > MAX_TRIAL_DIVISOR:
             raise ValueError(f"trial division up to {MAX_TRIAL_DIVISOR} does not factor |p| = {p}")
         if m % d == 0:
-            if pow(q, d // 2, d) != pow(q2, d // 2, d):
-                return False
+            yield pow(q, d // 2, d)
             while m % d == 0:
                 m //= d
         d += 2
-    return m == 1 or pow(q, m // 2, m) == pow(q2, m // 2, m)
+    if m > 1:
+        yield pow(q, m // 2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +236,25 @@ def verify_periodicity(p_max=48):
 
 
 def verify_corollary(p_max=60):
-    """Equal closed-form values on every homotopy-equivalent pair q, q' < p."""
+    """Equal closed-form values on every homotopy-equivalent pair q, q' < p.
+
+    The spaces of each p are grouped by the square class of q, which is
+    their homotopy class; closed_form runs once per space, and a class of k
+    spaces holds k(k+1)/2 pairs q <= q'."""
     check_pmax(p_max, "corollary")
     checks = []
     for p, coprime in groupby(_coprime_pairs(p_max), key=itemgetter(0)):
-        spaces = [LensSpace(p, q) for _, q in coprime]
-        pairs = [(one, two) for i, one in enumerate(spaces) for two in spaces[i:]
-                 if homotopy_equivalent(one, two)]
-        bad = next((f"L({p},{one.q}) vs L({p},{two.q})" for one, two in pairs
-                    if closed_form(one) != closed_form(two)), None)
-        checks.append(Check(f"p={p} ({len(pairs)} equivalent pairs)", bad is None, bad))
+        spaces = [(q, tuple(_square_class(p, q)), closed_form(LensSpace(p, q)))
+                  for _, q in coprime]
+        classes = {}  # square class -> [(q, value)], q ascending
+        for q, key, value in spaces:
+            classes.setdefault(key, []).append((q, value))
+        pairs = sum(len(members) * (len(members) + 1) // 2 for members in classes.values())
+        mixed = {key for key, members in classes.items()
+                 if any(value != members[0][1] for _, value in members)}
+        bad = next((f"L({p},{q}) vs L({p},{q2})" for q, key, value in spaces if key in mixed
+                    for q2, value2 in classes[key] if q2 > q and value2 != value), None)
+        checks.append(Check(f"p={p} ({pairs} equivalent pairs)", bad is None, bad))
     return Report("corollary", tuple(checks))
 
 
@@ -252,9 +269,6 @@ class TableRow:
     state: Cyclotomic
     closed: Cyclotomic
     agrees: bool
-
-    def float_parts(self, precision_bits=64):
-        return self.state.approx(precision_bits)
 
 
 def sweep_table(p_max):
@@ -284,7 +298,7 @@ def format_complex(re, im):
 def table_csv(rows, precision_bits=64):
     lines = ["p,q,exact,float_re,float_im,agrees"]
     for row in rows:
-        re, im = row.float_parts(precision_bits)
+        re, im = row.state.approx(precision_bits)
         lines.append(
             f"{row.p},{row.q},{row.state.to_text()},"
             f"{_format_float(re)},{_format_float(im)},{str(row.agrees).lower()}"
@@ -295,7 +309,7 @@ def table_csv(rows, precision_bits=64):
 def table_json_obj(rows, precision_bits=64):
     out = []
     for row in rows:
-        re, im = row.float_parts(precision_bits)
+        re, im = row.state.approx(precision_bits)
         out.append(
             {
                 "p": row.p,
@@ -313,7 +327,7 @@ def table_json_obj(rows, precision_bits=64):
 def table_text(rows, precision_bits=64):
     lines = [f"{'p':>4} {'q':>4}  {'value':<28} {'float':<28} agrees"]
     for row in rows:
-        re, im = row.float_parts(precision_bits)
+        re, im = row.state.approx(precision_bits)
         fl = format_complex(re, im)
         lines.append(
             f"{row.p:>4} {row.q:>4}  {row.state.surd_str():<28} {fl:<28} "

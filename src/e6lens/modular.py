@@ -41,17 +41,6 @@ class SL2Z:
     def inverse(self):
         return SL2Z(self.d, -self.b, -self.c, self.a)
 
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        acc = IDENTITY
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
@@ -243,26 +232,6 @@ def in_gamma12(m):
     )
 
 
-def congruent_lift(p, q, p2, q2):
-    """Cofactor pairs for (p, q) and (p2, q2) that agree mod 12.
-
-    Requires both pairs coprime and p = p2, q = q2 mod 12.  Both canonical
-    cofactor pairs solve x*q - y*p = 1 mod 12, whose solutions differ by
-    multiples of (p, q) mod 12, so exactly one shift (a2, b2) + k*(p2, q2)
-    with 0 <= k < 12 matches (a, b) mod 12.  Returns (a, b, a2, b2) with
-    a*q - b*p = 1, a2*q2 - b2*p2 = 1, a = a2 and b = b2 mod 12.
-    """
-    if math.gcd(p, q) != 1 or math.gcd(p2, q2) != 1:
-        raise ValueError("both (p, q) and (p2, q2) must be coprime")
-    if (p - p2) % 12 or (q - q2) % 12:
-        raise ValueError("need p = p2 and q = q2 mod 12")
-    a, b = cofactors(p, q)
-    a2, b2 = cofactors(p2, q2)
-    k = next(k for k in range(12)
-             if (a2 + k * p2 - a) % 12 == 0 and (b2 + k * q2 - b) % 12 == 0)
-    return a, b, a2 + k * p2, b2 + k * q2
-
-
 @dataclass(frozen=True)
 class GammaGenerator:
     name: str
@@ -272,7 +241,7 @@ class GammaGenerator:
 
 # Generating set of Gamma(12) as a normal subgroup (19 elements, computed
 # externally with the GAP package Congruence), each with an S/T word.  Taken
-# as given; everything checkable about it is checked in _build_generators.
+# as given; everything checkable about it is checked in gamma12_generators.
 _GENERATOR_DATA = (
     ("P1+", (1, 12, 0, 1), "T12"),
     ("P1-", (1, -12, 0, 1), "T-12"),
@@ -297,7 +266,8 @@ _GENERATOR_DATA = (
 
 
 @lru_cache(maxsize=1)
-def _build_generators():
+def gamma12_generators():
+    """The 19 (name, matrix, word) entries, self-checked on first use."""
     table = []
     for name, entries, word_text in _GENERATOR_DATA:
         matrix = SL2Z(*entries)
@@ -311,8 +281,3 @@ def _build_generators():
             raise RuntimeError(f"generator table bug: {name} not in Gamma(12)")
         table.append(GammaGenerator(name, matrix, word))
     return tuple(table)
-
-
-def gamma12_generators():
-    """The 19 (name, matrix, word) entries, self-checked on first use."""
-    return _build_generators()

@@ -249,14 +249,9 @@ def rho_s():
 @lru_cache(maxsize=1)
 def rho_t():
     """rho(T) = diag(1, -zeta^2, -1, 1, i, -zeta^2, 1, zeta^8, zeta^-4, -1)."""
-    return rho_t_power(1)
-
-
-def rho_t_power(k):
-    """rho(T)^k by diagonal exponentiation (k mod 12)."""
     return CycloMatrix(
         tuple(
-            tuple(zeta_pow(2 * _T_EXP[i] * k) if i == j else ZERO for j in range(DIM))
+            tuple(zeta_pow(2 * _T_EXP[i]) if i == j else ZERO for j in range(DIM))
             for i in range(DIM)
         )
     )
@@ -266,12 +261,6 @@ def rho_word(word):
     """Image of a generator word: the kernel applied to each basis column."""
     cols = [_over_w_power(*_apply_word(word, _unit(j))) for j in range(DIM)]
     return CycloMatrix(zip(*cols))
-
-
-def rho_matrix(m):
-    """rho on an SL(2,Z) matrix, via word decomposition (well-defined since
-    the presentation relations are verified at construction)."""
-    return rho_word(decompose(m))
 
 
 def rho_entry_11(word):

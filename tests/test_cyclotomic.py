@@ -402,6 +402,16 @@ def test_equality_across_coefficient_kinds():
     assert hash(a) == hash(b)
 
 
+def test_rational_values_hash_as_their_rationals():
+    # equal values must hash equally, also across types
+    half = Fraction(1, 2)
+    assert ONE == 1 and hash(ONE) == hash(1)
+    assert len({ONE, 1}) == 1
+    assert Cyclotomic.from_rational(half) == half
+    assert hash(Cyclotomic.from_rational(half)) == hash(half)
+    assert len({Cyclotomic.from_rational(half), half}) == 1
+
+
 def test_rejects_float_coefficients():
     with pytest.raises(TypeError):
         Cyclotomic([0.5] + [0] * 7)

@@ -238,18 +238,19 @@ def test_verify_periodicity_rejects_small_bound():
 
 
 def test_periodicity_mechanism_through_congruence_kernel():
-    # congruent cofactor lifts make the two gluing matrices differ by an
-    # element of Gamma(12), which rho kills; equal invariants follow
-    from e6lens.modular import congruent_lift, in_gamma12, lens_matrix
-    from e6lens.rep import DIM, CycloMatrix, rho_matrix
+    # for (p2, q2) = (p, q) mod 12 the two gluing matrices differ, up to a
+    # power of T on the right, by an element of Gamma(12), which rho kills;
+    # rho(T) fixes e_1, so equal invariants follow
+    from e6lens.modular import decompose, in_gamma12, lens_matrix, t_power
+    from e6lens.rep import DIM, CycloMatrix, rho_word
 
     for p, q, p2, q2 in [(1, 0, 13, 12), (5, 2, 17, 14), (7, 3, 19, 15)]:
-        a, b, a2, b2 = congruent_lift(p, q, p2, q2)
-        glue = lens_matrix(p, q, a, b)
-        glue2 = lens_matrix(p2, q2, a2, b2)
-        corrector = glue.inverse() * glue2
-        assert in_gamma12(corrector)
-        assert rho_matrix(corrector) == CycloMatrix.identity(DIM)
+        glue = lens_matrix(p, q, *cofactors(p, q))
+        glue2 = lens_matrix(p2, q2, *cofactors(p2, q2))
+        candidates = (glue.inverse() * glue2 * t_power(k) for k in range(12))
+        corrector = next(m for m in candidates if in_gamma12(m))
+        assert rho_word(decompose(corrector)) == CycloMatrix.identity(DIM)
+        assert state_sum(LensSpace(p, q)) == state_sum(LensSpace(p2, q2))
 
 
 # -- homotopy equivalence -------------------------------------------------------------------
@@ -310,6 +311,17 @@ def test_homotopy_rejects_p_past_trial_division():
         homotopy_equivalent(LensSpace(mersenne, 1), LensSpace(mersenne, 2))
 
 
+def test_homotopy_decides_at_the_first_differing_symbol():
+    # 3M and 4M have a small factor on which q = 1 and q' differ, so the
+    # answer comes before trial division reaches M; at 3M with q' = 4 the
+    # symbols mod 3 agree, and the search for M's factors gives up
+    mersenne = 2**127 - 1
+    assert not homotopy_equivalent(LensSpace(3 * mersenne, 1), LensSpace(3 * mersenne, 2))
+    assert not homotopy_equivalent(LensSpace(4 * mersenne, 1), LensSpace(4 * mersenne, 3))
+    with pytest.raises(ValueError, match="trial division"):
+        homotopy_equivalent(LensSpace(3 * mersenne, 1), LensSpace(3 * mersenne, 4))
+
+
 def test_verify_corollary_small():
     report = verify_corollary(p_max=12)
     assert report.passed, report.to_json()
@@ -326,6 +338,27 @@ def test_verify_corollary_names_first_unequal_pair(monkeypatch):
     ]
 
 
+def test_verify_corollary_witness_is_first_in_pair_order(monkeypatch):
+    # at p = 13 the classes are the squares {1, 3, 4, 9, 10, 12} and the
+    # rest {2, 5, 6, 7, 8, 11}; with L(13,12) and L(13,5) changed, scanning
+    # q upward meets (2, 5) first, but (1, 12) comes first in (q, q') order
+    real = invariant.closed_form
+    monkeypatch.setattr(invariant, "closed_form", lambda space: (
+        ZERO if (space.p, space.q) in {(13, 12), (13, 5)} else real(space)))
+    report = verify_corollary(p_max=13)
+    assert report.failures() == [
+        Check("p=13 (42 equivalent pairs)", False, "L(13,1) vs L(13,12)")
+    ]
+
+
+def test_verify_corollary_calls_closed_form_once_per_space(monkeypatch):
+    calls = []
+    real = invariant.closed_form
+    monkeypatch.setattr(invariant, "closed_form", lambda space: calls.append(space) or real(space))
+    assert verify_corollary(p_max=60).passed
+    assert len(calls) == len(list(invariant._coprime_pairs(60)))
+
+
 # -- table driver ------------------------------------------------------------------------------
 
 
@@ -335,7 +368,7 @@ def test_sweep_table_single_row():
     row = rows[0]
     assert (row.p, row.q) == (1, 0)
     assert row.state == ONE and row.agrees
-    re, im = row.float_parts()
+    re, im = row.state.approx(64)
     assert float(re) == 1.0 and float(im) == 0.0
 
 

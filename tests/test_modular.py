@@ -13,7 +13,6 @@ from e6lens.modular import (
     T,
     Word,
     cofactors,
-    congruent_lift,
     decompose,
     gamma12_generators,
     in_gamma12,
@@ -44,10 +43,11 @@ def test_determinant_enforced():
 
 def test_generator_relations():
     assert S * S == SL2Z(-1, 0, 0, -1)
-    assert S**4 == IDENTITY
-    assert (S * T) ** 6 == IDENTITY
-    assert T**5 == t_power(5)
-    assert T**-3 == t_power(-3)
+    assert S * S * S * S == IDENTITY
+    st = S * T
+    assert st * st * st * st * st * st == IDENTITY
+    assert T * T * T * T * T == t_power(5)
+    assert T.inverse() * T.inverse() * T.inverse() == t_power(-3)
 
 
 def test_inverse():
@@ -244,42 +244,23 @@ def test_normal_closure_smoke():
         assert in_gamma12(u * gen.matrix * u.inverse())
 
 
-# -- congruent cofactor lifts -----------------------------------------------------------
-
-
-def _check_lift(p, q, p2, q2):
-    a, b, a2, b2 = congruent_lift(p, q, p2, q2)
-    assert a * q - b * p == 1
-    assert a2 * q2 - b2 * p2 == 1
-    assert (a - a2) % 12 == 0
-    assert (b - b2) % 12 == 0
-
-
-def test_congruent_lift_identical_input():
-    a, b, a2, b2 = congruent_lift(5, 2, 5, 2)
-    assert (a, b) == (a2, b2)
-    _check_lift(5, 2, 5, 2)
-
-
-def test_congruent_lift_examples():
-    _check_lift(1, 0, 13, 12)
-    _check_lift(5, 2, 17, 14)
-
-
-def test_congruent_lift_rejects_bad_input():
-    with pytest.raises(ValueError):
-        congruent_lift(2, 4, 2, 4)
-    with pytest.raises(ValueError):
-        congruent_lift(5, 2, 6, 2)
+# -- congruent gluing matrices ---------------------------------------------------------
 
 
 def test_congruent_lift_exhaustive_small_sweep():
+    # for (p, q) and (p2, q2) = (p, q) mod 12, exactly one T^k (0 <= k < 12)
+    # makes glue^-1 * glue2 * T^k lie in Gamma(12): the two canonical cofactor
+    # pairs solve x*q - y*p = 1 mod 12, whose solutions differ by multiples of
+    # (p, q) mod 12
     for p in range(-30, 31):
         for q in range(-30, 31):
             if math.gcd(p, q) != 1:
                 continue
+            inverse = lens_matrix(p, q, *cofactors(p, q)).inverse()
             for dp, dq in ((12, 0), (0, 12), (12, 12), (24, 0), (0, 24), (24, 24)):
                 p2, q2 = p + dp, q + dq
                 if math.gcd(p2, q2) != 1:
                     continue
-                _check_lift(p, q, p2, q2)
+                glue2 = lens_matrix(p2, q2, *cofactors(p2, q2))
+                ks = [k for k in range(12) if in_gamma12(inverse * glue2 * t_power(k))]
+                assert len(ks) == 1, (p, q, p2, q2, ks)

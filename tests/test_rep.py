@@ -15,10 +15,8 @@ from e6lens.rep import (
     _s_numerator,
     _self_check,
     rho_entry_11,
-    rho_matrix,
     rho_s,
     rho_t,
-    rho_t_power,
     rho_word,
     verify_kernel_generators,
     verify_relations,
@@ -71,7 +69,6 @@ def test_rho_t_diagonal():
 
 def test_rho_t_twelfth_power_is_identity():
     assert rho_t() ** 12 == I10
-    assert rho_t_power(12) == I10
 
 
 def test_row_norm_oracle():
@@ -167,12 +164,12 @@ def test_published_word_in_kernel():
 
 
 def test_rho_matrix_identity_and_generators():
-    assert rho_matrix(IDENTITY) == I10
-    assert rho_matrix(SL2Z(0, -1, 1, 0)) == rho_s()
+    assert rho_word(decompose(IDENTITY)) == I10
+    assert rho_word(decompose(SL2Z(0, -1, 1, 0))) == rho_s()
 
 
 def test_rho_of_minus_identity_has_unit_corner():
-    m = rho_matrix(SL2Z(-1, 0, 0, -1))
+    m = rho_word(decompose(SL2Z(-1, 0, 0, -1)))
     assert m == rho_s() * rho_s()
     assert m.entry(0, 0) == ONE
 
@@ -192,14 +189,15 @@ def test_word_independence_of_rho_matrix():
         m = word.to_matrix()
         alt = decompose(m) * s4
         assert alt.to_matrix() == m
-        assert rho_word(alt) == rho_matrix(m)
+        assert rho_word(alt) == rho_word(decompose(m))
 
 
 def test_rho_t_power_matches_repeated_product():
+    # T^k through the kernel, negative k included, against rho(T)^(k mod 12)
     rng = random.Random(29)
     for _ in range(10):
         k = rng.randint(-30, 30)
-        assert rho_t_power(k) == rho_t() ** (k % 12)
+        assert rho_word(Word([k])) == rho_t() ** (k % 12)
 
 
 def test_entry_11_fast_path_matches_full_matrix():
@@ -221,12 +219,18 @@ def test_kernel_matches_naive_cyclotomic_products():
             for i in range(DIM)
         ]
 
+    def t_power(k):
+        # rho(T)^k entrywise: the diagonal entries to the power k mod 12
+        return [[e ** (k % 12) if i == j else ZERO for j, e in enumerate(row)]
+                for i, row in enumerate(rho_t().rows)]
+
+    assert [list(row) for row in (rho_t() ** 5).rows] == t_power(5)
     rng = random.Random(53)
     for _ in range(8):
         word = rand_word(rng, 5)
         expect = [[ONE if i == j else ZERO for j in range(DIM)] for i in range(DIM)]
         for tok in word.tokens:
-            factor = s if tok == "S" else [list(row) for row in rho_t_power(tok).rows]
+            factor = s if tok == "S" else t_power(tok)
             product = CycloMatrix(expect) * CycloMatrix(factor)
             expect = naive(expect, factor)
             assert [list(row) for row in product.rows] == expect
@@ -234,8 +238,9 @@ def test_kernel_matches_naive_cyclotomic_products():
 
 
 def test_rho_word_matches_public_matrix_products():
-    assert rho_word(Word(["S", 5])) == rho_s() * rho_t_power(5)
-    assert rho_word(Word([-7, "S", 3])) == rho_t_power(-7) * rho_s() * rho_t_power(3)
+    t = rho_t()
+    assert rho_word(Word(["S", 5])) == rho_s() * t**5
+    assert rho_word(Word([-7, "S", 3])) == t**5 * rho_s() * t**3
 
 
 # -- kernel ---------------------------------------------------------------------------
