@@ -1,7 +1,11 @@
 """The E6 state sum invariant Z(L(p, q)) of lens spaces, two independent ways.
 
-Route one (state_sum): Z = w * (rho(-q, b; p, -a))_{1,1} with a*q - b*p = 1,
-evaluated by decomposing the gluing matrix into an S/T word.  Route two
+Route one (state_sum): Z = w * (rho(-q, b; p, -a))_{1,1} with a*q - b*p = 1.
+rho kills Gamma(12) (rep.verify_kernel_generators), so state_sum serves Z by
+the residue of the gluing matrix mod 12: the shortest S/T word of that
+residue (modular.residue_words) is evaluated once and memoized, which bounds
+the time of every p.  The literal route decomposes the gluing matrix itself
+into a word; the verification sweeps use only that one.  Route two
 (closed_form): an exact case table keyed on p mod 12 and q mod gcd(p, 12).
 Both are normalized so that Z(S^3) = Z(L(1, 0)) = 1.
 
@@ -20,8 +24,8 @@ The complex cases carry opposite signs on the two residues r of p sharing a
 gcd; this is forced by the state sum (the gluing matrix of L(p, 1) is
 S T^p S, whose first entry works out to zeta^{-3}[4] at p = 3 but
 zeta^{+3}[4] at p = 9), and is exactly the "determined by p mod 12 and
-q mod (p, 12)" shape.  Every branch is pinned against route one by the
-exhaustive agreement sweep below.
+q mod (p, 12)" shape.  Every branch is pinned against the literal route by
+the exhaustive agreement sweep below.
 
 Both routes accept any coprime integer pair, including q >= p, q < 0 and
 p <= 0; no normalization of q is applied (the gluing formula is used
@@ -35,10 +39,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .cyclotomic import GLOBAL_INDEX, IMAG, SQRT3, ZERO, Cyclotomic, quantum_integer, zeta_pow
-from .modular import cofactors, decompose, lens_matrix
+from .modular import cofactors, decompose, lens_matrix, mod12, residue_words
 from .rep import rho_entry_11
 from .report import Check, Report
 
@@ -69,14 +73,34 @@ class LensSpace:
 
 def state_sum(space):
     """Z via the representation: w times the first entry of rho of the
-    gluing matrix (-q, b; p, -a), for the canonical cofactors (a, b)."""
-    return _state_sum_cached(space.p, space.q)
+    gluing matrix (-q, b; p, -a), for the canonical cofactors (a, b).
+
+    rho kills Gamma(12) (verify_kernel_generators), so rho of the gluing
+    matrix is rho of the shortest word of its residue mod 12; that value is
+    computed once per residue and memoized."""
+    p, q = space.p, space.q
+    key = mod12(lens_matrix(p, q, *cofactors(p, q)))
+    value = _served.get(key)
+    if value is None:
+        value = _served[key] = _fill_served(key)
+    return value
 
 
-# One entry per pair of a MAX_PMAX box: the largest sweeps evict nothing,
-# and a stream of large p holds bounded memory.
+# state_sum's memo: residue mod 12 of the gluing matrix -> Z.  Its keys lie
+# in SL(2,Z/12), so it holds at most SL2_Z12_ORDER entries.
+_served = {}
+
+
+def _fill_served(key):
+    return GLOBAL_INDEX * rho_entry_11(residue_words()[key])
+
+
+# The literal route, which the verification suites use instead of state_sum.
+# One entry per pair of a MAX_PMAX box: periodicity and then closedform
+# evict nothing and share their words, and large p hold bounded memory.
 @lru_cache(maxsize=MAX_PMAX**2)
-def _state_sum_cached(p, q):
+def _literal_state_sum(p, q):
+    """Z from the literal gluing word of (p, q), canonical cofactors."""
     a, b = cofactors(p, q)
     return _state_sum_with_cofactors(p, q, a, b)
 
@@ -172,14 +196,15 @@ def _coprime_pairs(p_max):
 
 
 def verify_closed_form(p_max=48):
-    """Exact agreement of the two routes on all coprime pairs up to p_max,
-    one check per p, read from the agreement flags of sweep_table."""
+    """Exact agreement of the literal state sum with the closed form on all
+    coprime pairs up to p_max, one check per p."""
     check_pmax(p_max, "closedform")
     checks = []
-    for p, rows in groupby(sweep_table(p_max), key=attrgetter("p")):
-        rows = list(rows)
-        bad = next((f"first mismatch at q={row.q}" for row in rows if not row.agrees), None)
-        name = f"state sum = closed form, p={p} ({len(rows)} pairs)"
+    for p, coprime in groupby(_coprime_pairs(p_max), key=itemgetter(0)):
+        qs = [q for _, q in coprime]
+        bad = next((f"first mismatch at q={q}" for q in qs
+                    if _literal_state_sum(p, q) != closed_form(LensSpace(p, q))), None)
+        name = f"state sum = closed form, p={p} ({len(qs)} pairs)"
         checks.append(Check(name, bad is None, bad))
     return Report("closedform", tuple(checks))
 
@@ -188,7 +213,7 @@ def check_well_defined(space, shifts):
     """The state sum is unchanged when (a, b) is replaced by (a+kp, b+kq)."""
     p, q = space.p, space.q
     a, b = cofactors(p, q)
-    reference = state_sum(space)
+    reference = _literal_state_sum(p, q)
     checks = []
     for k in shifts:
         value = _state_sum_with_cofactors(p, q, a + k * p, b + k * q)
@@ -225,12 +250,12 @@ def verify_periodicity(p_max=48):
     check_pmax(p_max, "periodicity")
     checks = []
     for p, q in _coprime_pairs(p_max - 12):
-        value = _state_sum_cached(p, q)
+        value = _literal_state_sum(p, q)
         shifted = ((p + 12 * s, q + 12 * t)
                    for s in range((p_max - p) // 12 + 1)
                    for t in range((p_max - 1 - q) // 12 + 1) if s or t)
         bad = next((f"differs at L({p2},{q2})" for p2, q2 in shifted
-                    if math.gcd(p2, q2) == 1 and _state_sum_cached(p2, q2) != value), None)
+                    if math.gcd(p2, q2) == 1 and _literal_state_sum(p2, q2) != value), None)
         checks.append(Check(f"L({p},{q}) mod-12 shifts", bad is None, bad))
     return Report("periodicity", tuple(checks))
 

@@ -3,6 +3,7 @@ well-definedness, periodicity, homotopy invariance and the table driver."""
 
 import json
 import math
+import random
 
 import pytest
 
@@ -25,7 +26,7 @@ from e6lens.invariant import (
     verify_periodicity,
     verify_well_defined,
 )
-from e6lens.modular import cofactors
+from e6lens.modular import SL2_Z12_ORDER, cofactors, lens_matrix, mod12, residue_words
 from e6lens.report import Check
 
 X = 3 + SQRT3  # [4][3]/[2]
@@ -161,6 +162,77 @@ def test_verify_closed_form_names_first_mismatch(monkeypatch):
     ]
 
 
+# -- the served route ---------------------------------------------------------------------
+
+
+def _coprime_big_pairs(seed, bits, count):
+    # p with exactly `bits` bits, alternating in sign; q coprime in (-|p|, |p|)
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        p = rng.getrandbits(bits) | 1 << (bits - 1)
+        q = rng.randrange(-p + 1, p)
+        if math.gcd(p, q) == 1:
+            pairs.append((-p if len(pairs) % 2 else p, q))
+    return pairs
+
+
+def _residue(p, q):
+    return mod12(lens_matrix(p, q, *cofactors(p, q)))
+
+
+def test_served_route_equals_literal_route_on_small_pairs():
+    # every sign and size of q against p, p = 0 and p = +-1 included
+    for p in range(-24, 49):
+        for q in range(-24, 61):
+            if math.gcd(p, q) == 1:
+                literal = invariant._state_sum_with_cofactors(p, q, *cofactors(p, q))
+                assert state_sum(LensSpace(p, q)) == literal, (p, q)
+
+
+def test_served_route_equals_literal_route_at_256_bits():
+    for p, q in _coprime_big_pairs(256, 256, 20):
+        assert state_sum(LensSpace(p, q)) == invariant._literal_state_sum(p, q), (p, q)
+
+
+def test_served_route_equals_closed_form_at_1000_bits():
+    for p, q in _coprime_big_pairs(1000, 1000, 200):
+        space = LensSpace(p, q)
+        assert state_sum(space) == closed_form(space), (p, q)
+
+
+def test_verify_suites_never_reach_the_served_route(monkeypatch):
+    def refuse(key):
+        raise RuntimeError(f"served route filled {key}")
+
+    monkeypatch.setattr(invariant, "_served", {})
+    monkeypatch.setattr(invariant, "_fill_served", refuse)
+    assert verify_well_defined(24, sample=10).passed
+    assert verify_periodicity(26).passed
+    assert verify_closed_form(24).passed
+    with pytest.raises(RuntimeError, match="served route"):
+        state_sum(LensSpace(5, 2))
+
+
+def test_corrupt_served_entry_shows_in_the_table_only(monkeypatch):
+    key = _residue(2, 1)
+    state_sum(LensSpace(2, 1))
+    monkeypatch.setitem(invariant._served, key, ZERO)
+    wrong = {(row.p, row.q) for row in sweep_table(24) if not row.agrees}
+    assert wrong == {(p, q) for p in range(1, 25) for q in range(p)
+                     if math.gcd(p, q) == 1 and _residue(p, q) == key}
+    assert len(wrong) == 3
+    assert verify_closed_form(24).passed
+
+
+def test_served_memo_is_bounded_by_the_group_order():
+    sweep_table(MAX_PMAX)
+    for p, q in _coprime_big_pairs(300, 1000, 300):
+        state_sum(LensSpace(p, q))
+    assert len(invariant._served) <= SL2_Z12_ORDER
+    assert set(invariant._served) <= set(residue_words())
+
+
 # -- well-definedness -------------------------------------------------------------------
 
 
@@ -206,8 +278,8 @@ def test_verify_periodicity_small():
 def test_verify_periodicity_names_first_shift_in_order(monkeypatch):
     # shifts of L(2,1) run (s, t) = (0, 1), (1, 0), (1, 1): L(2,13) comes
     # before L(14,1)
-    real = invariant._state_sum_cached
-    monkeypatch.setattr(invariant, "_state_sum_cached", lambda p, q: (
+    real = invariant._literal_state_sum
+    monkeypatch.setattr(invariant, "_literal_state_sum", lambda p, q: (
         ZERO if (p, q) in {(14, 1), (2, 13)} else real(p, q)))
     report = verify_periodicity(p_max=14)
     assert report.checks == (
@@ -227,7 +299,7 @@ def test_state_sum_cache_is_bounded_and_holds_the_largest_sweeps():
         if math.gcd(p, q) == 1 and math.gcd(p + 12 * s, q + 12 * t) == 1
     }
     touched |= {(p, q) for p in range(1, top + 1) for q in range(p) if math.gcd(p, q) == 1}
-    maxsize = invariant._state_sum_cached.cache_parameters()["maxsize"]
+    maxsize = invariant._literal_state_sum.cache_parameters()["maxsize"]
     assert maxsize is not None
     assert len(touched) <= maxsize
 
