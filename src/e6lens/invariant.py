@@ -1,13 +1,17 @@
 """The E6 state sum invariant Z(L(p, q)) of lens spaces, two independent ways.
 
-Route one (state_sum): Z = w * (rho(-q, b; p, -a))_{1,1} with a*q - b*p = 1.
-rho kills Gamma(12) (rep.verify_kernel_generators), so state_sum serves Z by
-the residue of the gluing matrix mod 12: the shortest S/T word of that
-residue (modular.residue_words) is evaluated once and memoized, which bounds
-the time of every p.  The literal route decomposes the gluing matrix itself
-into a word; the verification sweeps use only that one.  Route two
-(closed_form): an exact case table keyed on p mod 12 and q mod gcd(p, 12).
-Both are normalized so that Z(S^3) = Z(L(1, 0)) = 1.
+Route one (state_sum): Z = w * (rho(-q, b; p, -a))_{1,1} with a*q - b*p = 1,
+from the literal S/T word (modular.decompose) of the gluing matrix of the
+least coprime lift (p', q') = (p, q) mod 12 with 0 <= q' < p'.  The lift
+bounds the time and keeps the value: the two gluing matrices have first
+columns equal mod 12, so they differ by some T^k on the right modulo
+Gamma(12); rho kills Gamma(12) (verify kernel, on the 19 normal generators
+that GAP computed: the one external assumption), and rho(T) is diagonal
+with first entry 1, so rho(T^k) fixes e_1.  Every lift has p' <= 34, inside
+the default closedform sweep (p <= 48), so verify all evaluates the word
+behind every value of state_sum; the sweeps themselves never take the lift.
+Route two (closed_form): an exact case table keyed on p mod 12 and
+q mod gcd(p, 12).  Both are normalized so that Z(S^3) = Z(L(1, 0)) = 1.
 
 The case table, with g = gcd(|p|, 12) and r = p mod 12:
 
@@ -28,8 +32,8 @@ q mod (p, 12)" shape.  Every branch is pinned against the literal route by
 the exhaustive agreement sweep below.
 
 Both routes accept any coprime integer pair, including q >= p, q < 0 and
-p <= 0; no normalization of q is applied (the gluing formula is used
-literally, and mod-12 periodicity makes the extension forced).
+p <= 0; the literal route applies the gluing formula as it stands, and
+mod-12 periodicity makes the extension forced.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import count, groupby
 from operator import itemgetter
 
 from .cyclotomic import GLOBAL_INDEX, IMAG, SQRT3, ZERO, Cyclotomic, quantum_integer, zeta_pow
-from .modular import cofactors, decompose, lens_matrix, mod12, residue_words
+from .modular import cofactors, decompose, lens_matrix
 from .rep import rho_entry_11
 from .report import Check, Report
 
@@ -73,31 +77,23 @@ class LensSpace:
 
 def state_sum(space):
     """Z via the representation: w times the first entry of rho of the
-    gluing matrix (-q, b; p, -a), for the canonical cofactors (a, b).
-
-    rho kills Gamma(12) (verify_kernel_generators), so rho of the gluing
-    matrix is rho of the shortest word of its residue mod 12; that value is
-    computed once per residue and memoized."""
-    p, q = space.p, space.q
-    key = mod12(lens_matrix(p, q, *cofactors(p, q)))
-    value = _served.get(key)
-    if value is None:
-        value = _served[key] = _fill_served(key)
-    return value
+    gluing matrix (-q, b; p, -a), canonical cofactors (a, b), taken at the
+    least coprime lift of (p, q) mod 12 (same value: module docstring)."""
+    return _literal_state_sum(*_residue_lift(space.p, space.q))
 
 
-# state_sum's memo: residue mod 12 of the gluing matrix -> Z.  Its keys lie
-# in SL(2,Z/12), so it holds at most SL2_Z12_ORDER entries.
-_served = {}
+def _residue_lift(p, q):
+    """The least coprime (p', q') = (p, q) mod 12 with 0 <= q' < p'; it
+    exists iff gcd(p, q, 12) = 1, and then p' <= 34."""
+    for lift_p in count(p % 12 or 12, 12):
+        for lift_q in range(q % 12, lift_p, 12):
+            if math.gcd(lift_p, lift_q) == 1:
+                return lift_p, lift_q
 
 
-def _fill_served(key):
-    return GLOBAL_INDEX * rho_entry_11(residue_words()[key])
-
-
-# The literal route, which the verification suites use instead of state_sum.
-# One entry per pair of a MAX_PMAX box: periodicity and then closedform
-# evict nothing and share their words, and large p hold bounded memory.
+# The one state-sum cache.  One entry per pair of a MAX_PMAX box:
+# periodicity and then closedform evict nothing and share their words, the
+# 96 lifts of state_sum lie inside the box, and large p hold bounded memory.
 @lru_cache(maxsize=MAX_PMAX**2)
 def _literal_state_sum(p, q):
     """Z from the literal gluing word of (p, q), canonical cofactors."""

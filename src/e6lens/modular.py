@@ -1,7 +1,6 @@
 """SL(2,Z) arithmetic: matrices, S/T generator words, Euclidean word
 decomposition, Bezout cofactors, the principal congruence subgroup of
-level 12 and its published generating set, and SL(2,Z/12) with a shortest
-word for each of its elements.
+level 12 and its published generating set.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -229,7 +227,7 @@ def lens_matrix(p, q, a, b):
 
 def in_gamma12(m):
     """Membership in Gamma(12) = {P in SL(2,Z) : P = I mod 12}."""
-    return mod12(m) == (1, 0, 0, 1)
+    return (m.a % 12, m.b % 12, m.c % 12, m.d % 12) == (1, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -281,53 +279,3 @@ def gamma12_generators():
             raise RuntimeError(f"generator table bug: {name} not in Gamma(12)")
         table.append(GammaGenerator(name, matrix, word))
     return tuple(table)
-
-
-# ---------------------------------------------------------------------------
-# SL(2,Z/12) = SL(2,Z) / Gamma(12), its elements as 4-tuples of residues
-
-SL2_Z12_ORDER = 1152  # 12^3 (1 - 1/2^2)(1 - 1/3^2)
-
-
-def mod12(m):
-    """The residue (a, b, c, d) mod 12 of an SL2Z matrix, each in 0..11."""
-    return (m.a % 12, m.b % 12, m.c % 12, m.d % 12)
-
-
-def mul_mod12(x, y):
-    """The product of two residue 4-tuples in SL(2,Z/12)."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % 12, (a * f + b * h) % 12,
-            (c * e + d * g) % 12, (c * f + d * h) % 12)
-
-
-# The steps of the search in residue_words: a token and its residue mod 12.
-_RESIDUE_STEPS = (("S", mod12(S)), (1, mod12(T)), (-1, mod12(t_power(-1))))
-
-
-@lru_cache(maxsize=1)
-def residue_words():
-    """A shortest S/T word for every element of SL(2,Z/12), keyed by its
-    residue 4-tuple: a breadth-first search from I that appends S, T or
-    T^-1.  Self-checked on first use: the table must hold the whole group,
-    and each word must evaluate in SL(2,Z) to a lift of its key."""
-    words = {mod12(IDENTITY): Word()}
-    frontier = list(words)
-    while frontier:
-        reached = []
-        for key in frontier:
-            for token, step in _RESIDUE_STEPS:
-                new = mul_mod12(key, step)
-                if new not in words:
-                    words[new] = Word(words[key].tokens + (token,))
-                    reached.append(new)
-        frontier = reached
-    if len(words) != SL2_Z12_ORDER:
-        raise RuntimeError(f"residue word table bug: {len(words)} residues, "
-                           f"expected {SL2_Z12_ORDER}")
-    for key, word in words.items():
-        if mod12(word.to_matrix()) != key:
-            raise RuntimeError(f"residue word table bug: {word.compact()} "
-                               f"evaluates to {word.to_matrix()}, not {key} mod 12")
-    return MappingProxyType(words)

@@ -111,6 +111,36 @@ def test_table_output_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_48_SHA256[fmt]
 
 
+# sha256 of `e6lens table --pmax 120 --format csv`, the benchmark's sweep,
+# first measured when state_sum read a table of shortest words mod 12
+TABLE_120_CSV_SHA256 = "e4a911c624661a9c36423ddddc6dc382dfd17a6214847e486652a2abcbd4022c"
+
+
+def test_table_120_csv_is_pinned(capsys):
+    code, out = run_cli(capsys, "table", "--pmax", "120", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_120_CSV_SHA256
+
+
+# sha256 of `e6lens compute p q`, first measured when state_sum read a table
+# of shortest words mod 12: every sign of p, p = 0, and a 13,288-bit q
+_BIG = 10**4000 + 1
+COMPUTE_SHA256 = {
+    (5, 1): "4a2df9ab36ea797e35a7c42dd70a536225e3a870fdbfb04f4a9b11731805d2a6",
+    (-12, 7): "21ebf56c595213abe1635451092b12bd7d28040153a312377b3781448f5a0a2f",
+    (0, 1): "e4915f5aa5125b248cf57a9d5582c1d9b0053be5c78b1722da51e4a52d6802c4",
+    (-1, 0): "de195f733899e134ded585d0bbef04001b29fb9698cae320b1535b60504066bc",
+    (_BIG, pow(3, 8387, _BIG)): "deab00cc995fd0ec8217b2c2bc4257eb5f8433197fa314ef95572f8926a0424c",
+}
+
+
+@pytest.mark.parametrize("pq", list(COMPUTE_SHA256), ids=["5,1", "-12,7", "0,1", "-1,0", "big"])
+def test_compute_output_is_pinned(capsys, pq):
+    code, out = run_cli(capsys, "compute", *map(str, pq))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_SHA256[pq]
+
+
 # sha256 of `e6lens verify all --pmax 24 --format json`, first measured when
 # the CLI restated the sweep defaults and bounds itself
 VERIFY_ALL_24_JSON_SHA256 = "52a7d997e967b6734f5d5022e7e7632f088682892245bbbcf9809a007d16b0b1"

@@ -1,6 +1,7 @@
 """Z(L(p,q)) by state sum and closed form: spot values, agreement sweep,
 well-definedness, periodicity, homotopy invariance and the table driver."""
 
+import inspect
 import json
 import math
 import random
@@ -26,7 +27,7 @@ from e6lens.invariant import (
     verify_periodicity,
     verify_well_defined,
 )
-from e6lens.modular import SL2_Z12_ORDER, cofactors, lens_matrix, mod12, residue_words
+from e6lens.modular import cofactors
 from e6lens.report import Check
 
 X = 3 + SQRT3  # [4][3]/[2]
@@ -177,10 +178,6 @@ def _coprime_big_pairs(seed, bits, count):
     return pairs
 
 
-def _residue(p, q):
-    return mod12(lens_matrix(p, q, *cofactors(p, q)))
-
-
 def test_served_route_equals_literal_route_on_small_pairs():
     # every sign and size of q against p, p = 0 and p = +-1 included
     for p in range(-24, 49):
@@ -201,12 +198,26 @@ def test_served_route_equals_closed_form_at_1000_bits():
         assert state_sum(space) == closed_form(space), (p, q)
 
 
-def test_verify_suites_never_reach_the_served_route(monkeypatch):
-    def refuse(key):
-        raise RuntimeError(f"served route filled {key}")
+def test_residue_lift_is_least_coprime_and_inside_the_closedform_sweep():
+    # every residue pair (r, s) of (Z/12)^2 with a coprime lift; the lift's
+    # literal word is evaluated by verify_closed_form at its default bound
+    default_pmax = inspect.signature(verify_closed_form).parameters["p_max"].default
+    liftable = [(r, s) for r in range(12) for s in range(12) if math.gcd(r, s, 12) == 1]
+    assert len(liftable) == 96
+    for r, s in liftable:
+        p, q = invariant._residue_lift(r, s)
+        assert math.gcd(p, q) == 1 and 0 <= q < p <= default_pmax, (r, s)
+        assert (p % 12, q % 12) == (r, s)
+        assert not any(math.gcd(p2, q2) == 1
+                       for p2 in range(r or 12, p + 1, 12) for q2 in range(s, p2, 12)
+                       if (p2, q2) < (p, q)), (r, s)
 
-    monkeypatch.setattr(invariant, "_served", {})
-    monkeypatch.setattr(invariant, "_fill_served", refuse)
+
+def test_verify_suites_never_reach_the_served_route(monkeypatch):
+    def refuse(p, q):
+        raise RuntimeError(f"served route lifted L({p},{q})")
+
+    monkeypatch.setattr(invariant, "_residue_lift", refuse)
     assert verify_well_defined(24, sample=10).passed
     assert verify_periodicity(26).passed
     assert verify_closed_form(24).passed
@@ -215,22 +226,23 @@ def test_verify_suites_never_reach_the_served_route(monkeypatch):
 
 
 def test_corrupt_served_entry_shows_in_the_table_only(monkeypatch):
-    key = _residue(2, 1)
-    state_sum(LensSpace(2, 1))
-    monkeypatch.setitem(invariant._served, key, ZERO)
+    # the residue of (2, 1) lifted to L(1, 0), whose value differs
+    real = invariant._residue_lift
+    monkeypatch.setattr(invariant, "_residue_lift", lambda p, q: (
+        (1, 0) if (p % 12, q % 12) == (2, 1) else real(p, q)))
     wrong = {(row.p, row.q) for row in sweep_table(24) if not row.agrees}
-    assert wrong == {(p, q) for p in range(1, 25) for q in range(p)
-                     if math.gcd(p, q) == 1 and _residue(p, q) == key}
-    assert len(wrong) == 3
+    assert wrong == {(2, 1), (14, 1), (14, 13)}
     assert verify_closed_form(24).passed
 
 
 def test_served_memo_is_bounded_by_the_group_order():
+    # state_sum caches only lifts: one per first column of SL(2,Z/12), 96 of
+    # its 1,152 elements
+    invariant._literal_state_sum.cache_clear()
     sweep_table(MAX_PMAX)
     for p, q in _coprime_big_pairs(300, 1000, 300):
         state_sum(LensSpace(p, q))
-    assert len(invariant._served) <= SL2_Z12_ORDER
-    assert set(invariant._served) <= set(residue_words())
+    assert invariant._literal_state_sum.cache_info().currsize <= 96
 
 
 # -- well-definedness -------------------------------------------------------------------

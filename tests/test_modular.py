@@ -6,11 +6,9 @@ import random
 
 import pytest
 
-from e6lens import modular
 from e6lens.modular import (
     IDENTITY,
     S,
-    SL2_Z12_ORDER,
     SL2Z,
     T,
     Word,
@@ -19,9 +17,6 @@ from e6lens.modular import (
     gamma12_generators,
     in_gamma12,
     lens_matrix,
-    mod12,
-    mul_mod12,
-    residue_words,
     t_power,
 )
 
@@ -269,41 +264,3 @@ def test_congruent_lift_exhaustive_small_sweep():
                 glue2 = lens_matrix(p2, q2, *cofactors(p2, q2))
                 ks = [k for k in range(12) if in_gamma12(inverse * glue2 * t_power(k))]
                 assert len(ks) == 1, (p, q, p2, q2, ks)
-
-
-# -- SL(2,Z/12) and its shortest words --------------------------------------------------
-
-
-def test_mod12_product_is_the_reduced_integer_product():
-    rng = random.Random(144)
-    assert mod12(S) == (0, 11, 1, 0)
-    for _ in range(300):
-        x, y = rand_word(rng).to_matrix(), rand_word(rng).to_matrix()
-        assert mul_mod12(mod12(x), mod12(y)) == mod12(x * y)
-
-
-def test_residue_words_cover_sl2_z12_with_short_words():
-    words = residue_words()
-    assert len(words) == SL2_Z12_ORDER == 1152
-    assert words[mod12(IDENTITY)] == Word()
-    for key, word in words.items():
-        assert mod12(word.to_matrix()) == key
-        assert word.s_count() <= 6
-    with pytest.raises(TypeError):
-        words[mod12(IDENTITY)] = Word(["S"])
-
-
-@pytest.mark.parametrize("steps", [
-    # T^-1 recorded as the token T^-2: words stop reducing to their keys
-    lambda steps: (steps[0], steps[1], (-2, steps[2][1])),
-    # no S step: the search reaches only the 12 powers of T
-    lambda steps: steps[1:],
-])
-def test_residue_words_self_check_rejects_a_bad_table(monkeypatch, steps):
-    monkeypatch.setattr(modular, "_RESIDUE_STEPS", steps(modular._RESIDUE_STEPS))
-    residue_words.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="residue word table bug"):
-            residue_words()
-    finally:
-        residue_words.cache_clear()
