@@ -2,8 +2,8 @@
 verification suites, or test homotopy equivalence.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error (argparse or bad arguments such as non-coprime p, q, or a --pmax or
---precision outside the library's bounds).
+error (argparse or bad arguments such as non-coprime p, q, or a --pmax
+outside the library's bounds).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import sys
 
 from . import invariant, rep
-from .cyclotomic import MAX_PRECISION_BITS, MIN_PRECISION_BITS, check_precision
 from .report import merge
 
 # Every verification suite as (target, module, suite name), in the order of
@@ -41,17 +40,11 @@ def _build_parser():
     c = sub.add_parser("compute", help="compute Z(L(p,q))")
     c.add_argument("p", type=int)
     c.add_argument("q", type=int)
-    precision_help = (f"internal float precision in bits "
-                      f"({MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}, default 64)")
-    c.add_argument("--precision", type=int, default=64, metavar="BITS",
-                   help=precision_help)
 
     t = sub.add_parser("table", help="sweep all coprime (p,q) with p <= pmax")
     t.add_argument("--pmax", type=int, default=12,
                    help=f"sweep bound (1..{invariant.MAX_PMAX}, default 12)")
     t.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    t.add_argument("--precision", type=int, default=64, metavar="BITS",
-                   help=precision_help)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("target", type=str.lower, choices=VERIFY_TARGETS)
@@ -72,9 +65,8 @@ def _build_parser():
 
 def _cmd_compute(args, out):
     space = invariant.LensSpace(args.p, args.q)
-    check_precision(args.precision)
     value = invariant.state_sum(space)
-    re, im = value.approx(args.precision)
+    re, im = value.approx()
     print(f"Z({space}) exact: {value.to_text()}", file=out)
     print(f"Z({space}) surd:  {value.surd_str()}", file=out)
     print(f"Z({space}) float: {invariant.format_complex(re, im)}", file=out)
@@ -82,15 +74,14 @@ def _cmd_compute(args, out):
 
 
 def _cmd_table(args, out):
-    check_precision(args.precision)
     rows = invariant.sweep_table(args.pmax)
     if args.format == "csv":
-        out.write(invariant.table_csv(rows, args.precision))
+        out.write(invariant.table_csv(rows))
     elif args.format == "json":
-        out.write(json.dumps(invariant.table_json_obj(rows, args.precision), indent=1))
+        out.write(json.dumps(invariant.table_json_obj(rows), indent=1))
         out.write("\n")
     else:
-        out.write(invariant.table_text(rows, args.precision))
+        out.write(invariant.table_text(rows))
     return 0
 
 

@@ -215,23 +215,6 @@ class Cyclotomic:
                         out[i] += c * z
         return Cyclotomic._raw(out)
 
-    def is_real(self):
-        return self == self.conjugate()
-
-    def abs_real(self):
-        """|x| for real x; raises on non-real input (misuse, not roundoff)."""
-        if not self.is_real():
-            raise ValueError("abs_real requires a real value (conjugate-fixed)")
-        if self.is_zero():
-            return self
-        return self if self._sign_of_real() > 0 else -self
-
-    def _sign_of_real(self):
-        # a + b*sqrt3 (nonzero, and sqrt3 is irrational, so a^2 != 3b^2) has
-        # the sign of whichever term is larger in absolute value.
-        (a, b), _ = self.surd_parts()
-        return 1 if (a if a * a > 3 * b * b else b) > 0 else -1
-
     # -- numeric embedding ---------------------------------------------------
 
     def surd_parts(self):
@@ -242,7 +225,10 @@ class Cyclotomic:
 
     def approx(self, precision_bits=64):
         """Rational (re, im) approximation, each within 2^-precision_bits."""
-        check_precision(precision_bits)
+        if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
+            raise ValueError(
+                f"precision must be between {MIN_PRECISION_BITS} and {MAX_PRECISION_BITS} bits"
+            )
         re, im = self.surd_parts()
         return _eval_surd(re, precision_bits), _eval_surd(im, precision_bits)
 
@@ -324,14 +310,6 @@ class Cyclotomic:
 _TEXT_SUFFIXES = ("", "*z") + tuple(f"*z^{k}" for k in range(2, SLOTS))
 # exactly the numerals str(int) writes: no sign on 0, no leading zeros
 _TEXT_FRACTION = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
-
-
-def check_precision(precision_bits):
-    """Raise ValueError unless approx() accepts precision_bits."""
-    if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
-        raise ValueError(
-            f"precision must be between {MIN_PRECISION_BITS} and {MAX_PRECISION_BITS} bits"
-        )
 
 
 def _sqrt3_lower(bits):

@@ -13,9 +13,10 @@ behind every value of state_sum; the sweeps themselves never take the lift.
 Route two (closed_form): an exact case table keyed on p mod 12 and
 q mod gcd(p, 12).  Both are normalized so that Z(S^3) = Z(L(1, 0)) = 1.
 
-The case table, with g = gcd(|p|, 12) and r = p mod 12:
+The case table, with r = p mod 12 and g = gcd(r, 12) (so g = 12 at r = 0);
+it takes nine values, two of the pairs below being complex conjugates:
 
-    g = 1        |[p]|                (1 if p = +-1, 2+sqrt3 if p = +-5 mod 12)
+    g = 1        1 if r = 1, 11;  [5] = 2 + sqrt3 if r = 5, 7
     g = 2, 6     [4][3]/[2] = 3 + sqrt3
     g = 3        zeta^(+-3) [4] = (1 +- i)(3 + sqrt3)/2
                                       sign + iff (r, q mod 3) in {(9,1), (3,2)}
@@ -45,13 +46,14 @@ from functools import lru_cache
 from itertools import count, groupby
 from operator import itemgetter
 
-from .cyclotomic import GLOBAL_INDEX, IMAG, SQRT3, ZERO, Cyclotomic, quantum_integer, zeta_pow
+from .cyclotomic import GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, Cyclotomic, quantum_integer, zeta_pow
 from .modular import cofactors, decompose, lens_matrix
 from .rep import rho_entry_11
 from .report import Check, Report
 
-# Largest sweep bound that sweep_table and the verification sweeps accept:
-# at 120 (the benchmark's table) the slowest sweep takes tens of seconds.
+# Largest sweep bound that sweep_table and the verification sweeps accept.
+# At 120 on a shared 2-core host, verify_periodicity takes about 12 s,
+# verify_closed_form about 7 s from a cold cache, every other sweep <= 1.3 s.
 MAX_PMAX = 120
 
 # The least bound of each verification sweep, by suite name: periodicity
@@ -106,29 +108,27 @@ def _state_sum_with_cofactors(p, q, a, b):
     return GLOBAL_INDEX * rho_entry_11(word)
 
 
+# closed_form takes nine values: ONE, ZERO, the four below, 2 * _BINOMIAL_42,
+# and the conjugates of the last two below.
+_QUANTUM_5 = quantum_integer(5)  # 2 + sqrt3
+_BINOMIAL_42 = 3 + SQRT3  # [4][3]/[2]
+_ZETA3_Q4 = (1 + IMAG) * _BINOMIAL_42 / 2  # zeta^3 [4]; [4] is real
+_ZETA2_Q3 = 2 * zeta_pow(2) * quantum_integer(3)  # [3] is real
+
+
 def closed_form(space):
     """Z via the exact case table (see module docstring)."""
-    p, q = space.p, space.q
-    r = p % 12
-    g = math.gcd(r, 12) if r else 12
+    r, q = space.p % 12, space.q
+    g = math.gcd(r, 12)
     if g == 1:
-        return quantum_integer(p).abs_real()
+        return ONE if r in (1, 11) else _QUANTUM_5
     if g in (2, 6):
         return _BINOMIAL_42
     if g == 3:
-        plus = (q % 3 == 1) == (r == 9)
-        return _ZETA3_Q4 if plus else _ZETA3_Q4.conjugate()
+        return _ZETA3_Q4 if (q % 3 == 1) == (r == 9) else _ZETA3_Q4.conjugate()
     if g == 4:
-        plus = (q % 4 == 1) == (r == 4)
-        return 2 * zeta_pow(2 if plus else -2) * quantum_integer(3)
-    # 12 | p
-    if q % 12 in (1, 11):
-        return 2 * _BINOMIAL_42
-    return ZERO
-
-
-_BINOMIAL_42 = 3 + SQRT3  # [4][3]/[2]
-_ZETA3_Q4 = (1 + IMAG) * _BINOMIAL_42 / 2  # zeta^3 [4]; [4] is real
+        return _ZETA2_Q3 if (q % 4 == 1) == (r == 4) else _ZETA2_Q3.conjugate()
+    return 2 * _BINOMIAL_42 if q % 12 in (1, 11) else ZERO
 
 
 # homotopy_equivalent factors |p| by trial division up to this bound, which
@@ -316,10 +316,10 @@ def format_complex(re, im):
     return fr if im == 0 else (f"{fr} + {fi}i" if im > 0 else f"{fr} - {fi[1:]}i")
 
 
-def table_csv(rows, precision_bits=64):
+def table_csv(rows):
     lines = ["p,q,exact,float_re,float_im,agrees"]
     for row in rows:
-        re, im = row.state.approx(precision_bits)
+        re, im = row.state.approx()
         lines.append(
             f"{row.p},{row.q},{row.state.to_text()},"
             f"{_format_float(re)},{_format_float(im)},{str(row.agrees).lower()}"
@@ -327,10 +327,10 @@ def table_csv(rows, precision_bits=64):
     return "\n".join(lines) + "\n"
 
 
-def table_json_obj(rows, precision_bits=64):
+def table_json_obj(rows):
     out = []
     for row in rows:
-        re, im = row.state.approx(precision_bits)
+        re, im = row.state.approx()
         out.append(
             {
                 "p": row.p,
@@ -345,10 +345,10 @@ def table_json_obj(rows, precision_bits=64):
     return out
 
 
-def table_text(rows, precision_bits=64):
+def table_text(rows):
     lines = [f"{'p':>4} {'q':>4}  {'value':<28} {'float':<28} agrees"]
     for row in rows:
-        re, im = row.state.approx(precision_bits)
+        re, im = row.state.approx()
         fl = format_complex(re, im)
         lines.append(
             f"{row.p:>4} {row.q:>4}  {row.state.surd_str():<28} {fl:<28} "

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from e6lens import cli, invariant, rep
-from e6lens.cyclotomic import MAX_PRECISION_BITS
 from e6lens.report import Check, Report
 
 
@@ -35,11 +34,6 @@ def test_compute_non_coprime_is_usage_error(capsys):
     code, out = run_cli(capsys, "compute", "4", "2")
     assert code == 2
     assert "gcd(4,2)=2" in out
-
-
-def test_compute_precision_floor(capsys):
-    code, _ = run_cli(capsys, "compute", "5", "1", "--precision", "20")
-    assert code == 2
 
 
 def test_compute_huge_parameters(capsys):
@@ -74,16 +68,6 @@ def test_table_text(capsys):
 def test_table_bad_pmax(capsys):
     code, _ = run_cli(capsys, "table", "--pmax", "0")
     assert code == 2
-
-
-def test_precision_cap_is_usage_error(capsys):
-    code, out = run_cli(capsys, "compute", "5", "1", "--precision", str(MAX_PRECISION_BITS))
-    assert code == 0
-    assert "3.732050808" in out
-    for argv in (["compute", "5", "1"], ["table", "--pmax", "3"]):
-        code, out = run_cli(capsys, *argv, "--precision", str(MAX_PRECISION_BITS + 1))
-        assert code == 2, argv
-        assert out.startswith("error: ") and "precision" in out
 
 
 def test_pmax_cap_is_usage_error(capsys):
@@ -260,7 +244,10 @@ def test_table_byte_identical_across_processes():
     assert runs[0].startswith(b"p,q,exact")
 
 
-@pytest.mark.parametrize("argv", [[], ["bogus"], ["verify", "nonsense"]])
+# --precision is no option: every value prints the same doubles at any precision
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["verify", "nonsense"],
+                                  ["compute", "5", "1", "--precision", "64"],
+                                  ["table", "--precision", "64"]])
 def test_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)

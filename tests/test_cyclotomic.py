@@ -1,5 +1,5 @@
 """Exact arithmetic in Q(zeta_12) = Q(zeta^2): basis reduction, field ops,
-quantum integers, conjugation, sign determination and serialization."""
+quantum integers, conjugation, numeric embedding and serialization."""
 
 import cmath
 import math
@@ -217,7 +217,6 @@ def test_conjugate_fixes_quantum_integers():
     for n in range(-11, 13, 2):
         qi = quantum_integer(n)
         assert qi.conjugate() == qi
-        assert qi.is_real()
 
 
 def test_conjugate_is_ring_homomorphism_and_involution():
@@ -227,45 +226,6 @@ def test_conjugate_is_ring_homomorphism_and_involution():
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
         assert x.conjugate().conjugate() == x
-
-
-# -- realness and absolute value -----------------------------------------------
-
-
-def test_abs_real_of_zero():
-    assert ZERO.abs_real() == ZERO
-
-
-def test_abs_real_positive_value():
-    q7 = quantum_integer(7)
-    assert q7 == 2 + SQRT3  # [7] = [12-5] = [5]
-    assert q7.abs_real() == q7
-
-
-def test_abs_real_negative_value():
-    q13 = quantum_integer(13)
-    assert q13 == -ONE  # [13] = -[1]
-    assert q13.abs_real() == ONE
-
-
-def test_abs_real_rejects_non_real():
-    with pytest.raises(ValueError):
-        IMAG.abs_real()
-    with pytest.raises(ValueError):
-        zeta_pow(2).abs_real()
-
-
-def test_abs_real_tiny_value_forces_precision_escalation():
-    # values a + b*sqrt3 within 2^-80 (sqrt3 minus its floor at 80 bits) and
-    # about 2^-380 ((2 - sqrt3)^200) of zero, where a and b nearly cancel:
-    # no fixed-precision float test could sign them, the exact comparison
-    # of a^2 with 3b^2 must
-    floor80 = Fraction(math.isqrt(3 << 160), 1 << 80)
-    tinies = [SQRT3 - floor80] + [(2 - SQRT3) ** k for k in range(1, 201)]
-    for tiny in tinies:
-        assert not tiny.is_zero()
-        assert tiny.abs_real() == tiny
-        assert (-tiny).abs_real() == tiny
 
 
 # -- numeric embedding ----------------------------------------------------------

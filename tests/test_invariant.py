@@ -5,11 +5,22 @@ import inspect
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from e6lens import invariant
-from e6lens.cyclotomic import GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, quantum_integer, zeta_pow
+from e6lens.cyclotomic import (
+    GLOBAL_INDEX,
+    IMAG,
+    MAX_PRECISION_BITS,
+    MIN_PRECISION_BITS,
+    ONE,
+    SQRT3,
+    ZERO,
+    quantum_integer,
+    zeta_pow,
+)
 from e6lens.invariant import (
     MAX_PMAX,
     MAX_TRIAL_DIVISOR,
@@ -104,18 +115,46 @@ def test_closed_form_divisible_by_12():
 
 
 def test_closed_form_mod12_determinism():
-    for p in range(1, 25):
+    # every sign of p and q, p = 0 included: the value is fixed by p mod 12
+    # and q mod g, g = gcd(p, 12), however far p and q are shifted
+    for p in range(-24, 25):
         g = math.gcd(p, 12)
-        for q in range(p):
+        for q in range(-24, 25):
             if math.gcd(p, q) != 1:
                 continue
             value = closed_form(LensSpace(p, q))
-            if math.gcd(p + 12, q) == 1:
-                assert closed_form(LensSpace(p + 12, q)) == value
-            if math.gcd(p, q + g) == 1:
-                assert closed_form(LensSpace(p, q + g)) == value
-            if math.gcd(p, q + 12) == 1:
-                assert closed_form(LensSpace(p, q + 12)) == value
+            for k in (-10**6, -7, -1, 1, 7, 10**6):
+                for p2, q2 in ((p + 12 * k, q), (p, q + g * k), (p + 12 * k, q + g * k)):
+                    if math.gcd(p2, q2) == 1:
+                        assert closed_form(LensSpace(p2, q2)) == value, (p, q, p2, q2)
+
+
+def test_closed_form_takes_nine_values_far_from_rounding_midpoints():
+    # the values over every liftable residue pair (r, s) of (Z/12)^2
+    liftable = [(r, s) for r in range(12) for s in range(12) if math.gcd(r, s, 12) == 1]
+    assert len(liftable) == 96
+    values = {closed_form(LensSpace(*invariant._residue_lift(r, s))) for r, s in liftable}
+    q3, q5 = quantum_integer(3), quantum_integer(5)
+    expected = {
+        quantum_integer(1), q5, SQRT3 * q3, 2 * SQRT3 * q3, ZERO,
+        (1 + IMAG) * SQRT3 * q3 / 2, (1 - IMAG) * SQRT3 * q3 / 2,
+        2 * zeta_pow(2) * q3, 2 * zeta_pow(-2) * q3,
+    }
+    assert len(expected) == 9
+    assert values == expected
+    # approx(bits) is within 2^-(bits+8), so a part more than 2^-60 from every
+    # rounding midpoint rounds to the same double at every accepted precision
+    for value in values:
+        for (_, surd), part in zip(value.surd_parts(), value.approx(200)):
+            if not surd:
+                continue
+            nearest = float(part)
+            midpoints = [(Fraction(nearest) + Fraction(math.nextafter(nearest, side))) / 2
+                         for side in (-math.inf, math.inf)]
+            assert min(abs(part - m) for m in midpoints) > Fraction(1, 2**60), value
+        floats = {tuple(map(float, value.approx(bits)))
+                  for bits in (MIN_PRECISION_BITS, 64, MAX_PRECISION_BITS)}
+        assert len(floats) == 1, value
 
 
 # -- both routes agree ------------------------------------------------------------
