@@ -40,7 +40,6 @@ from .modular import (
     gamma12_generators,
     in_gamma12,
     lens_matrix,
-    t_power,
 )
 from .rep import (
     CycloMatrix,
@@ -62,7 +61,7 @@ __all__ = [
     "state_sum", "sweep_table", "verify_closed_form", "verify_corollary",
     "verify_periodicity", "verify_well_defined",
     "IDENTITY", "S", "SL2Z", "T", "Word", "cofactors", "decompose",
-    "gamma12_generators", "in_gamma12", "lens_matrix", "t_power",
+    "gamma12_generators", "in_gamma12", "lens_matrix",
     "CycloMatrix", "rho_s", "rho_t", "rho_word",
     "verify_kernel_generators", "verify_relations", "verify_unitary",
     "Check", "Report",

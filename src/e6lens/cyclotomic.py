@@ -62,14 +62,6 @@ def _power_table():
 _Z2POW = _power_table()
 
 
-def _fraction(num, den):
-    """num/den for a reduced fraction with den > 0, the only form the
-    serializers write; anything else is malformed input."""
-    if den <= 0 or math.gcd(num, den) != 1:
-        raise ValueError(f"{num}/{den} is not a reduced fraction with a positive denominator")
-    return Fraction(num, den)
-
-
 def _norm_coeff(c):
     if isinstance(c, int) and not isinstance(c, bool):
         return c
@@ -156,12 +148,6 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -258,36 +244,20 @@ class Cyclotomic:
             m = _TEXT_FRACTION.fullmatch(part[: len(part) - len(suffix)])
             if not m:
                 raise ValueError(f"malformed coefficient in term {k}: {part!r}")
-            coeffs.append(_fraction(int(m.group(1)), int(m.group(2))))
+            num, den = int(m.group(1)), int(m.group(2))
+            if math.gcd(num, den) != 1:
+                raise ValueError(f"{num}/{den} in term {k} is not a reduced fraction")
+            coeffs.append(Fraction(num, den))
         return cls(coeffs)
 
     def to_json_coeffs(self):
         """JSON-ready form: list of 8 [numerator, denominator] pairs."""
         return [[f.numerator, f.denominator] for f in self.coeffs]
 
-    @classmethod
-    def from_json_coeffs(cls, data):
-        """The inverse of to_json_coeffs; rejects everything it cannot write."""
-        if not isinstance(data, (list, tuple)) or len(data) != SLOTS:
-            raise ValueError(f"expected a list of {SLOTS} pairs")
-        coeffs = []
-        for pair in data:
-            if not (
-                isinstance(pair, (list, tuple))
-                and len(pair) == 2
-                and all(type(x) is int for x in pair)
-            ):
-                raise ValueError(f"expected an [int, int] pair, got {pair!r}")
-            coeffs.append(_fraction(*pair))
-        return cls(coeffs)
-
     # -- display -------------------------------------------------------------
 
-    def __str__(self):
-        return _join_terms(zip(self._c, ("", "z^2", "z^4", "z^6")))
-
     def __repr__(self):
-        return f"Cyclotomic<{self}>"
+        return f"Cyclotomic<{self.surd_str()}>"
 
     def surd_str(self):
         """Human form over {1, sqrt3} and i, e.g. `2 + sqrt3`."""

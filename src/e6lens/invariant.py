@@ -225,7 +225,7 @@ def check_well_defined(space, shifts):
     return Report("welldefined", tuple(checks))
 
 
-def verify_well_defined(p_max=48, shifts=range(-3, 4), sample=100, seed=7):
+def verify_well_defined(p_max=48, shifts=(-3, -2, -1, 1, 2, 3), sample=100, seed=7):
     """check_well_defined over a deterministic sample of coprime pairs."""
     check_pmax(p_max, "welldefined")
     pairs = list(_coprime_pairs(p_max))
@@ -288,20 +288,18 @@ class TableRow:
     p: int
     q: int
     state: Cyclotomic
-    closed: Cyclotomic
     agrees: bool
 
 
 def sweep_table(p_max):
-    """Rows (p, q, state-sum value, closed-form value, agreement flag) for
+    """Rows (p, q, state-sum value, agreement with the closed form) for
     all coprime pairs 1 <= p <= p_max, 0 <= q < p, in (p, q) order."""
     check_pmax(p_max)
     rows = []
     for p, q in _coprime_pairs(p_max):
         space = LensSpace(p, q)
         s = state_sum(space)
-        c = closed_form(space)
-        rows.append(TableRow(p, q, s, c, s == c))
+        rows.append(TableRow(p, q, s, s == closed_form(space)))
     return rows
 
 

@@ -9,7 +9,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,7 @@ S = SL2Z(0, -1, 1, 0)
 T = SL2Z(1, 1, 0, 1)
 
 
-def t_power(k):
-    return SL2Z(1, k, 0, 1)
-
-
-_WORD_TOKEN = re.compile(r"S(\d+)?|T(-?\d+)")
+_WORD_TOKEN = re.compile(r"S|T(-?\d+)")
 
 
 class Word:
@@ -93,9 +88,6 @@ class Word:
     def __len__(self):
         return len(self._tokens)
 
-    def __iter__(self):
-        return iter(self._tokens)
-
     def __eq__(self, other):
         return isinstance(other, Word) and self._tokens == other._tokens
 
@@ -121,43 +113,24 @@ class Word:
         return SL2Z(a, b, c, d)
 
     def compact(self):
-        """Whitespace-free form, e.g. `S2T12ST12S`."""
-        return self._runs("", "")
-
-    def pretty(self):
-        """Readable form, e.g. `S^2 T^12 S T^12 S`."""
-        return self._runs("^", " ")
-
-    def _runs(self, caret, sep):
-        # runs of S collapse to S<caret><n>; T tokens print as T<caret><k>
-        out = []
-        for is_s, group in groupby(self._tokens, key=lambda tok: tok == "S"):
-            if is_s:
-                n = len(list(group))
-                out.append("S" if n == 1 else f"S{caret}{n}")
-            else:
-                out.extend(f"T{caret}{tok}" for tok in group)
-        return sep.join(out)
+        """The text form: one token at a time, `S` or `T<k>`, e.g. `SST12ST12S`."""
+        return "".join("S" if tok == "S" else f"T{tok}" for tok in self._tokens)
 
     @classmethod
     def parse(cls, text):
-        """Parse either the compact or the pretty form back to a Word."""
-        squeezed = re.sub(r"[\s^]+", "", text)
+        """The inverse of compact; rejects every string compact cannot write."""
         tokens = []
         pos = 0
-        while pos < len(squeezed):
-            m = _WORD_TOKEN.match(squeezed, pos)
+        while pos < len(text):
+            m = _WORD_TOKEN.match(text, pos)
             if not m:
-                raise ValueError(f"cannot parse word at {squeezed[pos:]!r}")
-            if m.group(2) is not None:
-                tokens.append(int(m.group(2)))
-            else:
-                tokens.extend("S" * (int(m.group(1)) if m.group(1) else 1))
+                raise ValueError(f"cannot parse word at {text[pos:]!r}")
+            tokens.append("S" if m.group(1) is None else int(m.group(1)))
             pos = m.end()
-        return cls(tokens)
-
-    def __str__(self):
-        return self.pretty()
+        word = cls(tokens)
+        if word.compact() != text:
+            raise ValueError(f"not a compact word: {text!r}, expected {word.compact()!r}")
+        return word
 
     def __repr__(self):
         return f"Word({self.compact()!r})"
@@ -238,14 +211,15 @@ class GammaGenerator:
 
 
 # Generating set of Gamma(12) as a normal subgroup (19 elements, computed
-# externally with the GAP package Congruence), each with an S/T word.  Taken
-# as given; everything checkable about it is checked in gamma12_generators.
+# externally with the GAP package Congruence), each with an S/T word in the
+# compact form.  Taken as given; everything checkable about it is checked in
+# gamma12_generators.
 _GENERATOR_DATA = (
     ("P1+", (1, 12, 0, 1), "T12"),
     ("P1-", (1, -12, 0, 1), "T-12"),
-    ("P2", (-143, 12, -12, 1), "S2T12ST12S"),
-    ("P3", (-155, 84, -24, 13), "S2T7ST2ST7ST2S"),
-    ("P4", (-191, 156, -60, 49), "S2T3ST-5ST2ST-4ST1S"),
+    ("P2", (-143, 12, -12, 1), "SST12ST12S"),
+    ("P3", (-155, 84, -24, 13), "SST7ST2ST7ST2S"),
+    ("P4", (-191, 156, -60, 49), "SST3ST-5ST2ST-4ST1S"),
     ("P5", (-443, 120, -48, 13), "T9ST-4ST3ST4S"),
     ("P6", (-467, 360, -48, 37), "T10ST4ST3ST-3ST1S"),
     ("P7", (-299, 108, -36, 13), "T8ST-3ST4ST3S"),
@@ -256,9 +230,9 @@ _GENERATOR_DATA = (
     ("P12", (205, -84, 144, -59), "T1ST-2ST3ST4ST-2ST2S"),
     ("P13", (157, -72, 24, -11), "T6ST-2ST-6ST2S"),
     ("P14", (229, -132, 144, -83), "T1ST-2ST-3ST4ST4ST2S"),
-    ("P15", (169, -108, 36, -23), "S2T5ST3ST-3ST2ST2S"),
+    ("P15", (169, -108, 36, -23), "SST5ST3ST-3ST2ST2S"),
     ("P16", (181, -132, 48, -35), "T4ST4ST-3ST-3ST1S"),
-    ("P17", (589, -108, 60, -11), "S2T10ST5ST-2ST5S"),
+    ("P17", (589, -108, 60, -11), "SST10ST5ST-2ST5S"),
     ("P18", (649, -384, 120, -71), "T5ST-2ST2ST-4ST3ST2S"),
 )
 

@@ -72,9 +72,6 @@ class CycloMatrix:
     def rows(self):
         return self._rows
 
-    def entry(self, i, j):
-        return self._rows[i][j]
-
     def __eq__(self, other):
         return isinstance(other, CycloMatrix) and self._rows == other._rows
 
@@ -92,11 +89,6 @@ class CycloMatrix:
             for j in range(self.n)
         ]
         return CycloMatrix(zip(*cols))
-
-    def __rmul__(self, other):
-        if isinstance(other, Cyclotomic):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

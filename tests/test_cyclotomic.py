@@ -288,8 +288,6 @@ def test_text_rejects_malformed():
         Cyclotomic.from_text(ONE.to_text().replace("z^7", "z^6"))
     with pytest.raises(ValueError):
         Cyclotomic.from_text(ONE.to_text().replace("1/1", "1/0"))
-    with pytest.raises(ValueError):
-        Cyclotomic.from_json_coeffs([[1, 0]] + [[0, 1]] * 7)
     # only what to_text writes: reduced, no signed zero or leading zeros,
     # no stray spaces or signs, zero odd slots
     one = ONE.to_text()
@@ -308,24 +306,6 @@ def test_text_rejects_malformed():
     ):
         with pytest.raises(ValueError):
             Cyclotomic.from_text(bad)
-    zeros = [[0, 1]] * 7
-    for bad in (
-        [[1.5, 1]] + zeros,
-        [["7", "1"]] + zeros,
-        [[1, -2]] + zeros,
-        [[True, 1]] + zeros,
-        [[2, 4]] + zeros,
-        [[0, 2]] + zeros,
-        [[1, 1, 1]] + zeros,
-        [[1]] + zeros,
-        [[1, 1], [1, 1]] + zeros[2:],  # odd slot: outside Q(zeta_12)
-        zeros,
-        "1/1",
-        5,
-        None,
-    ):
-        with pytest.raises(ValueError):
-            Cyclotomic.from_json_coeffs(bad)
 
 
 def test_text_round_trip_is_canonical():
@@ -342,8 +322,6 @@ def test_text_round_trip_is_canonical():
             terms.append(f"{num // g}/{den // g}{suffix}")
         text = " + ".join(terms)
         assert Cyclotomic.from_text(text).to_text() == text
-        data = Cyclotomic.from_text(text).to_json_coeffs()
-        assert Cyclotomic.from_json_coeffs(data).to_json_coeffs() == data
 
 
 def test_json_round_trip_exact():
@@ -352,7 +330,7 @@ def test_json_round_trip_exact():
         x = rand_cyc(rng)
         data = x.to_json_coeffs()
         assert all(isinstance(n, int) and isinstance(d, int) for n, d in data)
-        assert Cyclotomic.from_json_coeffs(data) == x
+        assert data == [[f.numerator, f.denominator] for f in x.coeffs]
 
 
 def test_equality_across_coefficient_kinds():

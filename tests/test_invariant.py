@@ -293,6 +293,12 @@ def test_well_defined_examples():
     assert check_well_defined(LensSpace(12, 7), range(-3, 4)).passed
 
 
+def test_well_defined_default_shifts_skip_zero():
+    # k = 0 compares the canonical cofactors' value with itself
+    shifts = inspect.signature(verify_well_defined).parameters["shifts"].default
+    assert 0 not in shifts and (min(shifts), max(shifts)) == (-3, 3)
+
+
 def test_verify_well_defined_sample():
     report = verify_well_defined(p_max=20, sample=25, seed=3)
     assert len(report.checks) == 25
@@ -364,13 +370,13 @@ def test_periodicity_mechanism_through_congruence_kernel():
     # for (p2, q2) = (p, q) mod 12 the two gluing matrices differ, up to a
     # power of T on the right, by an element of Gamma(12), which rho kills;
     # rho(T) fixes e_1, so equal invariants follow
-    from e6lens.modular import decompose, in_gamma12, lens_matrix, t_power
+    from e6lens.modular import SL2Z, decompose, in_gamma12, lens_matrix
     from e6lens.rep import DIM, CycloMatrix, rho_word
 
     for p, q, p2, q2 in [(1, 0, 13, 12), (5, 2, 17, 14), (7, 3, 19, 15)]:
         glue = lens_matrix(p, q, *cofactors(p, q))
         glue2 = lens_matrix(p2, q2, *cofactors(p2, q2))
-        candidates = (glue.inverse() * glue2 * t_power(k) for k in range(12))
+        candidates = (glue.inverse() * glue2 * SL2Z(1, k, 0, 1) for k in range(12))
         corrector = next(m for m in candidates if in_gamma12(m))
         assert rho_word(decompose(corrector)) == CycloMatrix.identity(DIM)
         assert state_sum(LensSpace(p, q)) == state_sum(LensSpace(p2, q2))

@@ -17,7 +17,6 @@ from e6lens.modular import (
     gamma12_generators,
     in_gamma12,
     lens_matrix,
-    t_power,
 )
 
 
@@ -46,12 +45,12 @@ def test_generator_relations():
     assert S * S * S * S == IDENTITY
     st = S * T
     assert st * st * st * st * st * st == IDENTITY
-    assert T * T * T * T * T == t_power(5)
-    assert T.inverse() * T.inverse() * T.inverse() == t_power(-3)
+    assert T * T * T * T * T == SL2Z(1, 5, 0, 1)
+    assert T.inverse() * T.inverse() * T.inverse() == SL2Z(1, -3, 0, 1)
 
 
 def test_inverse():
-    m = T * S * t_power(-7) * S
+    m = T * S * SL2Z(1, -7, 0, 1) * S
     assert m * m.inverse() == IDENTITY
     assert m.inverse() * m == IDENTITY
 
@@ -137,17 +136,14 @@ def test_word_concatenation_matches_matrix_product():
 
 def test_compact_and_pretty_formats():
     word = Word(["S", "S", 12, "S", 12, "S"])
-    assert word.compact() == "S2T12ST12S"
-    assert word.pretty() == "S^2 T^12 S T^12 S"
-    assert Word.parse("S2T12ST12S") == word
-    assert Word.parse("S^2 T^12 S T^12 S") == word
+    assert word.compact() == "SST12ST12S"
+    assert Word.parse("SST12ST12S") == word
 
 
 def test_negative_exponent_format_round_trip():
     word = Word([9, "S", -4, "S", 3, "S", 4, "S"])
     assert word.compact() == "T9ST-4ST3ST4S"
     assert Word.parse(word.compact()) == word
-    assert Word.parse(word.pretty()) == word
 
 
 def test_format_round_trip_random():
@@ -155,7 +151,6 @@ def test_format_round_trip_random():
     for _ in range(100):
         word = rand_word(rng)
         assert Word.parse(word.compact()) == word
-        assert Word.parse(word.pretty()) == word
 
 
 def test_parse_rejects_malformed():
@@ -163,6 +158,30 @@ def test_parse_rejects_malformed():
         Word.parse("S T^2 X")
     with pytest.raises(ValueError):
         Word.parse("T")
+
+
+def test_parse_is_strict_and_bounded():
+    # only what compact writes: no run counts, no zero, padded or adjacent
+    # T exponents, no separators, signs or non-ASCII digits
+    for bad in ("S2", "S0", "S1", "T0", "T07", "T3T4", "S^2", "S T2", "T+3", "T\u0661",
+                "S" + "1" * 30):
+        with pytest.raises(ValueError):
+            Word.parse(bad)
+    # the parser hands the constructor at most one token per character
+    sizes = []
+
+    class Counted(Word):
+        __slots__ = ()
+
+        def __init__(self, tokens=()):
+            tokens = list(tokens)
+            sizes.append((len(tokens), len(text)))
+            super().__init__(tokens)
+
+    rng = random.Random(13)
+    for text in ["S" * 50, "ST-1" * 20] + [rand_word(rng).compact() for _ in range(50)]:
+        Counted.parse(text)
+    assert sizes and all(n <= chars for n, chars in sizes)
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -193,7 +212,7 @@ def test_decompose_round_trip_500_random_words():
 
 
 def test_decompose_word_length_logarithmic():
-    m = t_power(10**9) * S * t_power(-(10**8 + 7)) * S * t_power(12345)
+    m = SL2Z(1, 10**9, 0, 1) * S * SL2Z(1, -(10**8 + 7), 0, 1) * S * SL2Z(1, 12345, 0, 1)
     word = decompose(m)
     assert word.to_matrix() == m
     bits = max(abs(e) for e in m.entries()).bit_length()
@@ -227,7 +246,7 @@ def test_generator_table_spot_entries():
     by_name = {g.name: g for g in gamma12_generators()}
     p2 = by_name["P2"]
     assert p2.matrix == SL2Z(-143, 12, -12, 1)
-    assert p2.word == Word.parse("S2T12ST12S")
+    assert p2.word == Word.parse("SST12ST12S")
     assert by_name["P9"].matrix == SL2Z(937, -396, 168, -71)
     assert by_name["P9"].word == Word.parse("T5ST-2ST-4ST-4ST-3ST2S")
     assert by_name["P18"].matrix == SL2Z(649, -384, 120, -71)
@@ -262,5 +281,5 @@ def test_congruent_lift_exhaustive_small_sweep():
                 if math.gcd(p2, q2) != 1:
                     continue
                 glue2 = lens_matrix(p2, q2, *cofactors(p2, q2))
-                ks = [k for k in range(12) if in_gamma12(inverse * glue2 * t_power(k))]
+                ks = [k for k in range(12) if in_gamma12(inverse * glue2 * SL2Z(1, k, 0, 1))]
                 assert len(ks) == 1, (p, q, p2, q2, ks)
