@@ -19,7 +19,6 @@ from .cyclotomic import (
 )
 from .invariant import (
     LensSpace,
-    check_well_defined,
     closed_form,
     homotopy_equivalent,
     state_sum,
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GLOBAL_INDEX", "IMAG", "ONE", "SQRT3", "ZERO",
     "Cyclotomic", "quantum_integer", "zeta_pow",
-    "LensSpace", "check_well_defined", "closed_form", "homotopy_equivalent",
+    "LensSpace", "closed_form", "homotopy_equivalent",
     "state_sum", "sweep_table", "verify_closed_form", "verify_corollary",
     "verify_periodicity", "verify_well_defined",
     "IDENTITY", "S", "SL2Z", "T", "Word", "cofactors", "decompose",

@@ -40,11 +40,13 @@ def _build_parser():
     c = sub.add_parser("compute", help="compute Z(L(p,q))")
     c.add_argument("p", type=int)
     c.add_argument("q", type=int)
+    c.set_defaults(run=_cmd_compute)
 
     t = sub.add_parser("table", help="sweep all coprime (p,q) with p <= pmax")
     t.add_argument("--pmax", type=int, default=12,
                    help=f"sweep bound (1..{invariant.MAX_PMAX}, default 12)")
     t.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    t.set_defaults(run=_cmd_table)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("target", type=str.lower, choices=VERIFY_TARGETS)
@@ -53,12 +55,14 @@ def _build_parser():
                         f"{invariant.MIN_PMAX['periodicity']} for periodicity (defaults: "
                         "closedform/periodicity/welldefined 48, corollary 60)")
     v.add_argument("--format", choices=("text", "json"), default="text")
+    v.set_defaults(run=_cmd_verify)
 
     h = sub.add_parser("homotopy", help="orientation-preserving homotopy test")
     h.add_argument("p", type=int)
     h.add_argument("q", type=int)
     h.add_argument("p2", type=int)
     h.add_argument("q2", type=int)
+    h.set_defaults(run=_cmd_homotopy)
 
     return parser
 
@@ -120,22 +124,13 @@ def _cmd_homotopy(args, out):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "compute":
-            return _cmd_compute(args, out)
-        if args.command == "table":
-            return _cmd_table(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "homotopy":
-            return _cmd_homotopy(args, out)
+        return args.run(args, out)
     except ValueError as exc:  # the library's rejection of an argument
         print(f"error: {exc}", file=out)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

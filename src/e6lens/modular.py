@@ -52,6 +52,7 @@ T = SL2Z(1, 1, 0, 1)
 _WORD_TOKEN = re.compile(r"S|T(-?\d+)")
 
 
+@dataclass(frozen=True)
 class Word:
     """A word in the generators S and T, stored as a token sequence.
 
@@ -60,11 +61,11 @@ class Word:
     cancel); S may repeat, since S^2 = -I is meaningful in SL(2,Z).
     """
 
-    __slots__ = ("_tokens",)
+    tokens: tuple = ()
 
-    def __init__(self, tokens=()):
+    def __post_init__(self):
         merged = []
-        for tok in tokens:
+        for tok in self.tokens:
             if tok == "S":
                 merged.append("S")
             elif isinstance(tok, int) and not isinstance(tok, bool):
@@ -76,36 +77,23 @@ class Word:
                     merged.append(tok)
             else:
                 raise ValueError(f"bad token {tok!r}: expected 'S' or nonzero int")
-        object.__setattr__(self, "_tokens", tuple(merged))
-
-    @property
-    def tokens(self):
-        return self._tokens
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
+        object.__setattr__(self, "tokens", tuple(merged))
 
     def __len__(self):
-        return len(self._tokens)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self._tokens == other._tokens
-
-    def __hash__(self):
-        return hash(self._tokens)
+        return len(self.tokens)
 
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self._tokens + other._tokens)
+        return Word(self.tokens + other.tokens)
 
     def s_count(self):
-        return sum(1 for t in self._tokens if t == "S")
+        return sum(1 for t in self.tokens if t == "S")
 
     def to_matrix(self):
         """Left-to-right product of the token matrices; empty word -> I."""
         a, b, c, d = IDENTITY.entries()
-        for tok in self._tokens:
+        for tok in self.tokens:
             if tok == "S":  # right multiplication by (0, -1; 1, 0)
                 a, b, c, d = b, -a, d, -c
             else:  # right multiplication by (1, tok; 0, 1)
@@ -114,7 +102,7 @@ class Word:
 
     def compact(self):
         """The text form: one token at a time, `S` or `T<k>`, e.g. `SST12ST12S`."""
-        return "".join("S" if tok == "S" else f"T{tok}" for tok in self._tokens)
+        return "".join("S" if tok == "S" else f"T{tok}" for tok in self.tokens)
 
     @classmethod
     def parse(cls, text):

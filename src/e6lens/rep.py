@@ -19,6 +19,7 @@ that the S tokens accumulate is divided out once, at the end.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,24 +42,20 @@ from .report import Check, Report
 DIM = 10
 
 
+@dataclass(frozen=True)
 class CycloMatrix:
-    """Immutable square matrix over Q(zeta_12)."""
+    """Immutable square matrix over Q(zeta_12), as a tuple of rows."""
 
-    __slots__ = ("_rows",)
+    rows: tuple[tuple[Cyclotomic, ...], ...]
 
-    def __init__(self, rows):
-        rows = tuple(tuple(e for e in row) for row in rows)
-        n = len(rows)
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.rows)
         for row in rows:
-            if len(row) != n:
+            if len(row) != len(rows):
                 raise ValueError("matrix must be square")
-            for e in row:
-                if not isinstance(e, Cyclotomic):
-                    raise TypeError("entries must be Cyclotomic")
-        object.__setattr__(self, "_rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycloMatrix is immutable")
+            if not all(isinstance(e, Cyclotomic) for e in row):
+                raise TypeError("entries must be Cyclotomic")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def identity(cls, n):
@@ -66,26 +63,16 @@ class CycloMatrix:
 
     @property
     def n(self):
-        return len(self._rows)
-
-    @property
-    def rows(self):
-        return self._rows
-
-    def __eq__(self, other):
-        return isinstance(other, CycloMatrix) and self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
+        return len(self.rows)
 
     def __mul__(self, other):
         if isinstance(other, Cyclotomic):
-            return CycloMatrix(tuple(tuple(e * other for e in row) for row in self._rows))
+            return CycloMatrix(tuple(tuple(e * other for e in row) for row in self.rows))
         if not isinstance(other, CycloMatrix):
             return NotImplemented
-        rows = [[e._c for e in row] for row in self._rows]
+        rows = [[e._c for e in row] for row in self.rows]
         cols = [
-            [Cyclotomic._raw(e) for e in _mat_vec(rows, [row[j]._c for row in other._rows])]
+            [Cyclotomic._raw(e) for e in _mat_vec(rows, [row[j]._c for row in other.rows])]
             for j in range(self.n)
         ]
         return CycloMatrix(zip(*cols))
@@ -105,7 +92,7 @@ class CycloMatrix:
     def conjugate_transpose(self):
         n = self.n
         return CycloMatrix(
-            tuple(tuple(self._rows[j][i].conjugate() for j in range(n)) for i in range(n))
+            tuple(tuple(self.rows[j][i].conjugate() for j in range(n)) for i in range(n))
         )
 
 
@@ -158,11 +145,9 @@ def _relation_checks(ns):
     t = rho_t()
     nst = ns * t
     return [
-        _equality_check(
-            "rho(S)^4 = I", ns2 * ns2, CycloMatrix.identity(DIM) * GLOBAL_INDEX**4
-        ),
-        _equality_check("(rho(S) rho(T))^3 = rho(S)^2", nst * nst * nst, ns2 * GLOBAL_INDEX),
-        _equality_check("rho(T)^12 = I", t**12, CycloMatrix.identity(DIM)),
+        Check("rho(S)^4 = I", _difference(ns2 * ns2, CycloMatrix.identity(DIM) * GLOBAL_INDEX**4)),
+        Check("(rho(S) rho(T))^3 = rho(S)^2", _difference(nst * nst * nst, ns2 * GLOBAL_INDEX)),
+        Check("rho(T)^12 = I", _difference(t**12, CycloMatrix.identity(DIM))),
     ]
 
 
@@ -172,10 +157,9 @@ def _unitary_checks(ns):
     ident = CycloMatrix.identity(DIM)
     t = rho_t()
     return [
-        _equality_check(
-            "rho(S) rho(S)* = I", ns * ns.conjugate_transpose(), ident * GLOBAL_INDEX**2
-        ),
-        _equality_check("rho(T) rho(T)* = I", t * t.conjugate_transpose(), ident),
+        Check("rho(S) rho(S)* = I",
+              _difference(ns * ns.conjugate_transpose(), ident * GLOBAL_INDEX**2)),
+        Check("rho(T) rho(T)* = I", _difference(t * t.conjugate_transpose(), ident)),
     ]
 
 
@@ -283,13 +267,8 @@ def verify_kernel_generators():
         routes = (("via word", gen.word), ("via matrix", decompose(gen.matrix)))
         diffs = ((route, _difference(rho_word(word), ident)) for route, word in routes)
         bad = next((f"{route} {diff}" for route, diff in diffs if diff), None)
-        checks.append(Check(gen.name, bad is None, bad))
+        checks.append(Check(gen.name, bad))
     return Report("kernel", tuple(checks))
-
-
-def _equality_check(name, got, want):
-    bad = _difference(got, want)
-    return Check(name, bad is None, bad)
 
 
 def _difference(got, want):

@@ -8,9 +8,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Check:
+    """A named check; it fails exactly when it carries a witness."""
+
     name: str
-    passed: bool
     witness: str | None = None
+
+    @property
+    def passed(self):
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class Report:
         out = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            suffix = f"  [{c.witness}]" if (c.witness and not c.passed) else ""
+            suffix = "" if c.passed else f"  [{c.witness}]"
             out.append(f"{status}  {self.title}: {c.name}{suffix}")
         return out
 
@@ -45,7 +50,5 @@ class Report:
 def merge(title, reports):
     checks = []
     for r in reports:
-        checks.extend(
-            Check(f"{r.title}: {c.name}", c.passed, c.witness) for c in r.checks
-        )
+        checks.extend(Check(f"{r.title}: {c.name}", c.witness) for c in r.checks)
     return Report(title, tuple(checks))

@@ -11,7 +11,6 @@ import time
 from e6lens.cyclotomic import GLOBAL_INDEX, ONE, SQRT3, ZERO, Cyclotomic
 from e6lens.invariant import (
     LensSpace,
-    check_well_defined,
     closed_form,
     state_sum,
     verify_corollary,
@@ -19,6 +18,7 @@ from e6lens.invariant import (
     verify_well_defined,
 )
 from e6lens.modular import decompose, gamma12_generators
+from e6lens.report import Check
 from e6lens.rep import (
     DIM,
     CycloMatrix,
@@ -103,11 +103,10 @@ def test_criterion_5_homotopy_invariance():
 
 
 def test_criterion_6_well_definedness():
-    report = verify_well_defined(p_max=48, shifts=range(-3, 4), sample=100, seed=7)
+    report = verify_well_defined(p_max=48)
     assert len(report.checks) == 100
     assert report.passed, report.to_json()
-    spot = check_well_defined(LensSpace(5, 2), range(-3, 4))
-    assert spot.passed
+    assert Check("L(5,2) shifts -3..3") in verify_well_defined(12).checks
     _report(6, "cofactor shifts (a,b) -> (a+kp, b+kq), k in -3..3, 100 pairs")
 
 

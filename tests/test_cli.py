@@ -195,7 +195,7 @@ def test_verify_bad_pmax_is_usage_error(capsys, monkeypatch):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    bad = Report("welldefined", (Check("forced failure", False, "synthetic"),))
+    bad = Report("welldefined", (Check("forced failure", "synthetic"),))
     monkeypatch.setattr(invariant, "verify_well_defined", lambda **kw: bad)
     code, out = run_cli(capsys, "verify", "welldefined")
     assert code == 1

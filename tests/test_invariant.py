@@ -25,7 +25,6 @@ from e6lens.invariant import (
     MAX_PMAX,
     MAX_TRIAL_DIVISOR,
     LensSpace,
-    check_well_defined,
     closed_form,
     homotopy_equivalent,
     state_sum,
@@ -176,6 +175,17 @@ def test_routes_agree_negative_and_zero_p():
         assert state_sum(space) == closed_form(space), space
 
 
+def test_orientation_reversal_conjugates_both_routes():
+    # L(p, -q) is L(p, q) with the orientation reversed; the literal words
+    # are evaluated with q < 0, which no sweep does
+    pairs = [(p, q) for p in range(1, 25) for q in range(p) if math.gcd(p, q) == 1]
+    assert len(pairs) == 180
+    literal = invariant._literal_state_sum
+    for p, q in pairs:
+        assert literal(p, -q) == literal(p, q).conjugate(), (p, q)
+        assert closed_form(LensSpace(p, -q)) == closed_form(LensSpace(p, q)).conjugate(), (p, q)
+
+
 def test_float_embeddings_agree():
     for p in range(1, 13):
         for q in range(max(p, 1)):
@@ -198,7 +208,7 @@ def test_verify_closed_form_names_first_mismatch(monkeypatch):
         ZERO if (space.p, space.q) in {(5, 2), (5, 3)} else real(space)))
     report = verify_closed_form(p_max=6)
     assert report.failures() == [
-        Check("state sum = closed form, p=5 (4 pairs)", False, "first mismatch at q=2")
+        Check("state sum = closed form, p=5 (4 pairs)", "first mismatch at q=2")
     ]
 
 
@@ -257,7 +267,7 @@ def test_verify_suites_never_reach_the_served_route(monkeypatch):
         raise RuntimeError(f"served route lifted L({p},{q})")
 
     monkeypatch.setattr(invariant, "_residue_lift", refuse)
-    assert verify_well_defined(24, sample=10).passed
+    assert verify_well_defined(24).passed
     assert verify_periodicity(26).passed
     assert verify_closed_form(24).passed
     with pytest.raises(RuntimeError, match="served route"):
@@ -288,20 +298,25 @@ def test_served_memo_is_bounded_by_the_group_order():
 
 
 def test_well_defined_examples():
-    assert check_well_defined(LensSpace(5, 2), [-2, -1, 1, 2]).passed
-    assert check_well_defined(LensSpace(7, 3), [0]).passed
-    assert check_well_defined(LensSpace(12, 7), range(-3, 4)).passed
+    # p <= 12 has 46 coprime pairs, fewer than the sample: all are checked
+    report = verify_well_defined(12)
+    assert len(report.checks) == 46
+    assert report.passed, report.to_json()
+    for name in ("L(5,2) shifts -3..3", "L(7,3) shifts -3..3", "L(12,7) shifts -3..3"):
+        assert Check(name) in report.checks
 
 
 def test_well_defined_default_shifts_skip_zero():
     # k = 0 compares the canonical cofactors' value with itself
-    shifts = inspect.signature(verify_well_defined).parameters["shifts"].default
+    shifts = invariant._SHIFTS
     assert 0 not in shifts and (min(shifts), max(shifts)) == (-3, 3)
 
 
 def test_verify_well_defined_sample():
-    report = verify_well_defined(p_max=20, sample=25, seed=3)
-    assert len(report.checks) == 25
+    # p <= 20 has 128 coprime pairs, of which 100 distinct ones are checked
+    report = verify_well_defined(p_max=20)
+    names = [check.name for check in report.checks]
+    assert len(set(names)) == 100
     assert report.passed, report.to_json()
 
 
@@ -311,10 +326,10 @@ def test_verify_well_defined_names_first_bad_shift(monkeypatch):
     canonical_a = cofactors(3, 2)[0]
     monkeypatch.setattr(invariant, "_state_sum_with_cofactors", lambda p, q, a, b: (
         ZERO if (p, q) == (3, 2) and a > canonical_a else real(p, q, a, b)))
-    report = verify_well_defined(p_max=5, shifts=range(-1, 3), sample=0)
+    report = verify_well_defined(p_max=5)
     value = closed_form(LensSpace(3, 2))
     assert report.failures() == [
-        Check("L(3,2) shifts -1..2", False, f"expected {value.to_text()}, got {ZERO.to_text()}")
+        Check("L(3,2) shifts -3..3", f"expected {value.to_text()}, got {ZERO.to_text()}")
     ]
 
 
@@ -340,8 +355,8 @@ def test_verify_periodicity_names_first_shift_in_order(monkeypatch):
         ZERO if (p, q) in {(14, 1), (2, 13)} else real(p, q)))
     report = verify_periodicity(p_max=14)
     assert report.checks == (
-        Check("L(1,0) mod-12 shifts", True),
-        Check("L(2,1) mod-12 shifts", False, "differs at L(2,13)"),
+        Check("L(1,0) mod-12 shifts"),
+        Check("L(2,1) mod-12 shifts", "differs at L(2,13)"),
     )
 
 
@@ -463,7 +478,7 @@ def test_verify_corollary_names_first_unequal_pair(monkeypatch):
         ZERO if (space.p, space.q) == (7, 4) else real(space)))
     report = verify_corollary(p_max=7)
     assert report.failures() == [
-        Check("p=7 (12 equivalent pairs)", False, "L(7,1) vs L(7,4)")
+        Check("p=7 (12 equivalent pairs)", "L(7,1) vs L(7,4)")
     ]
 
 
@@ -476,7 +491,7 @@ def test_verify_corollary_witness_is_first_in_pair_order(monkeypatch):
         ZERO if (space.p, space.q) in {(13, 12), (13, 5)} else real(space)))
     report = verify_corollary(p_max=13)
     assert report.failures() == [
-        Check("p=13 (42 equivalent pairs)", False, "L(13,1) vs L(13,12)")
+        Check("p=13 (42 equivalent pairs)", "L(13,1) vs L(13,12)")
     ]
 
 
@@ -517,8 +532,9 @@ def test_sweeps_reject_pmax_past_cap():
     over = MAX_PMAX + 1
     for sweep in (sweep_table, verify_closed_form, verify_well_defined,
                   verify_periodicity, verify_corollary):
-        with pytest.raises(ValueError, match="p_max"):
-            sweep(over)
+        for bad in (over, 13.0, True):
+            with pytest.raises(ValueError, match="p_max"):
+                sweep(bad)
 
 
 def test_table_formats_deterministic():

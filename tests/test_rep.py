@@ -145,7 +145,7 @@ def test_kernel_failure_names_route_and_entry(monkeypatch, word, route):
     monkeypatch.setattr(rep, "gamma12_generators", lambda: (fake,))
     report = verify_kernel_generators()
     witness = f"{route} (2,2): expected {ONE.to_text()}, got {zeta_pow(14).to_text()}"
-    assert report.checks == (Check("fake", False, witness),)
+    assert report.checks == (Check("fake", witness),)
 
 
 # -- word evaluation ------------------------------------------------------------------
@@ -172,6 +172,18 @@ def test_rho_of_minus_identity_has_unit_corner():
     m = rho_word(decompose(SL2Z(-1, 0, 0, -1)))
     assert m == rho_s() * rho_s()
     assert m.rows[0][0] == ONE
+
+
+def test_values_are_frozen_and_compare_by_content():
+    word, matrix = Word(["S", 3, 4]), CycloMatrix.identity(2)
+    assert word == Word(["S", 7]) and hash(word) == hash(Word(["S", 7]))
+    same = CycloMatrix([[ONE, ZERO], [ZERO, ONE]])
+    assert matrix == same and hash(matrix) == hash(same)
+    for value, field in ((word, "tokens"), (matrix, "rows"), (Check("x"), "witness")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+    # a check fails exactly when it carries a witness
+    assert Check("x").passed and not Check("x", "why").passed
 
 
 def test_homomorphism_on_random_word_pairs():
