@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import invariant, rep
 from .report import merge
@@ -30,6 +31,8 @@ _SUITES = (
 VERIFY_TARGETS = (*dict.fromkeys(target for target, _, _ in _SUITES), "all")
 
 
+# One parser per process: a build costs far more than a parse, which keeps no state.
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="e6lens",

@@ -51,6 +51,16 @@ def _mul_coeffs(a, b):
     return prod[:4]
 
 
+def _mul_block(a):
+    """The rows of the 4x4 matrix of b -> a*b on the basis: column j is
+    a*zeta^(2j), each column shifted by zeta^2 with zeta^8 = zeta^4 - 1."""
+    cols = [tuple(a)]
+    for _ in range(DEGREE - 1):
+        c0, c1, c2, c3 = cols[-1]
+        cols.append((-c3, c0, c1 + c3, c2))
+    return tuple(zip(*cols))
+
+
 def _power_table():
     # zeta^(2j) for j = 0..11 in the basis
     rows = [(1, 0, 0, 0)]

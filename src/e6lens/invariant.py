@@ -52,8 +52,8 @@ from .rep import rho_entry_11
 from .report import Check, Report
 
 # Largest sweep bound that sweep_table and the verification sweeps accept.
-# At 120 on a shared 2-core host, verify_periodicity takes about 12 s,
-# verify_closed_form about 7 s from a cold cache, every other sweep <= 1.3 s.
+# At 120 on a shared 2-core host, verify_periodicity takes 2.4-4.8 s,
+# verify_closed_form 1.2-2.4 s from a cold cache, every other sweep <= 0.5 s.
 MAX_PMAX = 120
 
 # The least bound of each verification sweep, by suite name: periodicity
@@ -69,6 +69,9 @@ class LensSpace:
     q: int
 
     def __post_init__(self):
+        for name, value in (("p", self.p), ("q", self.q)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
         g = math.gcd(self.p, self.q)
         if g != 1:
             raise ValueError(f"gcd({self.p},{self.q})={g}; p and q must be coprime")

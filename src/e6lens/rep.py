@@ -13,8 +13,13 @@ has squared conjugate norm w^2, which pins down the two composite entries
 (3+sqrt3) and i*(3+sqrt3).
 
 Every evaluation, from one matrix entry to a full matrix product, runs
-through one matrix-vector kernel on integer coefficients; the power of w
-that the S tokens accumulate is divided out once, at the end.
+through one kernel on integer coefficients: multiplying by a field element
+is a 4x4 integer block on the coefficient basis, so a matrix compiles once
+into 40 flat rows of (index, factor) pairs that act on a flat column of 40
+coefficients.  w*rho(S) and each rho(T^k) are compiled once, and the power
+of w that the S tokens accumulate is divided out once, at the end.
+rho_entry_11 drops the T tokens at both ends of a word, since rho(T) fixes
+e_1, and its outermost S steps use one precomputed column and 4 flat rows.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import (
+    DEGREE,
     GLOBAL_INDEX,
     IMAG,
     ONE,
     SQRT3,
     ZERO,
     Cyclotomic,
-    _Z2POW,
+    _mul_block,
     _mul_coeffs,
     _norm_coeff,
     quantum_integer,
@@ -70,11 +76,9 @@ class CycloMatrix:
             return CycloMatrix(tuple(tuple(e * other for e in row) for row in self.rows))
         if not isinstance(other, CycloMatrix):
             return NotImplemented
-        rows = [[e._c for e in row] for row in self.rows]
-        cols = [
-            [Cyclotomic._raw(e) for e in _mat_vec(rows, [row[j]._c for row in other.rows])]
-            for j in range(self.n)
-        ]
+        table = _compile(self.rows)
+        cols = [_entries(_run(table, [c for row in other.rows for c in row[j]._c]))
+                for j in range(self.n)]
         return CycloMatrix(zip(*cols))
 
     def __pow__(self, k):
@@ -163,38 +167,52 @@ def _unitary_checks(ns):
     ]
 
 
-def _mat_vec(rows, v):
-    """The matrix `rows` times the column `v`, both of raw coefficient
-    tuples, skipping zero entries."""
-    out = []
+def _compile(rows):
+    """The flat rows of a matrix: flat row DEGREE*i + r holds (DEGREE*k + j, f)
+    for each nonzero f = _mul_block(rows[i][k])[r][j]."""
+    flat = []
     for row in rows:
-        acc = ZERO._c
-        for a, x in zip(row, v):
-            if any(a) and any(x):
-                acc = [s + t for s, t in zip(acc, _mul_coeffs(a, x))]
-        out.append(acc)
-    return out
+        block_rows = [[] for _ in range(DEGREE)]
+        for k, a in enumerate(row):
+            if a:
+                for out, factors in zip(block_rows, _mul_block(a._c)):
+                    out.extend((DEGREE * k + j, f) for j, f in enumerate(factors) if f)
+        flat.extend(tuple(out) for out in block_rows)
+    return tuple(flat)
 
 
-def _apply_word(word, v):
-    """(w^m rho(word) v, m) for a column v of raw coefficient tuples.
+def _run(table, v):
+    """The kernel: a compiled matrix times the flat column v."""
+    return [sum([f * v[j] for j, f in row]) for row in table]
 
-    The tokens act on v right to left: S multiplies by the integer matrix
-    w*rho(S), T^k scales coordinate i by zeta^(2k * _T_EXP[i]).  m counts the
-    S tokens, so v stays integral and the caller divides by w^m once.
-    """
-    ns = [[e._c for e in row] for row in _s_numerator().rows]
-    m = 0
-    for tok in reversed(word.tokens):
-        if tok == "S":
-            v = _mat_vec(ns, v)
-            m += 1
-        else:
-            v = [
-                _mul_coeffs(x, _Z2POW[(e * tok) % 12]) if (e * tok) % 12 else x
-                for x, e in zip(v, _T_EXP)
-            ]
-    return v, m
+
+def _entries(v):
+    """The entries of a flat column, as Cyclotomic values."""
+    return [Cyclotomic._raw(v[i:i + DEGREE]) for i in range(0, len(v), DEGREE)]
+
+
+@lru_cache(maxsize=1)
+def _s_table():
+    """w*rho(S) compiled, and its first column flat: the image of e_1."""
+    rows = _s_numerator().rows
+    return _compile(rows), tuple(c for row in rows for c in row[0]._c)
+
+
+@lru_cache(maxsize=12)
+def _t_table(k):
+    """rho(T^k) compiled, for 0 <= k < 12."""
+    return _compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(DIM)]
+                     for i, e in enumerate(_T_EXP)])
+
+
+def _apply(tokens, v):
+    """w^m rho(tokens) v for a flat column v, m the number of S tokens: the
+    tokens act right to left, each through its compiled table, so v stays
+    integral and the caller divides by w^m once."""
+    s_table = _s_table()[0]
+    for tok in reversed(tokens):
+        v = _run(s_table if tok == "S" else _t_table(tok % 12), v)
+    return v
 
 
 # w * (6 - 2*sqrt3) = 24, so 1/w^m = (6 - 2*sqrt3)^m / 24^m: integer products,
@@ -203,17 +221,13 @@ _W_COFACTOR = 6 - 2 * SQRT3
 
 
 def _over_w_power(v, m):
-    """The raw column v divided by w^m, as Cyclotomic values."""
+    """The flat column v divided by w^m, as Cyclotomic values."""
     num = (_W_COFACTOR**m)._c
     den = 24**m
     return [
-        Cyclotomic._raw(_norm_coeff(Fraction(c, den)) for c in _mul_coeffs(x, num)) for x in v
+        Cyclotomic._raw(_norm_coeff(Fraction(c, den)) for c in _mul_coeffs(x._c, num))
+        for x in _entries(v)
     ]
-
-
-def _unit(j):
-    """The basis column e_j in raw coefficients."""
-    return [ONE._c if i == j else ZERO._c for i in range(DIM)]
 
 
 @lru_cache(maxsize=1)
@@ -235,14 +249,25 @@ def rho_t():
 
 def rho_word(word):
     """Image of a generator word: the kernel applied to each basis column."""
-    cols = [_over_w_power(*_apply_word(word, _unit(j))) for j in range(DIM)]
+    units = ([int(i == DEGREE * j) for i in range(DEGREE * DIM)] for j in range(DIM))
+    cols = [_over_w_power(_apply(word.tokens, e), word.s_count()) for e in units]
     return CycloMatrix(zip(*cols))
 
 
 def rho_entry_11(word):
-    """First matrix entry of rho(word): the kernel applied to e_1 alone."""
-    v, m = _apply_word(word, _unit(0))
-    return _over_w_power(v[:1], m)[0]
+    """First matrix entry of rho(word), from the steps it needs: rho(T)
+    fixes e_1 (_T_EXP[0] == 0), so T tokens outside the S tokens drop out;
+    the last S maps e_1 to the first column of w*rho(S), and of the first S
+    only the rows of the first coordinate count."""
+    tokens = word.tokens
+    s_at = [i for i, tok in enumerate(tokens) if tok == "S"]
+    if not s_at:
+        return ONE
+    table, first_column = _s_table()
+    v = _apply(tokens[s_at[0] + 1:s_at[-1]], first_column)
+    if len(s_at) > 1:
+        v = _run(table[:DEGREE], v)
+    return _over_w_power(v[:DEGREE], len(s_at))[0]
 
 
 def verify_relations():

@@ -245,10 +245,30 @@ def test_table_byte_identical_across_processes():
 
 
 # --precision is no option: every value prints the same doubles at any precision
-@pytest.mark.parametrize("argv", [[], ["bogus"], ["verify", "nonsense"],
-                                  ["compute", "5", "1", "--precision", "64"],
-                                  ["table", "--precision", "64"]])
+USAGE_ERRORS = [[], ["bogus"], ["verify", "nonsense"],
+                ["compute", "5", "1", "--precision", "64"],
+                ["table", "--precision", "64"]]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
+
+
+# the parser is built once per process, so no call may see another's arguments
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_after_a_successful_call(capsys, argv):
+    assert run_cli(capsys, "compute", "5", "1")[0] == 0
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_table_defaults_after_a_call_with_options(capsys):
+    assert run_cli(capsys, "table", "--pmax", "5", "--format", "csv")[0] == 0
+    code, out = run_cli(capsys, "table")
+    assert code == 0
+    assert out == invariant.table_text(invariant.sweep_table(12))

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,16 @@ def test_lens_space_requires_coprime():
         LensSpace(0, 0)
     assert LensSpace(0, 1).p == 0
     assert LensSpace(-5, 3).q == 3
+
+
+@pytest.mark.parametrize("p, q, bad", [(1.0, 2, "p must be an int, not 1.0"),
+                                       (True, 1, "p must be an int, not True"),
+                                       (5, False, "q must be an int, not False"),
+                                       (5, "2", "q must be an int, not '2'"),
+                                       (Fraction(5), 2, "p must be an int, not Fraction")])
+def test_lens_space_rejects_non_int_parameters(p, q, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        LensSpace(p, q)
 
 
 # -- state sum spot values --------------------------------------------------------

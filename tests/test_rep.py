@@ -2,11 +2,13 @@
 presentation relations, unitarity and the Gamma(12) kernel."""
 
 import random
+import re
 
 import pytest
 
-from e6lens import rep
-from e6lens.cyclotomic import GLOBAL_INDEX, ONE, SQRT3, ZERO, Cyclotomic, zeta_pow
+from e6lens import invariant, rep
+from e6lens.cyclotomic import GLOBAL_INDEX, ONE, SQRT3, ZERO, Cyclotomic, _mul_coeffs, zeta_pow
+from e6lens.invariant import verify_closed_form
 from e6lens.modular import IDENTITY, SL2Z, GammaGenerator, T, Word, decompose, gamma12_generators
 from e6lens.rep import (
     DIM,
@@ -213,10 +215,50 @@ def test_rho_t_power_matches_repeated_product():
 
 
 def test_entry_11_fast_path_matches_full_matrix():
+    # the fast path drops end T tokens and the unused rows of the last S step
     rng = random.Random(41)
-    for _ in range(20):
-        word = rand_word(rng, 6)
-        assert rho_entry_11(word) == rho_word(word).rows[0][0]
+    edge = [Word.parse(text) for text in ("", "S", "SS", "T5", "T-7", "T12", "T3S", "ST3",
+                                           "T3ST-2", "T1ST4ST-5", "T2SST7SSST11")]
+    for word in edge + [rand_word(rng, 6) for _ in range(200)]:
+        assert rho_entry_11(word) == rho_word(word).rows[0][0], word
+
+
+def test_compiled_blocks_multiply_the_basis_vectors():
+    # every 4x4 block of every compiled table is the product with e_0..e_3
+    table, first_column = rep._s_table()
+    tables = [(table, _s_numerator().rows)]
+    diagonal = [row[i] for i, row in enumerate(rho_t().rows)]
+    tables += [(rep._t_table(k), [[e ** k if i == j else ZERO for j in range(DIM)]
+                                  for i, e in enumerate(diagonal)]) for k in range(12)]
+    basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
+    for table, rows in tables:
+        assert len(table) == 4 * DIM
+        flat = [dict(row) for row in table]
+        assert all(len(row) == len(table[i]) for i, row in enumerate(flat))
+        for i, row in enumerate(rows):
+            for k, a in enumerate(row):
+                for j, e in enumerate(basis):
+                    column = [flat[4 * i + r].get(4 * k + j, 0) for r in range(4)]
+                    assert column == _mul_coeffs(a._c, e), (i, k, j)
+    assert list(first_column) == [c for row in _s_numerator().rows for c in row[0]._c]
+
+
+@pytest.mark.parametrize("row", [0, 21])
+def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
+    # the suites evaluate the literal words through the kernel, so one wrong
+    # factor in the compiled w*rho(S) shows as a failure that names p
+    table, first_column = rep._s_table()
+    (j, f), *rest = table[row]
+    corrupt = table[:row] + (((j, f + 1), *rest),) + table[row + 1:]
+    monkeypatch.setattr(rep, "_s_table", lambda: (corrupt, first_column))
+    invariant._literal_state_sum.cache_clear()
+    try:
+        report = verify_closed_form(12)
+    finally:
+        invariant._literal_state_sum.cache_clear()
+    assert not report.passed
+    assert all(re.fullmatch(r"state sum = closed form, p=\d+ \(\d+ pairs\)", check.name)
+               for check in report.failures())
 
 
 def test_kernel_matches_naive_cyclotomic_products():
