@@ -72,6 +72,24 @@ def _power_table():
 _Z2POW = _power_table()
 
 
+def _require_int(**values):
+    """Raise ValueError unless every value is an int (a bool is not)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, not {value!r}")
+
+
+def _power(base, n, one):
+    """base**n for an int n >= 0, by square-and-multiply."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base
+        n >>= 1
+    return acc
+
+
 def _norm_coeff(c):
     if isinstance(c, int) and not isinstance(c, bool):
         return c
@@ -162,15 +180,7 @@ class Cyclotomic:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inv()
-        n = abs(n)
-        acc = ONE
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _power(self if n >= 0 else self.inv(), abs(n), ONE)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -221,6 +231,7 @@ class Cyclotomic:
 
     def approx(self, precision_bits=64):
         """Rational (re, im) approximation, each within 2^-precision_bits."""
+        _require_int(precision_bits=precision_bits)
         if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
             raise ValueError(
                 f"precision must be between {MIN_PRECISION_BITS} and {MAX_PRECISION_BITS} bits"
@@ -318,16 +329,12 @@ def _join_terms(pairs):
             terms.append(f"-{label}")
         else:
             terms.append(f"{coeff}*{label}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def zeta_pow(k):
     """zeta^k for even k (any sign); odd powers lie outside Q(zeta_12)."""
+    _require_int(k=k)
     if k % 2:
         raise ValueError(f"zeta^{k} is outside Q(zeta_12): the power must be even")
     return Cyclotomic._raw(_Z2POW[(k // 2) % 12])
@@ -345,6 +352,7 @@ _QINT = {n: sum((zeta_pow(n - 1 - 2 * j) for j in range(n)), ZERO) for n in rang
 def quantum_integer(n):
     """[n] = (zeta^n - zeta^-n)/(zeta - zeta^-1) for odd n; satisfies
     [12-n] = [n], [n+12] = -[n].  Even n give values outside Q(zeta_12)."""
+    _require_int(n=n)
     if n % 2 == 0:
         raise ValueError(f"[{n}] is outside Q(zeta_12): n must be odd")
     return _QINT[n % 24]

@@ -46,7 +46,8 @@ from functools import lru_cache
 from itertools import count, groupby
 from operator import itemgetter
 
-from .cyclotomic import GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, Cyclotomic, quantum_integer, zeta_pow
+from .cyclotomic import (GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, Cyclotomic, _require_int,
+                         quantum_integer, zeta_pow)
 from .modular import cofactors, decompose, lens_matrix
 from .rep import rho_entry_11
 from .report import Check, Report
@@ -69,9 +70,7 @@ class LensSpace:
     q: int
 
     def __post_init__(self):
-        for name, value in (("p", self.p), ("q", self.q)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, not {value!r}")
+        _require_int(p=self.p, q=self.q)
         g = math.gcd(self.p, self.q)
         if g != 1:
             raise ValueError(f"gcd({self.p},{self.q})={g}; p and q must be coprime")
@@ -182,8 +181,7 @@ def _square_class(p, q):
 def check_pmax(p_max, *sweeps):
     """Raise ValueError unless p_max is an int that every named verification
     sweep (keys of MIN_PMAX) accepts; with no name, the bound of sweep_table."""
-    if type(p_max) is not int:
-        raise ValueError(f"p_max must be an int, not {p_max!r}")
+    _require_int(p_max=p_max)
     least = max((MIN_PMAX[sweep] for sweep in sweeps), default=1)
     if not least <= p_max <= MAX_PMAX:
         raise ValueError(f"p_max must be between {least} and {MAX_PMAX}")

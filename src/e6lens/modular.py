@@ -10,6 +10,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cyclotomic import _require_int
+
 
 @dataclass(frozen=True)
 class SL2Z:
@@ -21,6 +23,7 @@ class SL2Z:
     d: int
 
     def __post_init__(self):
+        _require_int(a=self.a, b=self.b, c=self.c, d=self.d)
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant must be 1: {self.entries()}")
 
@@ -143,37 +146,30 @@ def decompose(m):
     a, b, c, d = m.entries()
     while c:
         k = _nearest_div(a, c)
-        if k:
-            a -= k * c
-            b -= k * d
-            tokens.append(k)
-        tokens.append("S")
+        a -= k * c
+        b -= k * d
+        tokens += [k, "S"]  # Word drops a T token k = 0
         # apply S^-1 on the left: rows (r1, r2) -> (r2, -r1)
         a, b, c, d = c, d, -a, -b
-    if a == 1:
-        if b:
-            tokens.append(b)
-    else:
-        tokens.append("S")
-        tokens.append("S")
-        if b:
-            tokens.append(-b)
+    if a != 1:  # a = -1: what is left is S^2 (1, -b; 0, 1)
+        tokens += ["S", "S"]
+        b = -b
+    tokens.append(b)
     return Word(tokens)
 
 
 def cofactors(p, q):
     """The canonical (a, b) with a*q - b*p = 1.
 
-    For |p| > 1 this is the unique pair with 0 <= a < |p|; for |p| <= 1 the
-    choice is forced up to b, fixed as below.  Raises if gcd(p, q) != 1.
+    For p != 0 this is the unique pair with 0 <= a < |p| (so (0, -p) at
+    |p| = 1); for p = 0 it is (q, 0).  Raises if gcd(p, q) != 1.
     """
+    _require_int(p=p, q=q)
     g = math.gcd(p, q)
     if g != 1:
         raise ValueError(f"p and q must be coprime, but gcd({p}, {q}) = {g}")
     if p == 0:
         return q, 0  # q = +-1, a*q = q^2 = 1
-    if abs(p) == 1:
-        return 0, -p
     a = pow(q, -1, abs(p))
     b = (a * q - 1) // p
     return a, b

@@ -18,8 +18,9 @@ is a 4x4 integer block on the coefficient basis, so a matrix compiles once
 into 40 flat rows of (index, factor) pairs that act on a flat column of 40
 coefficients.  w*rho(S) and each rho(T^k) are compiled once, and the power
 of w that the S tokens accumulate is divided out once, at the end.
-rho_entry_11 drops the T tokens at both ends of a word, since rho(T) fixes
-e_1, and its outermost S steps use one precomputed column and 4 flat rows.
+_t_table alone turns _T_EXP into entries, and rho_t() is its image.
+rho_entry_11 runs every T token through its table; its outermost S steps
+use one precomputed column (on e_1) and 4 flat rows.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .cyclotomic import (
     _mul_block,
     _mul_coeffs,
     _norm_coeff,
+    _power,
     quantum_integer,
     zeta_pow,
 )
@@ -82,22 +84,12 @@ class CycloMatrix:
         return CycloMatrix(zip(*cols))
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("only nonnegative integer powers")
-        acc = CycloMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return _power(self, k, CycloMatrix.identity(self.n))
 
     def conjugate_transpose(self):
-        n = self.n
-        return CycloMatrix(
-            tuple(tuple(self.rows[j][i].conjugate() for j in range(n)) for i in range(n))
-        )
+        return CycloMatrix(zip(*([e.conjugate() for e in row] for row in self.rows)))
 
 
 # diagonal of rho(T) as exponents of zeta^2 (mod 12):
@@ -236,38 +228,41 @@ def rho_s():
     return rho_word(Word(["S"]))
 
 
+def _unit(j):
+    """The basis vector e_(j+1) as a flat column."""
+    return [int(i == DEGREE * j) for i in range(DEGREE * DIM)]
+
+
 @lru_cache(maxsize=1)
 def rho_t():
-    """rho(T) = diag(1, -zeta^2, -1, 1, i, -zeta^2, 1, zeta^8, zeta^-4, -1)."""
-    return CycloMatrix(
-        tuple(
-            tuple(zeta_pow(2 * _T_EXP[i]) if i == j else ZERO for j in range(DIM))
-            for i in range(DIM)
-        )
-    )
+    """rho(T), the image of its compiled table (not rho_word, which needs
+    the S table that construction is still checking)."""
+    return CycloMatrix(zip(*(_entries(_run(_t_table(1), _unit(j))) for j in range(DIM))))
 
 
 def rho_word(word):
     """Image of a generator word: the kernel applied to each basis column."""
-    units = ([int(i == DEGREE * j) for i in range(DEGREE * DIM)] for j in range(DIM))
-    cols = [_over_w_power(_apply(word.tokens, e), word.s_count()) for e in units]
+    cols = [_over_w_power(_apply(word.tokens, _unit(j)), word.s_count()) for j in range(DIM)]
     return CycloMatrix(zip(*cols))
 
 
 def rho_entry_11(word):
-    """First matrix entry of rho(word), from the steps it needs: rho(T)
-    fixes e_1 (_T_EXP[0] == 0), so T tokens outside the S tokens drop out;
-    the last S maps e_1 to the first column of w*rho(S), and of the first S
-    only the rows of the first coordinate count."""
+    """First matrix entry of rho(word): every token acts through its table,
+    right to left, from e_1.  Two S shortcuts: an S step on e_1 is the
+    precomputed first column of w*rho(S), and of the first S, and of the T
+    token before it, only the rows of the first coordinate count (rho(T^k)
+    is diagonal as _t_table builds it)."""
     tokens = word.tokens
-    s_at = [i for i, tok in enumerate(tokens) if tok == "S"]
-    if not s_at:
-        return ONE
+    head = tokens.index("S") if "S" in tokens else len(tokens)
     table, first_column = _s_table()
-    v = _apply(tokens[s_at[0] + 1:s_at[-1]], first_column)
-    if len(s_at) > 1:
-        v = _run(table[:DEGREE], v)
-    return _over_w_power(v[:DEGREE], len(s_at))[0]
+    v = e_1 = _unit(0)
+    for i, tok in reversed(list(enumerate(tokens))):
+        if tok == "S" and v == e_1:
+            v = first_column
+        else:
+            rows = table if tok == "S" else _t_table(tok % 12)
+            v = _run(rows[:DEGREE] if i <= head else rows, v)
+    return _over_w_power(v[:DEGREE], word.s_count())[0]
 
 
 def verify_relations():
@@ -285,12 +280,14 @@ def verify_kernel_generators():
 
     Each generator is evaluated along two routes: its published word and a
     fresh decomposition of its matrix; both must give the identity exactly.
+    A route whose word the first route already evaluated is not run again.
     """
     ident = CycloMatrix.identity(DIM)
     checks = []
     for gen in gamma12_generators():
-        routes = (("via word", gen.word), ("via matrix", decompose(gen.matrix)))
-        diffs = ((route, _difference(rho_word(word), ident)) for route, word in routes)
+        routes = {gen.word: "via word"}
+        routes.setdefault(decompose(gen.matrix), "via matrix")  # a repeated word runs once
+        diffs = ((route, _difference(rho_word(word), ident)) for word, route in routes.items())
         bad = next((f"{route} {diff}" for route, diff in diffs if diff), None)
         checks.append(Check(gen.name, bad))
     return Report("kernel", tuple(checks))

@@ -1,4 +1,9 @@
-"""The package surface: every exported name resolves."""
+"""The package surface: every exported name resolves, and every int
+parameter rejects what is not an int."""
+
+import re
+
+import pytest
 
 import e6lens
 
@@ -8,3 +13,31 @@ def test_star_import_binds_every_name_in_all():
     namespace = {}
     exec("from e6lens import *", namespace)  # AttributeError on a stale name
     assert set(e6lens.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(lambda: e6lens.SL2Z(True, 0, 0, True), "a must be an int, not True",
+                 id="SL2Z(True, 0, 0, True)"),
+    pytest.param(lambda: e6lens.decompose(e6lens.SL2Z(1.5, 0, 0, 2 / 3)),
+                 "a must be an int, not 1.5", id="decompose(SL2Z(1.5, 0, 0, 2/3))"),
+    pytest.param(lambda: e6lens.SQRT3.approx(64.0), "precision_bits must be an int, not 64.0",
+                 id="SQRT3.approx(64.0)"),
+    pytest.param(lambda: e6lens.ONE.approx(64.0), "precision_bits must be an int, not 64.0",
+                 id="ONE.approx(64.0)"),
+    pytest.param(lambda: e6lens.SQRT3.to_complex(80.5), "precision_bits must be an int, not 80.5",
+                 id="SQRT3.to_complex(80.5)"),
+    pytest.param(lambda: e6lens.zeta_pow(2.0), "k must be an int, not 2.0", id="zeta_pow(2.0)"),
+    pytest.param(lambda: e6lens.quantum_integer(3.0), "n must be an int, not 3.0",
+                 id="quantum_integer(3.0)"),
+    pytest.param(lambda: e6lens.quantum_integer(True), "n must be an int, not True",
+                 id="quantum_integer(True)"),
+    pytest.param(lambda: e6lens.cofactors(5.0, 2), "p must be an int, not 5.0",
+                 id="cofactors(5.0, 2)"),
+    pytest.param(lambda: e6lens.cofactors(True, 0), "p must be an int, not True",
+                 id="cofactors(True, 0)"),
+    pytest.param(lambda: e6lens.cofactors(5, False), "q must be an int, not False",
+                 id="cofactors(5, False)"),
+])
+def test_int_parameters_reject_floats_and_bools(call, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        call()

@@ -3,12 +3,14 @@ presentation relations, unitarity and the Gamma(12) kernel."""
 
 import random
 import re
+from functools import lru_cache
 
 import pytest
 
 from e6lens import invariant, rep
-from e6lens.cyclotomic import GLOBAL_INDEX, ONE, SQRT3, ZERO, Cyclotomic, _mul_coeffs, zeta_pow
-from e6lens.invariant import verify_closed_form
+from e6lens.cyclotomic import (GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, Cyclotomic, _mul_coeffs,
+                               zeta_pow)
+from e6lens.invariant import verify_closed_form, verify_well_defined
 from e6lens.modular import IDENTITY, SL2Z, GammaGenerator, T, Word, decompose, gamma12_generators
 from e6lens.rep import (
     DIM,
@@ -56,13 +58,12 @@ def test_rho_s_is_symmetric():
 
 
 def test_rho_t_diagonal():
+    # rho_t() is the image of the compiled T table; this pins every entry
+    # from literals, independent of rep._T_EXP
     t = rho_t()
-    assert t.rows[0][0] == ONE
-    assert t.rows[1][1] == zeta_pow(14)  # -zeta^2
-    assert t.rows[4][4] == zeta_pow(6)   # i
-    assert t.rows[7][7] == zeta_pow(8)
-    assert t.rows[8][8] == zeta_pow(20)  # zeta^-4
-    assert t.rows[9][9] == zeta_pow(12)  # -1
+    z2 = zeta_pow(2)
+    expected = (ONE, -z2, -ONE, ONE, IMAG, -z2, ONE, z2 ** 4, z2 ** -2, -ONE)
+    assert [t.rows[i][i] for i in range(DIM)] == list(expected)
     for i in range(DIM):
         for j in range(DIM):
             if i != j:
@@ -150,6 +151,16 @@ def test_kernel_failure_names_route_and_entry(monkeypatch, word, route):
     assert report.checks == (Check("fake", witness),)
 
 
+def test_kernel_evaluates_each_distinct_word_once(monkeypatch):
+    # 8 of the 19 generators decompose to their published word: 30 words, not 38
+    calls = []
+    real = rep.rho_word
+    monkeypatch.setattr(rep, "rho_word", lambda word: calls.append(word) or real(word))
+    assert verify_kernel_generators().passed
+    assert len(calls) == 30
+    assert len(calls) == sum(len({g.word, decompose(g.matrix)}) for g in gamma12_generators())
+
+
 # -- word evaluation ------------------------------------------------------------------
 
 
@@ -215,12 +226,45 @@ def test_rho_t_power_matches_repeated_product():
 
 
 def test_entry_11_fast_path_matches_full_matrix():
-    # the fast path drops end T tokens and the unused rows of the last S step
+    # the fast path runs every T token through its table; it skips only the
+    # S step on e_1 (a precomputed column) and the rows of the first S step,
+    # and of the T token before it, that the first entry does not read
     rng = random.Random(41)
     edge = [Word.parse(text) for text in ("", "S", "SS", "T5", "T-7", "T12", "T3S", "ST3",
                                            "T3ST-2", "T1ST4ST-5", "T2SST7SSST11")]
     for word in edge + [rand_word(rng, 6) for _ in range(200)]:
         assert rho_entry_11(word) == rho_word(word).rows[0][0], word
+
+
+@pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5"])
+def test_entry_11_runs_end_t_tokens_through_their_tables(monkeypatch, text):
+    # a wrong first block row of the T^5 table must show in the first entry,
+    # whether T^5 comes before the first S, after the last S or without any S
+    word = Word.parse(text)
+    before = rho_entry_11(word)
+    real = rep._t_table
+    (j, f), *rest = real(5)[0]
+    corrupt = (((j, f + 1), *rest),) + real(5)[1:]
+    monkeypatch.setattr(rep, "_t_table", lambda k: corrupt if k == 5 else real(k))
+    after = rho_entry_11(word)
+    assert after != before
+    assert after == rho_word(word).rows[0][0]
+
+
+def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
+    # rho(T) with first entry -1: construction has already checked the true
+    # table, so only the suites can see it.  A cofactor shift changes the
+    # gluing word only after its last S, so the shifted words must disagree
+    rho_s()
+    monkeypatch.setattr(rep, "_T_EXP", (6,) + rep._T_EXP[1:])
+    # fresh caches, so that the shared ones keep the true values
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=12)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(invariant, "_literal_state_sum",
+                        lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
+    report = verify_well_defined(12)
+    assert not report.passed
+    assert all(re.fullmatch(r"expected .+, got .+", check.witness)
+               for check in report.failures())
 
 
 def test_compiled_blocks_multiply_the_basis_vectors():
