@@ -80,13 +80,13 @@ def _require_int(**values):
 
 
 def _power(base, n, one):
-    """base**n for an int n >= 0, by square-and-multiply."""
+    """base**n for an int n >= 0, by square-and-multiply (none after the top bit)."""
     acc = one
     while n:
         if n & 1:
             acc = acc * base
-        base = base * base
         n >>= 1
+        base = base * base if n else base
     return acc
 
 
@@ -178,8 +178,7 @@ class Cyclotomic:
         return self * o.inv()
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
+        _require_int(n=n)
         return _power(self if n >= 0 else self.inv(), abs(n), ONE)
 
     def __eq__(self, other):

@@ -18,9 +18,9 @@ is a 4x4 integer block on the coefficient basis, so a matrix compiles once
 into 40 flat rows of (index, factor) pairs that act on a flat column of 40
 coefficients.  w*rho(S) and each rho(T^k) are compiled once, and the power
 of w that the S tokens accumulate is divided out once, at the end.
-_t_table alone turns _T_EXP into entries, and rho_t() is its image.
-rho_entry_11 runs every T token through its table; its outermost S steps
-use one precomputed column (on e_1) and 4 flat rows.
+One evaluator, _apply, walks every word, and _s_table is the one place
+where w*rho(S) is built, self-checked and compiled.  rho_t() is the image of
+the word T1, which never reads _s_table, so construction can call it.
 """
 
 from __future__ import annotations
@@ -78,6 +78,8 @@ class CycloMatrix:
             return CycloMatrix(tuple(tuple(e * other for e in row) for row in self.rows))
         if not isinstance(other, CycloMatrix):
             return NotImplemented
+        if other.n != self.n:
+            raise ValueError(f"cannot multiply a {self.n}x{self.n} by a {other.n}x{other.n} matrix")
         table = _compile(self.rows)
         cols = [_entries(_run(table, [c for row in other.rows for c in row[j]._c]))
                 for j in range(self.n)]
@@ -97,9 +99,8 @@ class CycloMatrix:
 _T_EXP = (0, 7, 6, 0, 3, 7, 0, 4, 10, 6)
 
 
-@lru_cache(maxsize=1)
 def _s_numerator():
-    """w * rho(S), all entries with integer coefficients."""
+    """w * rho(S) as entered, with integer coefficients; _s_table checks it."""
     o = ONE
     z = ZERO
     t = quantum_integer(3)  # 1 + sqrt3
@@ -119,9 +120,7 @@ def _s_numerator():
         (t, -t, t, -t, t2, -t, z, t, t, -t),
         (b, t, b, o, t, t, -x, -t, -t, o),
     )
-    mat = CycloMatrix(rows)
-    _self_check(mat)
-    return mat
+    return CycloMatrix(rows)
 
 
 def _self_check(ns):
@@ -185,9 +184,11 @@ def _entries(v):
 
 @lru_cache(maxsize=1)
 def _s_table():
-    """w*rho(S) compiled, and its first column flat: the image of e_1."""
-    rows = _s_numerator().rows
-    return _compile(rows), tuple(c for row in rows for c in row[0]._c)
+    """w*rho(S), built, self-checked and compiled: its compiled table, and
+    its ten columns flat (column j is the image of e_(j+1))."""
+    ns = _s_numerator()
+    _self_check(ns)
+    return _compile(ns.rows), tuple(tuple(c for e in col for c in e._c) for col in zip(*ns.rows))
 
 
 @lru_cache(maxsize=12)
@@ -197,14 +198,24 @@ def _t_table(k):
                      for i, e in enumerate(_T_EXP)])
 
 
-def _apply(tokens, v):
-    """w^m rho(tokens) v for a flat column v, m the number of S tokens: the
-    tokens act right to left, each through its compiled table, so v stays
-    integral and the caller divides by w^m once."""
-    s_table = _s_table()[0]
-    for tok in reversed(tokens):
-        v = _run(s_table if tok == "S" else _t_table(tok % 12), v)
-    return v
+def _apply(tokens, j, out=DEGREE * DIM):
+    """w^m rho(tokens) e_(j+1), m the number of S tokens, as a flat integral
+    column or its first out coordinates.  The tokens act right to left, each
+    through its compiled table; an S step on a vector that is exactly e_(j+1)
+    takes column j of w*rho(S), and left of the first S only the first out
+    rows run (rho(T^k) is diagonal as _t_table builds it)."""
+    head = tokens.index("S") if "S" in tokens else len(tokens)
+    v = unit = [int(i == DEGREE * j) for i in range(DEGREE * DIM)]
+    for i in range(len(tokens) - 1, -1, -1):
+        if tokens[i] != "S":
+            table = _t_table(tokens[i] % 12)
+        elif v == unit:
+            v = _s_table()[1][j]
+            continue
+        else:
+            table = _s_table()[0]
+        v = _run(table if i > head else table[:out], v)
+    return v[:out]
 
 
 # w * (6 - 2*sqrt3) = 24, so 1/w^m = (6 - 2*sqrt3)^m / 24^m: integer products,
@@ -228,41 +239,23 @@ def rho_s():
     return rho_word(Word(["S"]))
 
 
-def _unit(j):
-    """The basis vector e_(j+1) as a flat column."""
-    return [int(i == DEGREE * j) for i in range(DEGREE * DIM)]
-
-
 @lru_cache(maxsize=1)
 def rho_t():
-    """rho(T), the image of its compiled table (not rho_word, which needs
-    the S table that construction is still checking)."""
-    return CycloMatrix(zip(*(_entries(_run(_t_table(1), _unit(j))) for j in range(DIM))))
+    """rho(T), the image of its compiled table: the word T1 never reads the
+    S table, so construction can call it while it checks w*rho(S)."""
+    return rho_word(Word([1]))
 
 
 def rho_word(word):
-    """Image of a generator word: the kernel applied to each basis column."""
-    cols = [_over_w_power(_apply(word.tokens, _unit(j)), word.s_count()) for j in range(DIM)]
-    return CycloMatrix(zip(*cols))
+    """Image of a generator word: the evaluator on each basis column."""
+    m = word.s_count()
+    return CycloMatrix(zip(*(_over_w_power(_apply(word.tokens, j), m) for j in range(DIM))))
 
 
 def rho_entry_11(word):
-    """First matrix entry of rho(word): every token acts through its table,
-    right to left, from e_1.  Two S shortcuts: an S step on e_1 is the
-    precomputed first column of w*rho(S), and of the first S, and of the T
-    token before it, only the rows of the first coordinate count (rho(T^k)
-    is diagonal as _t_table builds it)."""
-    tokens = word.tokens
-    head = tokens.index("S") if "S" in tokens else len(tokens)
-    table, first_column = _s_table()
-    v = e_1 = _unit(0)
-    for i, tok in reversed(list(enumerate(tokens))):
-        if tok == "S" and v == e_1:
-            v = first_column
-        else:
-            rows = table if tok == "S" else _t_table(tok % 12)
-            v = _run(rows[:DEGREE] if i <= head else rows, v)
-    return _over_w_power(v[:DEGREE], word.s_count())[0]
+    """First matrix entry of rho(word): the evaluator on e_1, which runs only
+    the 4 rows of that entry in the first S and in the T tokens left of it."""
+    return _over_w_power(_apply(word.tokens, 0, DEGREE), word.s_count())[0]
 
 
 def verify_relations():

@@ -37,6 +37,8 @@ def test_star_import_binds_every_name_in_all():
                  id="cofactors(True, 0)"),
     pytest.param(lambda: e6lens.cofactors(5, False), "q must be an int, not False",
                  id="cofactors(5, False)"),
+    pytest.param(lambda: e6lens.SQRT3 ** True, "n must be an int, not True", id="SQRT3 ** True"),
+    pytest.param(lambda: e6lens.SQRT3 ** 2.0, "n must be an int, not 2.0", id="SQRT3 ** 2.0"),
 ])
 def test_int_parameters_reject_floats_and_bools(call, bad):
     with pytest.raises(ValueError, match=re.escape(bad)):

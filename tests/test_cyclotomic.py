@@ -16,6 +16,7 @@ from e6lens.cyclotomic import (
     SQRT3,
     ZERO,
     Cyclotomic,
+    _power,
     quantum_integer,
     zeta_pow,
 )
@@ -143,6 +144,24 @@ def test_division_and_powers():
     assert x**0 == ONE
     assert x**3 == x * x * x
     assert x**-2 == (x * x).inv()
+
+
+def test_power_squares_only_up_to_the_top_bit():
+    # a counting stand-in: n.bit_length() - 1 squarings, one product per set bit
+    class Counted:
+        products = 0
+
+        def __init__(self, exponent):
+            self.exponent = exponent
+
+        def __mul__(self, other):
+            Counted.products += 1
+            return Counted(self.exponent + other.exponent)
+
+    for n in range(65):
+        Counted.products = 0
+        assert _power(Counted(1), n, Counted(0)).exponent == n
+        assert Counted.products == max(n.bit_length() - 1, 0) + bin(n).count("1"), n
 
 
 # -- quantum integers ---------------------------------------------------------

@@ -90,6 +90,15 @@ def test_construction_aborts_on_corrupt_entry():
         _self_check(CycloMatrix(rows))
 
 
+def test_s_table_checks_the_matrix_it_compiles(monkeypatch):
+    # _s_table alone builds w*rho(S) for evaluation, so it runs the self-check
+    rows = [list(r) for r in _s_numerator().rows]
+    rows[0][6] = rows[0][6] + ONE
+    monkeypatch.setattr(rep, "_s_numerator", lambda: CycloMatrix(rows))
+    with pytest.raises(RuntimeError, match=r"self-check of w\*rho\(S\) failed"):
+        rep._s_table.__wrapped__()
+
+
 def test_construction_aborts_on_sign_flip_that_keeps_row_norms():
     rows = [list(r) for r in _s_numerator().rows]
     rows[0][6] = -rows[0][6]
@@ -199,6 +208,14 @@ def test_values_are_frozen_and_compare_by_content():
     assert Check("x").passed and not Check("x", "why").passed
 
 
+def test_matrix_product_rejects_mismatched_sizes():
+    small, s = CycloMatrix.identity(2), rho_s()
+    with pytest.raises(ValueError, match="cannot multiply a 2x2 by a 10x10 matrix"):
+        small * s
+    with pytest.raises(ValueError, match="cannot multiply a 10x10 by a 2x2 matrix"):
+        s * small
+
+
 def test_homomorphism_on_random_word_pairs():
     rng = random.Random(17)
     for _ in range(50):
@@ -228,12 +245,19 @@ def test_rho_t_power_matches_repeated_product():
 def test_entry_11_fast_path_matches_full_matrix():
     # the fast path runs every T token through its table; it skips only the
     # S step on e_1 (a precomputed column) and the rows of the first S step,
-    # and of the T token before it, that the first entry does not read
+    # and of the T tokens before it, that the first entry does not read.
+    # The reference is a plain product of w*rho(S) as entered and powers of
+    # rho(T), divided by w^m at the end (integer products stay fast)
+    ns, t_powers = _s_numerator(), [rho_t() ** k for k in range(12)]
     rng = random.Random(41)
     edge = [Word.parse(text) for text in ("", "S", "SS", "T5", "T-7", "T12", "T3S", "ST3",
                                            "T3ST-2", "T1ST4ST-5", "T2SST7SSST11")]
     for word in edge + [rand_word(rng, 6) for _ in range(200)]:
-        assert rho_entry_11(word) == rho_word(word).rows[0][0], word
+        product = I10
+        for tok in word.tokens:
+            product = product * (ns if tok == "S" else t_powers[tok % 12])
+        w_power = GLOBAL_INDEX.inv() ** word.s_count()
+        assert rho_entry_11(word) == product.rows[0][0] * w_power, word
 
 
 @pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5"])
@@ -269,7 +293,7 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
 
 def test_compiled_blocks_multiply_the_basis_vectors():
     # every 4x4 block of every compiled table is the product with e_0..e_3
-    table, first_column = rep._s_table()
+    table, columns = rep._s_table()
     tables = [(table, _s_numerator().rows)]
     diagonal = [row[i] for i, row in enumerate(rho_t().rows)]
     tables += [(rep._t_table(k), [[e ** k if i == j else ZERO for j in range(DIM)]
@@ -284,17 +308,24 @@ def test_compiled_blocks_multiply_the_basis_vectors():
                 for j, e in enumerate(basis):
                     column = [flat[4 * i + r].get(4 * k + j, 0) for r in range(4)]
                     assert column == _mul_coeffs(a._c, e), (i, k, j)
-    assert list(first_column) == [c for row in _s_numerator().rows for c in row[0]._c]
+    # the ten precomputed columns of w*rho(S) that the evaluator takes for an
+    # S step on a unit column: the matrix's own columns, and the table's images
+    s_table = rep._s_table()[0]
+    assert len(columns) == DIM
+    for j, column in enumerate(columns):
+        assert list(column) == [c for row in _s_numerator().rows for c in row[j]._c], j
+        unit = [int(i == 4 * j) for i in range(4 * DIM)]
+        assert list(column) == rep._run(s_table, unit), j
 
 
 @pytest.mark.parametrize("row", [0, 21])
 def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
     # the suites evaluate the literal words through the kernel, so one wrong
     # factor in the compiled w*rho(S) shows as a failure that names p
-    table, first_column = rep._s_table()
+    table, columns = rep._s_table()
     (j, f), *rest = table[row]
     corrupt = table[:row] + (((j, f + 1), *rest),) + table[row + 1:]
-    monkeypatch.setattr(rep, "_s_table", lambda: (corrupt, first_column))
+    monkeypatch.setattr(rep, "_s_table", lambda: (corrupt, columns))
     invariant._literal_state_sum.cache_clear()
     try:
         report = verify_closed_form(12)
