@@ -46,15 +46,15 @@ from functools import lru_cache
 from itertools import count, groupby
 from operator import itemgetter
 
-from .cyclotomic import (GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, Cyclotomic, _require_int,
-                         quantum_integer, zeta_pow)
+from .cyclotomic import (IMAG, ONE, SQRT3, ZERO, Cyclotomic, _require_int, quantum_integer,
+                         zeta_pow)
 from .modular import cofactors, decompose, lens_matrix
-from .rep import rho_entry_11
+from .rep import _suffix_memo, w_rho_entry_11
 from .report import Check, Report
 
 # Largest sweep bound that sweep_table and the verification sweeps accept.
-# At 120 on a shared 2-core host, verify_periodicity takes 2.4-4.8 s,
-# verify_closed_form 1.2-2.4 s from a cold cache, every other sweep <= 0.5 s.
+# At 120 on a shared 2-core host, verify_periodicity takes 1.4-2.0 s and
+# verify_closed_form 0.8-1.2 s from a cold cache; every other sweep <= 0.5 s.
 MAX_PMAX = 120
 
 # The least bound of each verification sweep, by suite name: periodicity
@@ -107,7 +107,7 @@ def _literal_state_sum(p, q):
 
 def _state_sum_with_cofactors(p, q, a, b):
     word = decompose(lens_matrix(p, q, a, b))
-    return GLOBAL_INDEX * rho_entry_11(word)
+    return w_rho_entry_11(word)
 
 
 # closed_form takes nine values: ONE, ZERO, the four below, 2 * _BINOMIAL_42,
@@ -194,6 +194,7 @@ def _coprime_pairs(p_max):
                 yield p, q
 
 
+@_suffix_memo()
 def verify_closed_form(p_max=48):
     """Exact agreement of the literal state sum with the closed form on all
     coprime pairs up to p_max, one check per p."""
@@ -215,6 +216,7 @@ _SAMPLE = 100
 _SEED = 7
 
 
+@_suffix_memo()
 def verify_well_defined(p_max=48):
     """The state sum is unchanged when (a, b) is replaced by (a+kp, b+kq),
     on a deterministic sample of the coprime pairs up to p_max, one check
@@ -234,6 +236,7 @@ def verify_well_defined(p_max=48):
     return Report("welldefined", tuple(checks))
 
 
+@_suffix_memo()
 def verify_periodicity(p_max=48):
     """Z(L(p,q)) = Z(L(p+12s, q+12t)) for every swept coprime pair and every
     nonnegative shift that stays in range (p+12s <= p_max, q+12t < p_max)."""

@@ -15,19 +15,28 @@ has squared conjugate norm w^2, which pins down the two composite entries
 Every evaluation, from one matrix entry to a full matrix product, runs
 through one kernel on integer coefficients: multiplying by a field element
 is a 4x4 integer block on the coefficient basis, so a matrix compiles once
-into 40 flat rows of (index, factor) pairs that act on a flat column of 40
-coefficients.  w*rho(S) and each rho(T^k) are compiled once, and the power
-of w that the S tokens accumulate is divided out once, at the end.
+into 40 flat rows, each a pair of tuples (indices, factors), that act on a
+flat column of 40 coefficients.  A matrix product with rational entries is
+scaled to integers first and divided once.  w*rho(S) and each rho(T^k) are
+compiled once, and so is their exact composition w*rho(S) rho(T^k), which
+runs an S token together with the T token to its right in one step; the
+power of w that the S tokens accumulate is divided out once, at the end.
 One evaluator, _apply, walks every word, and _s_table is the one place
 where w*rho(S) is built, self-checked and compiled.  rho_t() is the image of
 the word T1, which never reads _s_table, so construction can call it.
+Inside a verification suite, and only there, the evaluator shares the work
+of common word suffixes through a bounded memo (_suffix_memo).
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .cyclotomic import (
     DEGREE,
@@ -80,8 +89,9 @@ class CycloMatrix:
             return NotImplemented
         if other.n != self.n:
             raise ValueError(f"cannot multiply a {self.n}x{self.n} by a {other.n}x{other.n} matrix")
-        table = _compile(self.rows)
-        cols = [_entries(_run(table, [c for row in other.rows for c in row[j]._c]))
+        (a, da), (b, db) = _integral(self.rows), _integral(other.rows)
+        table = _compile(a)
+        cols = [_entries(_run(table, [c for row in b for c in row[j]._c]), da * db)
                 for j in range(self.n)]
         return CycloMatrix(zip(*cols))
 
@@ -159,8 +169,9 @@ def _unitary_checks(ns):
 
 
 def _compile(rows):
-    """The flat rows of a matrix: flat row DEGREE*i + r holds (DEGREE*k + j, f)
-    for each nonzero f = _mul_block(rows[i][k])[r][j]."""
+    """The flat rows of a matrix with integer coefficients: flat row
+    DEGREE*i + r holds f at index DEGREE*k + j for each nonzero
+    f = _mul_block(rows[i][k])[r][j]."""
     flat = []
     for row in rows:
         block_rows = [[] for _ in range(DEGREE)]
@@ -168,27 +179,57 @@ def _compile(rows):
             if a:
                 for out, factors in zip(block_rows, _mul_block(a._c)):
                     out.extend((DEGREE * k + j, f) for j, f in enumerate(factors) if f)
-        flat.extend(tuple(out) for out in block_rows)
+        flat.extend(_pack(out) for out in block_rows)
     return tuple(flat)
+
+
+def _pack(pairs):
+    """A compiled row from its (index, factor) pairs, nonzero factors only:
+    the indices and the factors, as two tuples."""
+    return tuple(zip(*pairs)) or ((), ())
+
+
+def _compose(a, b):
+    """The compiled product of two compiled matrices, exactly: flat row r of
+    a combines the flat rows of b that its indices name."""
+    rows = []
+    for indices, factors in a:
+        acc = {}
+        for k, f in zip(indices, factors):
+            for j, g in zip(*b[k]):
+                acc[j] = acc.get(j, 0) + f * g
+        rows.append(_pack(sorted((j, f) for j, f in acc.items() if f)))
+    return tuple(rows)
 
 
 def _run(table, v):
     """The kernel: a compiled matrix times the flat column v."""
-    return [sum([f * v[j] for j, f in row]) for row in table]
+    return [sum(map(mul, factors, map(v.__getitem__, indices))) for indices, factors in table]
 
 
-def _entries(v):
-    """The entries of a flat column, as Cyclotomic values."""
+def _entries(v, den=1):
+    """The entries of a flat column divided by den, as Cyclotomic values."""
+    if den != 1:
+        v = [_norm_coeff(Fraction(c, den)) for c in v]
     return [Cyclotomic._raw(v[i:i + DEGREE]) for i in range(0, len(v), DEGREE)]
+
+
+def _integral(rows):
+    """The rows of a matrix times the least common denominator d of their
+    coefficients, and d."""
+    d = math.lcm(*(c.denominator for row in rows for e in row for c in e._c))
+    if d == 1:
+        return rows, 1
+    return [[Cyclotomic._raw(c.numerator * (d // c.denominator) for c in e._c) for e in row]
+            for row in rows], d
 
 
 @lru_cache(maxsize=1)
 def _s_table():
-    """w*rho(S), built, self-checked and compiled: its compiled table, and
-    its ten columns flat (column j is the image of e_(j+1))."""
+    """w*rho(S), built, self-checked and compiled."""
     ns = _s_numerator()
     _self_check(ns)
-    return _compile(ns.rows), tuple(tuple(c for e in col for c in e._c) for col in zip(*ns.rows))
+    return _compile(ns.rows)
 
 
 @lru_cache(maxsize=12)
@@ -198,39 +239,82 @@ def _t_table(k):
                      for i, e in enumerate(_T_EXP)])
 
 
+@lru_cache(maxsize=12)
+def _st_table(k):
+    """w*rho(S) rho(T^k) for 0 <= k < 12, the exact composition of _s_table
+    and _t_table(k): its compiled table, and its ten columns flat (column j
+    is the image of e_(j+1))."""
+    table = _compose(_s_table(), _t_table(k))
+    rows = [dict(zip(*row)) for row in table]
+    return table, tuple(tuple(row.get(DEGREE * j, 0) for row in rows) for j in range(DIM))
+
+
+# The suffix memo of the running verification suite (None outside one): the
+# w-scaled flat column of each token suffix that starts at an S, keyed with
+# the column j it was applied to, least recently used first.
+_SUFFIX_MEMO = 256
+_suffixes = ContextVar("_suffixes", default=None)
+
+
+@contextmanager
+def _suffix_memo():
+    """Share word suffixes between the evaluations inside the block (or the
+    decorated suite) through a fresh memo of at most _SUFFIX_MEMO columns."""
+    token = _suffixes.set({})
+    try:
+        yield
+    finally:
+        _suffixes.reset(token)
+
+
 def _apply(tokens, j, out=DEGREE * DIM):
     """w^m rho(tokens) e_(j+1), m the number of S tokens, as a flat integral
-    column or its first out coordinates.  The tokens act right to left, each
-    through its compiled table; an S step on a vector that is exactly e_(j+1)
-    takes column j of w*rho(S), and left of the first S only the first out
-    rows run (rho(T^k) is diagonal as _t_table builds it)."""
-    head = tokens.index("S") if "S" in tokens else len(tokens)
-    v = unit = [int(i == DEGREE * j) for i in range(DEGREE * DIM)]
-    for i in range(len(tokens) - 1, -1, -1):
-        if tokens[i] != "S":
-            table = _t_table(tokens[i] % 12)
-        elif v == unit:
-            v = _s_table()[1][j]
-            continue
+    column or its first out coordinates; tokens are a Word's, so no two T
+    tokens are adjacent.  They act right to left: each S token together with
+    the T token to its right through one fused table (_st_table), the first
+    as column j of that table.  The leftmost S step runs only the first out
+    rows, and so does a T token left of it, through its _t_table (rho(T^k)
+    is diagonal as _t_table builds it).  Inside a suite (_suffix_memo) the
+    word starts after its longest memoized suffix, and the column of every
+    suffix that starts at an S but the leftmost is stored."""
+    starts = [i for i, token in enumerate(tokens) if token == "S"]
+    memo = _suffixes.get()
+    v, steps = [int(i == DEGREE * j) for i in range(DEGREE * DIM)], len(starts)
+    if memo is not None:
+        for s in range(1, len(starts)):
+            key = tokens[starts[s]:], j
+            if key in memo:
+                v = memo[key] = memo.pop(key)  # now the most recently used
+                steps = s
+                break
+    for s in range(steps - 1, -1, -1):
+        i = starts[s]
+        k = tokens[i + 1] if i + 1 < len(tokens) and tokens[i + 1] != "S" else 0
+        table, columns = _st_table(k % 12)
+        if s == len(starts) - 1:
+            v = columns[j]
         else:
-            table = _s_table()[0]
-        v = _run(table if i > head else table[:out], v)
+            v = _run(table if s else table[:out], v)
+        if memo is not None and s:
+            memo[tokens[i:], j] = tuple(v)
+            if len(memo) > _SUFFIX_MEMO:
+                del memo[next(iter(memo))]
+    if tokens and tokens[0] != "S":
+        v = _run(_t_table(tokens[0] % 12)[:out], v)
     return v[:out]
 
 
-# w * (6 - 2*sqrt3) = 24, so 1/w^m = (6 - 2*sqrt3)^m / 24^m: integer products,
+# w * (6 - 2*sqrt3) = 24, so 1/w^n = (6 - 2*sqrt3)^n / 24^n: integer products,
 # then one Fraction per coefficient.
 _W_COFACTOR = 6 - 2 * SQRT3
 
 
-def _over_w_power(v, m):
-    """The flat column v divided by w^m, as Cyclotomic values."""
-    num = (_W_COFACTOR**m)._c
-    den = 24**m
-    return [
-        Cyclotomic._raw(_norm_coeff(Fraction(c, den)) for c in _mul_coeffs(x._c, num))
-        for x in _entries(v)
-    ]
+def _over_w_power(v, n):
+    """The flat column v divided by w^n for n >= -1 (n = -1 multiplies by
+    w), as Cyclotomic values: one rescale, integral until its one division."""
+    num, den = (GLOBAL_INDEX._c, 1) if n < 0 else ((_W_COFACTOR**n)._c, 24**n)
+    return _entries([c for i in range(0, len(v), DEGREE)
+                     for c in _mul_coeffs(v[i:i + DEGREE], num)], den)
 
 
 @lru_cache(maxsize=1)
@@ -254,8 +338,14 @@ def rho_word(word):
 
 def rho_entry_11(word):
     """First matrix entry of rho(word): the evaluator on e_1, which runs only
-    the 4 rows of that entry in the first S and in the T tokens left of it."""
+    the 4 rows of that entry in the leftmost S step and the T token left of it."""
     return _over_w_power(_apply(word.tokens, 0, DEGREE), word.s_count())[0]
+
+
+def w_rho_entry_11(word):
+    """w times the first entry of rho(word), the state sum of a gluing word:
+    the same evaluation, divided once by w^(m-1)."""
+    return _over_w_power(_apply(word.tokens, 0, DEGREE), word.s_count() - 1)[0]
 
 
 def verify_relations():
@@ -268,6 +358,7 @@ def verify_unitary():
     return Report("unitarity", tuple(_unitary_checks(_s_numerator())))
 
 
+@_suffix_memo()
 def verify_kernel_generators():
     """Report that rho kills all 19 published generators of Gamma(12).
 

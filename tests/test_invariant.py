@@ -180,10 +180,13 @@ def test_routes_agree_small_sweep():
 
 
 def test_routes_agree_negative_and_zero_p():
-    for p, q in [(0, 1), (0, -1), (-1, 0), (-5, 2), (-12, 7), (3, -2), (-3, 1),
+    # the literal words of L(0,-1), L(1,0) and L(0,1) are the empty word, S
+    # and SS: the state sum rescales by w^(m-1) with m = 0, 1 and 2
+    for p, q in [(0, 1), (0, -1), (1, 0), (-1, 0), (-5, 2), (-12, 7), (3, -2), (-3, 1),
                  (7, 9), (7, -2), (-9, 5), (-4, 3), (16, -3)]:
         space = LensSpace(p, q)
         assert state_sum(space) == closed_form(space), space
+        assert invariant._literal_state_sum(p, q) == closed_form(space), space
 
 
 def test_orientation_reversal_conjugates_both_routes():

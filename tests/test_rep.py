@@ -1,6 +1,7 @@
 """The 10-dimensional representation: exact construction, self-checks,
 presentation relations, unitarity and the Gamma(12) kernel."""
 
+import math
 import random
 import re
 from functools import lru_cache
@@ -10,8 +11,10 @@ import pytest
 from e6lens import invariant, rep
 from e6lens.cyclotomic import (GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, Cyclotomic, _mul_coeffs,
                                zeta_pow)
-from e6lens.invariant import verify_closed_form, verify_well_defined
-from e6lens.modular import IDENTITY, SL2Z, GammaGenerator, T, Word, decompose, gamma12_generators
+from e6lens.invariant import (MAX_PMAX, LensSpace, closed_form, verify_closed_form,
+                              verify_periodicity, verify_well_defined)
+from e6lens.modular import (IDENTITY, SL2Z, GammaGenerator, T, Word, cofactors, decompose,
+                            gamma12_generators, lens_matrix)
 from e6lens.rep import (
     DIM,
     CycloMatrix,
@@ -267,9 +270,10 @@ def test_entry_11_runs_end_t_tokens_through_their_tables(monkeypatch, text):
     word = Word.parse(text)
     before = rho_entry_11(word)
     real = rep._t_table
-    (j, f), *rest = real(5)[0]
-    corrupt = (((j, f + 1), *rest),) + real(5)[1:]
+    indices, (f, *rest) = real(5)[0]
+    corrupt = ((indices, (f + 1, *rest)),) + real(5)[1:]
     monkeypatch.setattr(rep, "_t_table", lambda k: corrupt if k == 5 else real(k))
+    monkeypatch.setattr(rep, "_st_table", lru_cache(maxsize=12)(rep._st_table.__wrapped__))
     after = rho_entry_11(word)
     assert after != before
     assert after == rho_word(word).rows[0][0]
@@ -283,6 +287,7 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
     monkeypatch.setattr(rep, "_T_EXP", (6,) + rep._T_EXP[1:])
     # fresh caches, so that the shared ones keep the true values
     monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=12)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(rep, "_st_table", lru_cache(maxsize=12)(rep._st_table.__wrapped__))
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     report = verify_well_defined(12)
@@ -292,40 +297,47 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
 
 
 def test_compiled_blocks_multiply_the_basis_vectors():
-    # every 4x4 block of every compiled table is the product with e_0..e_3
-    table, columns = rep._s_table()
-    tables = [(table, _s_numerator().rows)]
+    # every 4x4 block of every compiled table is the product with e_0..e_3;
+    # the fused tables' reference is the entry s_ij * zeta^(2k*e_j), from the
+    # matrix as entered and the diagonal of rho(T), not from composed tables
+    ns = _s_numerator().rows
     diagonal = [row[i] for i, row in enumerate(rho_t().rows)]
+    tables = [(rep._s_table(), ns)]
     tables += [(rep._t_table(k), [[e ** k if i == j else ZERO for j in range(DIM)]
                                   for i, e in enumerate(diagonal)]) for k in range(12)]
+    fused = [(rep._st_table(k), [[a * diagonal[j] ** k for j, a in enumerate(row)] for row in ns])
+             for k in range(12)]
+    tables += [(table, rows) for (table, _), rows in fused]
     basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
     for table, rows in tables:
         assert len(table) == 4 * DIM
-        flat = [dict(row) for row in table]
-        assert all(len(row) == len(table[i]) for i, row in enumerate(flat))
+        flat = [dict(zip(*row)) for row in table]
+        assert all(len(row) == len(table[i][0]) == len(table[i][1]) and all(row.values())
+                   for i, row in enumerate(flat))
         for i, row in enumerate(rows):
             for k, a in enumerate(row):
                 for j, e in enumerate(basis):
                     column = [flat[4 * i + r].get(4 * k + j, 0) for r in range(4)]
                     assert column == _mul_coeffs(a._c, e), (i, k, j)
-    # the ten precomputed columns of w*rho(S) that the evaluator takes for an
-    # S step on a unit column: the matrix's own columns, and the table's images
-    s_table = rep._s_table()[0]
-    assert len(columns) == DIM
-    for j, column in enumerate(columns):
-        assert list(column) == [c for row in _s_numerator().rows for c in row[j]._c], j
-        unit = [int(i == 4 * j) for i in range(4 * DIM)]
-        assert list(column) == rep._run(s_table, unit), j
+    # the ten precomputed columns of each fused table that the evaluator takes
+    # for the first S step: the matrix's own columns, and the table's images
+    for (table, columns), rows in fused:
+        assert len(columns) == DIM
+        for j, column in enumerate(columns):
+            assert list(column) == [c for row in rows for c in row[j]._c], j
+            unit = [int(i == 4 * j) for i in range(4 * DIM)]
+            assert list(column) == rep._run(table, unit), j
 
 
 @pytest.mark.parametrize("row", [0, 21])
 def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
     # the suites evaluate the literal words through the kernel, so one wrong
     # factor in the compiled w*rho(S) shows as a failure that names p
-    table, columns = rep._s_table()
-    (j, f), *rest = table[row]
-    corrupt = table[:row] + (((j, f + 1), *rest),) + table[row + 1:]
-    monkeypatch.setattr(rep, "_s_table", lambda: (corrupt, columns))
+    table = rep._s_table()
+    indices, (f, *rest) = table[row]
+    corrupt = table[:row] + ((indices, (f + 1, *rest)),) + table[row + 1:]
+    monkeypatch.setattr(rep, "_s_table", lambda: corrupt)
+    monkeypatch.setattr(rep, "_st_table", lru_cache(maxsize=12)(rep._st_table.__wrapped__))
     invariant._literal_state_sum.cache_clear()
     try:
         report = verify_closed_form(12)
@@ -334,6 +346,80 @@ def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
     assert not report.passed
     assert all(re.fullmatch(r"state sum = closed form, p=\d+ \(\d+ pairs\)", check.name)
                for check in report.failures())
+
+
+# -- suffix memo ---------------------------------------------------------------------
+
+
+def _gluing_words(p_max):
+    return {(p, q): decompose(lens_matrix(p, q, *cofactors(p, q)))
+            for p in range(1, p_max + 1) for q in range(p) if math.gcd(p, q) == 1}
+
+
+def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
+    # each suite that evaluates words fills its own memo up to the bound and
+    # never past it, at the largest periodicity sweep too; none outlives it
+    seen = []  # [memo, largest size an S step saw]
+    real = rep._st_table
+
+    def spy(k):
+        memo = rep._suffixes.get()
+        if not seen or seen[-1][0] is not memo:
+            seen.append([memo, 0])
+        seen[-1][1] = max(seen[-1][1], len(memo))
+        return real(k)
+
+    monkeypatch.setattr(rep, "_st_table", spy)
+    monkeypatch.setattr(invariant, "_literal_state_sum",
+                        lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
+    assert verify_kernel_generators().passed
+    assert verify_well_defined().passed
+    assert verify_periodicity(MAX_PMAX).passed
+    assert len(seen) == 3
+    assert all(len(memo) <= largest == rep._SUFFIX_MEMO for memo, largest in seen)
+    assert rep._suffixes.get() is None
+
+
+def test_outside_a_suite_every_s_step_runs(monkeypatch):
+    # with no memo, a word evaluated again runs all its S steps again; inside
+    # _suffix_memo the repeat starts after its longest stored suffix
+    words = list(_gluing_words(24).values())
+    steps = sum(word.s_count() for word in words)
+    memos = []
+    real = rep._st_table
+    monkeypatch.setattr(rep, "_st_table", lambda k: memos.append(rep._suffixes.get()) or real(k))
+    values = [rho_entry_11(word) for word in words]
+    assert [rho_entry_11(word) for word in words] == values
+    assert len(memos) == 2 * steps and memos == [None] * len(memos)
+    monkeypatch.setattr(invariant, "_literal_state_sum",
+                        lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
+    invariant.sweep_table(24)
+    rho_word(words[-1])
+    assert memos == [None] * len(memos)
+    del memos[:]
+    with rep._suffix_memo():
+        assert [rho_entry_11(word) for word in words] == values
+        assert [rho_entry_11(word) for word in words] == values
+    assert 0 < len(memos) < steps
+
+
+def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
+    # a memoized suffix is shared, not assumed: one wrong column makes
+    # exactly the pairs whose words end in that suffix (at an S other than
+    # their leftmost, which is never stored) disagree with the closed form
+    words = _gluing_words(24)
+    suffix = ("S", 2, "S")
+    ends = {pair for pair, word in words.items()
+            if word.tokens[-3:] == suffix and word.s_count() > 2}
+    assert len(ends) == 18 and (2, 1) not in ends  # L(2,1) is the word S T2 S itself
+    column = list(rep._apply(suffix, 0))
+    column[0] += 1
+    with rep._suffix_memo():
+        rep._suffixes.get()[suffix, 0] = tuple(column)
+        wrong = {(p, q) for p, q in words
+                 if invariant._literal_state_sum.__wrapped__(p, q) != closed_form(LensSpace(p, q))}
+        assert len(rep._suffixes.get()) < rep._SUFFIX_MEMO  # nothing was evicted
+    assert wrong == ends
 
 
 def test_kernel_matches_naive_cyclotomic_products():
