@@ -15,17 +15,16 @@ has squared conjugate norm w^2, which pins down the two composite entries
 Every evaluation, from one matrix entry to a full matrix product, runs
 through one kernel on integer coefficients: multiplying by a field element
 is a 4x4 integer block on the coefficient basis, so a matrix compiles once
-into 40 flat rows, each a pair of tuples (indices, factors), that act on a
-flat column of 40 coefficients.  A matrix product with rational entries is
-scaled to integers first and divided once.  w*rho(S) and each rho(T^k) are
-compiled once, and so is their exact composition w*rho(S) rho(T^k), which
-runs an S token together with the T token to its right in one step; the
-power of w that the S tokens accumulate is divided out once, at the end.
-One evaluator, _apply, walks every word, and _s_table is the one place
-where w*rho(S) is built, self-checked and compiled.  rho_t() is the image of
-the word T1, which never reads _s_table, so construction can call it.
-Inside a verification suite, and only there, the evaluator shares the work
-of common word suffixes through a bounded memo (_suffix_memo).
+into 40 flat rows of (index, factor) pairs that act on a flat column of 40
+coefficients.  A matrix product with rational entries is scaled to integers
+first and divided once.  w*rho(S) and each rho(T^k) are compiled once, and
+a word runs token by token through them; the power of w that the S tokens
+accumulate is divided out once, at the end.  One evaluator, _apply, walks
+every word, and _s_table is the one place where w*rho(S) is built,
+self-checked and compiled.  rho_t() is the image of the word T1, which never
+reads _s_table, so construction can call it.  Inside a verification suite,
+and only there, the evaluator shares the work of common word suffixes
+through a bounded memo (_suffix_memo).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .cyclotomic import (
     DEGREE,
@@ -170,7 +168,7 @@ def _unitary_checks(ns):
 
 def _compile(rows):
     """The flat rows of a matrix with integer coefficients: flat row
-    DEGREE*i + r holds f at index DEGREE*k + j for each nonzero
+    DEGREE*i + r holds (DEGREE*k + j, f) for each nonzero
     f = _mul_block(rows[i][k])[r][j]."""
     flat = []
     for row in rows:
@@ -179,32 +177,13 @@ def _compile(rows):
             if a:
                 for out, factors in zip(block_rows, _mul_block(a._c)):
                     out.extend((DEGREE * k + j, f) for j, f in enumerate(factors) if f)
-        flat.extend(_pack(out) for out in block_rows)
+        flat.extend(tuple(out) for out in block_rows)
     return tuple(flat)
-
-
-def _pack(pairs):
-    """A compiled row from its (index, factor) pairs, nonzero factors only:
-    the indices and the factors, as two tuples."""
-    return tuple(zip(*pairs)) or ((), ())
-
-
-def _compose(a, b):
-    """The compiled product of two compiled matrices, exactly: flat row r of
-    a combines the flat rows of b that its indices name."""
-    rows = []
-    for indices, factors in a:
-        acc = {}
-        for k, f in zip(indices, factors):
-            for j, g in zip(*b[k]):
-                acc[j] = acc.get(j, 0) + f * g
-        rows.append(_pack(sorted((j, f) for j, f in acc.items() if f)))
-    return tuple(rows)
 
 
 def _run(table, v):
     """The kernel: a compiled matrix times the flat column v."""
-    return [sum(map(mul, factors, map(v.__getitem__, indices))) for indices, factors in table]
+    return [sum([f * v[j] for j, f in row]) for row in table]
 
 
 def _entries(v, den=1):
@@ -226,7 +205,8 @@ def _integral(rows):
 
 @lru_cache(maxsize=1)
 def _s_table():
-    """w*rho(S), built, self-checked and compiled."""
+    """w*rho(S), built, self-checked and compiled: the table that every S
+    token of every word runs through."""
     ns = _s_numerator()
     _self_check(ns)
     return _compile(ns.rows)
@@ -237,16 +217,6 @@ def _t_table(k):
     """rho(T^k) compiled, for 0 <= k < 12."""
     return _compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(DIM)]
                      for i, e in enumerate(_T_EXP)])
-
-
-@lru_cache(maxsize=12)
-def _st_table(k):
-    """w*rho(S) rho(T^k) for 0 <= k < 12, the exact composition of _s_table
-    and _t_table(k): its compiled table, and its ten columns flat (column j
-    is the image of e_(j+1))."""
-    table = _compose(_s_table(), _t_table(k))
-    rows = [dict(zip(*row)) for row in table]
-    return table, tuple(tuple(row.get(DEGREE * j, 0) for row in rows) for j in range(DIM))
 
 
 # The suffix memo of the running verification suite (None outside one): the
@@ -269,38 +239,28 @@ def _suffix_memo():
 
 def _apply(tokens, j, out=DEGREE * DIM):
     """w^m rho(tokens) e_(j+1), m the number of S tokens, as a flat integral
-    column or its first out coordinates; tokens are a Word's, so no two T
-    tokens are adjacent.  They act right to left: each S token together with
-    the T token to its right through one fused table (_st_table), the first
-    as column j of that table.  The leftmost S step runs only the first out
-    rows, and so does a T token left of it, through its _t_table (rho(T^k)
-    is diagonal as _t_table builds it).  Inside a suite (_suffix_memo) the
-    word starts after its longest memoized suffix, and the column of every
-    suffix that starts at an S but the leftmost is stored."""
+    column or its first out coordinates.  The tokens act right to left, each
+    through its own compiled table: _s_table() for S, _t_table(k % 12) for
+    T^k.  The leftmost S step runs only the first out rows, and so does a T
+    token left of it (rho(T^k) is diagonal as _t_table builds it).  Inside a
+    suite (_suffix_memo) the word starts after its longest memoized suffix,
+    and the column of every suffix that starts at an S but the leftmost is
+    stored."""
     starts = [i for i, token in enumerate(tokens) if token == "S"]
+    head = starts[0] if starts else len(tokens)
     memo = _suffixes.get()
-    v, steps = [int(i == DEGREE * j) for i in range(DEGREE * DIM)], len(starts)
+    v, end = [int(i == DEGREE * j) for i in range(DEGREE * DIM)], len(tokens)
     if memo is not None:
-        for s in range(1, len(starts)):
-            key = tokens[starts[s]:], j
-            if key in memo:
-                v = memo[key] = memo.pop(key)  # now the most recently used
-                steps = s
-                break
-    for s in range(steps - 1, -1, -1):
-        i = starts[s]
-        k = tokens[i + 1] if i + 1 < len(tokens) and tokens[i + 1] != "S" else 0
-        table, columns = _st_table(k % 12)
-        if s == len(starts) - 1:
-            v = columns[j]
-        else:
-            v = _run(table if s else table[:out], v)
-        if memo is not None and s:
+        end = next((i for i in starts[1:] if (tokens[i:], j) in memo), end)
+        if end < len(tokens):  # a hit, now the most recently used
+            v = memo[tokens[end:], j] = memo.pop((tokens[end:], j))
+    for i in range(end - 1, -1, -1):
+        table = _s_table() if tokens[i] == "S" else _t_table(tokens[i] % 12)
+        v = _run(table if i > head else table[:out], v)
+        if memo is not None and i > head and tokens[i] == "S":
             memo[tokens[i:], j] = tuple(v)
             if len(memo) > _SUFFIX_MEMO:
                 del memo[next(iter(memo))]
-    if tokens and tokens[0] != "S":
-        v = _run(_t_table(tokens[0] % 12)[:out], v)
     return v[:out]
 
 
@@ -338,7 +298,8 @@ def rho_word(word):
 
 def rho_entry_11(word):
     """First matrix entry of rho(word): the evaluator on e_1, which runs only
-    the 4 rows of that entry in the leftmost S step and the T token left of it."""
+    the 4 rows of that entry in the leftmost S step and in the T token left
+    of it; every other token runs all 40 rows of its table."""
     return _over_w_power(_apply(word.tokens, 0, DEGREE), word.s_count())[0]
 
 
@@ -365,16 +326,25 @@ def verify_kernel_generators():
     Each generator is evaluated along two routes: its published word and a
     fresh decomposition of its matrix; both must give the identity exactly.
     A route whose word the first route already evaluated is not run again.
+    A route passes when each integral column w^m rho(word) e_(j+1) is
+    w^m e_(j+1); only a failing route is divided by w^m, for its witness.
     """
     ident = CycloMatrix.identity(DIM)
     checks = []
     for gen in gamma12_generators():
         routes = {gen.word: "via word"}
         routes.setdefault(decompose(gen.matrix), "via matrix")  # a repeated word runs once
-        diffs = ((route, _difference(rho_word(word), ident)) for word, route in routes.items())
-        bad = next((f"{route} {diff}" for route, diff in diffs if diff), None)
+        bad = next((f"{route} {_difference(rho_word(word), ident)}"
+                    for word, route in routes.items() if not _fixes_basis(word)), None)
         checks.append(Check(gen.name, bad))
     return Report("kernel", tuple(checks))
+
+
+def _fixes_basis(word):
+    """Whether rho(word) is the identity: each w-scaled column is w^m e_(j+1)."""
+    scale, zero = list((GLOBAL_INDEX ** word.s_count())._c), [0] * DEGREE
+    return all(_apply(word.tokens, j) == zero * j + scale + zero * (DIM - 1 - j)
+               for j in range(DIM))
 
 
 def _difference(got, want):

@@ -164,13 +164,18 @@ def test_kernel_failure_names_route_and_entry(monkeypatch, word, route):
 
 
 def test_kernel_evaluates_each_distinct_word_once(monkeypatch):
-    # 8 of the 19 generators decompose to their published word: 30 words, not 38
-    calls = []
-    real = rep.rho_word
-    monkeypatch.setattr(rep, "rho_word", lambda word: calls.append(word) or real(word))
+    # 8 of the 19 generators decompose to their published word: 30 words, not
+    # 38, each on its ten columns; a passing word is never divided by w^m
+    rho_s()  # construction evaluates rho(T) before the spies are in place
+    calls, divided = [], []
+    real_apply, real_word = rep._apply, rep.rho_word
+    monkeypatch.setattr(rep, "_apply",
+                        lambda tokens, j: calls.append(tokens) or real_apply(tokens, j))
+    monkeypatch.setattr(rep, "rho_word", lambda word: divided.append(word) or real_word(word))
     assert verify_kernel_generators().passed
-    assert len(calls) == 30
-    assert len(calls) == sum(len({g.word, decompose(g.matrix)}) for g in gamma12_generators())
+    assert len(calls) == 300 and divided == []
+    assert len(set(calls)) == 30
+    assert len(set(calls)) == sum(len({g.word, decompose(g.matrix)}) for g in gamma12_generators())
 
 
 # -- word evaluation ------------------------------------------------------------------
@@ -246,9 +251,9 @@ def test_rho_t_power_matches_repeated_product():
 
 
 def test_entry_11_fast_path_matches_full_matrix():
-    # the fast path runs every T token through its table; it skips only the
-    # S step on e_1 (a precomputed column) and the rows of the first S step,
-    # and of the T tokens before it, that the first entry does not read.
+    # the fast path runs every token through its table; it skips only the
+    # rows of the leftmost S step, and of the T token before it, that the
+    # first entry does not read.
     # The reference is a plain product of w*rho(S) as entered and powers of
     # rho(T), divided by w^m at the end (integer products stay fast)
     ns, t_powers = _s_numerator(), [rho_t() ** k for k in range(12)]
@@ -263,17 +268,17 @@ def test_entry_11_fast_path_matches_full_matrix():
         assert rho_entry_11(word) == product.rows[0][0] * w_power, word
 
 
-@pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5"])
+@pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5", "ST5S"])
 def test_entry_11_runs_end_t_tokens_through_their_tables(monkeypatch, text):
     # a wrong first block row of the T^5 table must show in the first entry,
-    # whether T^5 comes before the first S, after the last S or without any S
+    # whether T^5 comes before the first S, after the last S, between two S
+    # or without any S
     word = Word.parse(text)
     before = rho_entry_11(word)
     real = rep._t_table
-    indices, (f, *rest) = real(5)[0]
-    corrupt = ((indices, (f + 1, *rest)),) + real(5)[1:]
+    (j, f), *rest = real(5)[0]
+    corrupt = (((j, f + 1), *rest),) + real(5)[1:]
     monkeypatch.setattr(rep, "_t_table", lambda k: corrupt if k == 5 else real(k))
-    monkeypatch.setattr(rep, "_st_table", lru_cache(maxsize=12)(rep._st_table.__wrapped__))
     after = rho_entry_11(word)
     assert after != before
     assert after == rho_word(word).rows[0][0]
@@ -287,7 +292,6 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
     monkeypatch.setattr(rep, "_T_EXP", (6,) + rep._T_EXP[1:])
     # fresh caches, so that the shared ones keep the true values
     monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=12)(rep._t_table.__wrapped__))
-    monkeypatch.setattr(rep, "_st_table", lru_cache(maxsize=12)(rep._st_table.__wrapped__))
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     report = verify_well_defined(12)
@@ -298,35 +302,24 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
 
 def test_compiled_blocks_multiply_the_basis_vectors():
     # every 4x4 block of every compiled table is the product with e_0..e_3;
-    # the fused tables' reference is the entry s_ij * zeta^(2k*e_j), from the
-    # matrix as entered and the diagonal of rho(T), not from composed tables
+    # a row holds its (index, factor) pairs in increasing index, zeros dropped
     ns = _s_numerator().rows
     diagonal = [row[i] for i, row in enumerate(rho_t().rows)]
     tables = [(rep._s_table(), ns)]
     tables += [(rep._t_table(k), [[e ** k if i == j else ZERO for j in range(DIM)]
                                   for i, e in enumerate(diagonal)]) for k in range(12)]
-    fused = [(rep._st_table(k), [[a * diagonal[j] ** k for j, a in enumerate(row)] for row in ns])
-             for k in range(12)]
-    tables += [(table, rows) for (table, _), rows in fused]
     basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
     for table, rows in tables:
         assert len(table) == 4 * DIM
-        flat = [dict(zip(*row)) for row in table]
-        assert all(len(row) == len(table[i][0]) == len(table[i][1]) and all(row.values())
-                   for i, row in enumerate(flat))
+        for row in table:
+            indices = [j for j, _ in row]
+            assert indices == sorted(set(indices)) and all(f for _, f in row)
+        flat = [dict(row) for row in table]
         for i, row in enumerate(rows):
             for k, a in enumerate(row):
                 for j, e in enumerate(basis):
                     column = [flat[4 * i + r].get(4 * k + j, 0) for r in range(4)]
                     assert column == _mul_coeffs(a._c, e), (i, k, j)
-    # the ten precomputed columns of each fused table that the evaluator takes
-    # for the first S step: the matrix's own columns, and the table's images
-    for (table, columns), rows in fused:
-        assert len(columns) == DIM
-        for j, column in enumerate(columns):
-            assert list(column) == [c for row in rows for c in row[j]._c], j
-            unit = [int(i == 4 * j) for i in range(4 * DIM)]
-            assert list(column) == rep._run(table, unit), j
 
 
 @pytest.mark.parametrize("row", [0, 21])
@@ -334,10 +327,9 @@ def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
     # the suites evaluate the literal words through the kernel, so one wrong
     # factor in the compiled w*rho(S) shows as a failure that names p
     table = rep._s_table()
-    indices, (f, *rest) = table[row]
-    corrupt = table[:row] + ((indices, (f + 1, *rest)),) + table[row + 1:]
+    (j, f), *rest = table[row]
+    corrupt = table[:row] + (((j, f + 1), *rest),) + table[row + 1:]
     monkeypatch.setattr(rep, "_s_table", lambda: corrupt)
-    monkeypatch.setattr(rep, "_st_table", lru_cache(maxsize=12)(rep._st_table.__wrapped__))
     invariant._literal_state_sum.cache_clear()
     try:
         report = verify_closed_form(12)
@@ -360,16 +352,16 @@ def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
     # each suite that evaluates words fills its own memo up to the bound and
     # never past it, at the largest periodicity sweep too; none outlives it
     seen = []  # [memo, largest size an S step saw]
-    real = rep._st_table
+    real = rep._s_table
 
-    def spy(k):
+    def spy():
         memo = rep._suffixes.get()
         if not seen or seen[-1][0] is not memo:
             seen.append([memo, 0])
         seen[-1][1] = max(seen[-1][1], len(memo))
-        return real(k)
+        return real()
 
-    monkeypatch.setattr(rep, "_st_table", spy)
+    monkeypatch.setattr(rep, "_s_table", spy)
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     assert verify_kernel_generators().passed
@@ -381,21 +373,26 @@ def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
 
 
 def test_outside_a_suite_every_s_step_runs(monkeypatch):
-    # with no memo, a word evaluated again runs all its S steps again; inside
+    # with no memo, a word evaluated again runs all its steps again, one
+    # S table step per S token and one T table step per T token; inside
     # _suffix_memo the repeat starts after its longest stored suffix
     words = list(_gluing_words(24).values())
     steps = sum(word.s_count() for word in words)
-    memos = []
-    real = rep._st_table
-    monkeypatch.setattr(rep, "_st_table", lambda k: memos.append(rep._suffixes.get()) or real(k))
+    t_steps = sum(len(word.tokens) for word in words) - steps
+    memos, t_memos = [], []
+    real_s, real_t = rep._s_table, rep._t_table
+    monkeypatch.setattr(rep, "_s_table", lambda: memos.append(rep._suffixes.get()) or real_s())
+    monkeypatch.setattr(rep, "_t_table",
+                        lambda k: t_memos.append(rep._suffixes.get()) or real_t(k))
     values = [rho_entry_11(word) for word in words]
     assert [rho_entry_11(word) for word in words] == values
     assert len(memos) == 2 * steps and memos == [None] * len(memos)
+    assert len(t_memos) == 2 * t_steps and t_memos == [None] * len(t_memos)
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     invariant.sweep_table(24)
     rho_word(words[-1])
-    assert memos == [None] * len(memos)
+    assert memos == [None] * len(memos) and t_memos == [None] * len(t_memos)
     del memos[:]
     with rep._suffix_memo():
         assert [rho_entry_11(word) for word in words] == values
