@@ -24,7 +24,6 @@ rational normalization.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 DEGREE = 4  # [Q(zeta_12) : Q]
@@ -253,22 +252,17 @@ class Cyclotomic:
 
     @classmethod
     def from_text(cls, text):
-        """The inverse of to_text; rejects every string to_text cannot write."""
-        parts = text.split(" + ")
-        if len(parts) != SLOTS:
-            raise ValueError(f"expected {SLOTS} terms, got {len(parts)}")
-        coeffs = []
-        for k, (part, suffix) in enumerate(zip(parts, _TEXT_SUFFIXES)):
-            if not part.endswith(suffix):
-                raise ValueError(f"term {k} must end with {suffix!r}: {part!r}")
-            m = _TEXT_FRACTION.fullmatch(part[: len(part) - len(suffix)])
-            if not m:
-                raise ValueError(f"malformed coefficient in term {k}: {part!r}")
-            num, den = int(m.group(1)), int(m.group(2))
-            if math.gcd(num, den) != 1:
-                raise ValueError(f"{num}/{den} in term {k} is not a reduced fraction")
-            coeffs.append(Fraction(num, den))
-        return cls(coeffs)
+        """The inverse of to_text, by round trip: read each `num/den*z^k` term
+        as two ints, then reject the text unless to_text writes it back."""
+        try:
+            # two ints around each `/`; never Fraction(str), which reads exponents
+            pairs = (term.split("*")[0].split("/") for term in text.split(" + "))
+            value = cls(Fraction(int(num), int(den)) for num, den in pairs)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed field text {text!r}: {exc}") from exc
+        if value.to_text() != text:
+            raise ValueError(f"not canonical: {text!r}, expected {value.to_text()!r}")
+        return value
 
     def to_json_coeffs(self):
         """JSON-ready form: list of 8 [numerator, denominator] pairs."""
@@ -298,8 +292,6 @@ class Cyclotomic:
 
 
 _TEXT_SUFFIXES = ("", "*z") + tuple(f"*z^{k}" for k in range(2, SLOTS))
-# exactly the numerals str(int) writes: no sign on 0, no leading zeros
-_TEXT_FRACTION = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
 def _sqrt3_lower(bits):

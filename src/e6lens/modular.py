@@ -109,16 +109,9 @@ class Word:
 
     @classmethod
     def parse(cls, text):
-        """The inverse of compact; rejects every string compact cannot write."""
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _WORD_TOKEN.match(text, pos)
-            if not m:
-                raise ValueError(f"cannot parse word at {text[pos:]!r}")
-            tokens.append("S" if m.group(1) is None else int(m.group(1)))
-            pos = m.end()
-        word = cls(tokens)
+        """The inverse of compact, by round trip: read every `S` and `T<k>`
+        token, then reject the text unless compact writes it back."""
+        word = cls(int(k) if k else "S" for k in _WORD_TOKEN.findall(text))
         if word.compact() != text:
             raise ValueError(f"not a compact word: {text!r}, expected {word.compact()!r}")
         return word

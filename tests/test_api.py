@@ -1,6 +1,9 @@
 """The package surface: every exported name resolves, and every int
-parameter rejects what is not an int."""
+parameter rejects what is not an int, and the two parsers read exactly
+what their writers write."""
 
+import math
+import random
 import re
 
 import pytest
@@ -43,3 +46,27 @@ def test_star_import_binds_every_name_in_all():
 def test_int_parameters_reject_floats_and_bools(call, bad):
     with pytest.raises(ValueError, match=re.escape(bad)):
         call()
+
+
+def test_parsers_raise_only_value_error_on_near_misses():
+    # one-character edits of writer output: each string is rejected with
+    # ValueError or parses to a value whose writer gives back that string
+    texts = [e6lens.closed_form(e6lens.LensSpace(p, q)).to_text()
+             for p in range(1, 13) for q in range(p) if math.gcd(p, q) == 1]
+    words = ["SST12ST12S", "T5ST-2ST2ST-4ST3ST2S", "T-12", "ST1S", ""]
+    rng = random.Random(17)
+    alphabet = "/*+e._-09\u0661 zST^1"
+    for _ in range(2000):
+        parse, write, text = rng.choice([
+            (e6lens.Cyclotomic.from_text, e6lens.Cyclotomic.to_text, rng.choice(texts)),
+            (e6lens.Word.parse, e6lens.Word.compact, rng.choice(words)),
+        ])
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice(["insert", "delete", "replace"] if i < len(text) else ["insert"])
+        tail = text[i + 1:] if edit != "insert" else text[i:]
+        near = text[:i] + (rng.choice(alphabet) if edit != "delete" else "") + tail
+        try:
+            value = parse(near)
+        except ValueError:
+            continue
+        assert write(value) == near, near

@@ -322,6 +322,9 @@ def test_text_rejects_malformed():
         one + " ",
         one.replace("0/1*z^3", "1/1*z^3"),
         one.replace("1/1", "\u0661/1", 1),  # a non-ASCII digit
+        # what a lenient int() or Fraction() reader would take
+        *(one.replace("1/1", coeff, 1) for coeff in (
+            "1e5/1", "1e999999999/1", "1.5/1", "1/1/1", "1", "0x1/1", "1_0/1", "1/ 1")),
     ):
         with pytest.raises(ValueError):
             Cyclotomic.from_text(bad)

@@ -164,7 +164,7 @@ def test_parse_is_strict_and_bounded():
     # only what compact writes: no run counts, no zero, padded or adjacent
     # T exponents, no separators, signs or non-ASCII digits
     for bad in ("S2", "S0", "S1", "T0", "T07", "T3T4", "S^2", "S T2", "T+3", "T\u0661",
-                "S" + "1" * 30):
+                "S" + "1" * 30, "T1_0", "ST 2", "T-0", "SxS", "T1.5", "T1e3"):
         with pytest.raises(ValueError):
             Word.parse(bad)
     # the parser hands the constructor at most one token per character
