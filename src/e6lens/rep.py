@@ -12,24 +12,22 @@ diagonal of (w rho(S))(w rho(S))* = w^2 I says that every row of w*rho(S)
 has squared conjugate norm w^2, which pins down the two composite entries
 (3+sqrt3) and i*(3+sqrt3).
 
-Every evaluation, from one matrix entry to a full matrix product, runs
+Every evaluation, from one matrix entry to the construction checks, runs
 through one kernel on integer coefficients: multiplying by a field element
 is a 4x4 integer block on the coefficient basis, so a matrix compiles once
 into 40 flat rows of (index, factor) pairs that act on a flat column of 40
-coefficients.  A matrix product with rational entries is scaled to integers
-first and divided once.  w*rho(S) and each rho(T^k) are compiled once, and
-a word runs token by token through them; the power of w that the S tokens
+coefficients.  w*rho(S) and each rho(T^k) are compiled once, and a word
+runs token by token through them; the power of w that the S tokens
 accumulate is divided out once, at the end.  One evaluator, _apply, walks
-every word, and _s_table is the one place where w*rho(S) is built,
-self-checked and compiled.  rho_t() is the image of the word T1, which never
-reads _s_table, so construction can call it.  Inside a verification suite,
-and only there, the evaluator shares the work of common word suffixes
-through a bounded memo (_suffix_memo).
+every word, and _s_table is the one place where w*rho(S) is built and
+compiled; the checks run each column of a product through that same table
+and _t_table(1), whose image rho_t() never reads _s_table.  Inside a
+verification suite, and only there, the evaluator shares the work of common
+word suffixes through a bounded memo (_suffix_memo).
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -47,7 +45,6 @@ from .cyclotomic import (
     _mul_block,
     _mul_coeffs,
     _norm_coeff,
-    _power,
     quantum_integer,
     zeta_pow,
 )
@@ -80,27 +77,6 @@ class CycloMatrix:
     def n(self):
         return len(self.rows)
 
-    def __mul__(self, other):
-        if isinstance(other, Cyclotomic):
-            return CycloMatrix(tuple(tuple(e * other for e in row) for row in self.rows))
-        if not isinstance(other, CycloMatrix):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError(f"cannot multiply a {self.n}x{self.n} by a {other.n}x{other.n} matrix")
-        (a, da), (b, db) = _integral(self.rows), _integral(other.rows)
-        table = _compile(a)
-        cols = [_entries(_run(table, [c for row in b for c in row[j]._c]), da * db)
-                for j in range(self.n)]
-        return CycloMatrix(zip(*cols))
-
-    def __pow__(self, k):
-        if type(k) is not int or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        return _power(self, k, CycloMatrix.identity(self.n))
-
-    def conjugate_transpose(self):
-        return CycloMatrix(zip(*([e.conjugate() for e in row] for row in self.rows)))
-
 
 # diagonal of rho(T) as exponents of zeta^2 (mod 12):
 # (1, -zeta^2, -1, 1, i, -zeta^2, 1, zeta^8, zeta^-4, -1)
@@ -132,38 +108,51 @@ def _s_numerator():
 
 
 def _self_check(ns):
-    """Abort construction unless the hand-entered matrix passes its oracles."""
-    for check in _relation_checks(ns) + _unitary_checks(ns):
+    """w*rho(S) compiled from ns; abort unless that table passes its oracles."""
+    table = _compile(ns.rows)
+    for check in _relation_checks(table) + _unitary_checks(ns, table):
         if not check.passed:
             raise RuntimeError(f"self-check of w*rho(S) failed: {check.name} [{check.witness}]")
+    return table
 
 
-def _relation_checks(ns):
-    """The standard SL(2,Z) presentation relations, on the w-scaled level.
+def _relation_checks(table):
+    """The SL(2,Z) presentation relations, for w*rho(S) compiled as table.
 
     S^4 = I and (S T)^3 = S^2 become (wS)^4 = w^4 I and (wS T)^3 = w (wS)^2,
-    which stay in integer coefficients.
+    which stay in integer coefficients.  T^12 = I is read off the entries:
+    rho(T) must be diagonal with 12th roots of unity.
     """
-    ns2 = ns * ns
-    t = rho_t()
-    nst = ns * t
+    s2 = [_run(table, _run(table, _unit(j))) for j in range(DIM)]
+    s4 = [_entries(_run(table, _run(table, v))) for v in s2]
+    st3 = [_unit(j) for j in range(DIM)]
+    for _ in range(3):
+        st3 = [_run(table, _run(_t_table(1), v)) for v in st3]
+    t12 = [[e**12 if i == j else e for j, e in enumerate(row)]
+           for i, row in enumerate(rho_t().rows)]
     return [
-        Check("rho(S)^4 = I", _difference(ns2 * ns2, CycloMatrix.identity(DIM) * GLOBAL_INDEX**4)),
-        Check("(rho(S) rho(T))^3 = rho(S)^2", _difference(nst * nst * nst, ns2 * GLOBAL_INDEX)),
-        Check("rho(T)^12 = I", _difference(t**12, CycloMatrix.identity(DIM))),
+        Check("rho(S)^4 = I", _difference(CycloMatrix(zip(*s4)), _scalar(GLOBAL_INDEX**4))),
+        Check("(rho(S) rho(T))^3 = rho(S)^2",
+              _difference(CycloMatrix(zip(*map(_entries, st3))),
+                          CycloMatrix(zip(*(_over_w_power(v, -1) for v in s2))))),
+        Check("rho(T)^12 = I", _difference(CycloMatrix(t12), _scalar(ONE))),
     ]
 
 
-def _unitary_checks(ns):
+def _unitary_checks(ns, table):
     """Unitarity of rho(S) and rho(T); for S on the w-scaled level, where
     rho(S) rho(S)* = I becomes (wS)(wS)* = w^2 I (w is real)."""
-    ident = CycloMatrix.identity(DIM)
-    t = rho_t()
+    w2, t = _scalar(GLOBAL_INDEX**2), rho_t()
     return [
-        Check("rho(S) rho(S)* = I",
-              _difference(ns * ns.conjugate_transpose(), ident * GLOBAL_INDEX**2)),
-        Check("rho(T) rho(T)* = I", _difference(t * t.conjugate_transpose(), ident)),
+        Check("rho(S) rho(S)* = I", _difference(_times_adjoint(table, ns), w2)),
+        Check("rho(T) rho(T)* = I", _difference(_times_adjoint(_t_table(1), t), _scalar(ONE))),
     ]
+
+
+def _times_adjoint(table, a):
+    """A A* for the matrix a compiled as table: column j of A* is row j of A, conjugated."""
+    return CycloMatrix(zip(*(_entries(_run(table, [c for e in row for c in e.conjugate()._c]))
+                             for row in a.rows)))
 
 
 def _compile(rows):
@@ -186,6 +175,16 @@ def _run(table, v):
     return [sum([f * v[j] for j, f in row]) for row in table]
 
 
+def _unit(j, x=ONE):
+    """x e_(j+1) as a flat column."""
+    return [0] * (DEGREE * j) + list(x._c) + [0] * (DEGREE * (DIM - 1 - j))
+
+
+def _scalar(x):
+    """x times the identity matrix."""
+    return CycloMatrix([[x if i == j else ZERO for j in range(DIM)] for i in range(DIM)])
+
+
 def _entries(v, den=1):
     """The entries of a flat column divided by den, as Cyclotomic values."""
     if den != 1:
@@ -193,23 +192,11 @@ def _entries(v, den=1):
     return [Cyclotomic._raw(v[i:i + DEGREE]) for i in range(0, len(v), DEGREE)]
 
 
-def _integral(rows):
-    """The rows of a matrix times the least common denominator d of their
-    coefficients, and d."""
-    d = math.lcm(*(c.denominator for row in rows for e in row for c in e._c))
-    if d == 1:
-        return rows, 1
-    return [[Cyclotomic._raw(c.numerator * (d // c.denominator) for c in e._c) for e in row]
-            for row in rows], d
-
-
 @lru_cache(maxsize=1)
 def _s_table():
-    """w*rho(S), built, self-checked and compiled: the table that every S
-    token of every word runs through."""
-    ns = _s_numerator()
-    _self_check(ns)
-    return _compile(ns.rows)
+    """w*rho(S), built, compiled once and self-checked: the table that every
+    S token of every word runs through."""
+    return _self_check(_s_numerator())
 
 
 @lru_cache(maxsize=12)
@@ -249,7 +236,7 @@ def _apply(tokens, j, out=DEGREE * DIM):
     starts = [i for i, token in enumerate(tokens) if token == "S"]
     head = starts[0] if starts else len(tokens)
     memo = _suffixes.get()
-    v, end = [int(i == DEGREE * j) for i in range(DEGREE * DIM)], len(tokens)
+    v, end = _unit(j), len(tokens)
     if memo is not None:
         end = next((i for i in starts[1:] if (tokens[i:], j) in memo), end)
         if end < len(tokens):  # a hit, now the most recently used
@@ -285,8 +272,8 @@ def rho_s():
 
 @lru_cache(maxsize=1)
 def rho_t():
-    """rho(T), the image of its compiled table: the word T1 never reads the
-    S table, so construction can call it while it checks w*rho(S)."""
+    """rho(T), the image of its compiled table _t_table(1): the word T1 never
+    reads the S table, so construction's checks can read it."""
     return rho_word(Word([1]))
 
 
@@ -311,12 +298,13 @@ def w_rho_entry_11(word):
 
 def verify_relations():
     """Report on the three presentation relations."""
-    return Report("relations", tuple(_relation_checks(_s_numerator())))
+    return Report("relations", tuple(_relation_checks(_compile(_s_numerator().rows))))
 
 
 def verify_unitary():
     """Report that rho(S) and rho(T) are exactly unitary."""
-    return Report("unitarity", tuple(_unitary_checks(_s_numerator())))
+    ns = _s_numerator()
+    return Report("unitarity", tuple(_unitary_checks(ns, _compile(ns.rows))))
 
 
 @_suffix_memo()
@@ -342,9 +330,8 @@ def verify_kernel_generators():
 
 def _fixes_basis(word):
     """Whether rho(word) is the identity: each w-scaled column is w^m e_(j+1)."""
-    scale, zero = list((GLOBAL_INDEX ** word.s_count())._c), [0] * DEGREE
-    return all(_apply(word.tokens, j) == zero * j + scale + zero * (DIM - 1 - j)
-               for j in range(DIM))
+    scale = GLOBAL_INDEX ** word.s_count()
+    return all(_apply(word.tokens, j) == _unit(j, scale) for j in range(DIM))
 
 
 def _difference(got, want):

@@ -4,11 +4,11 @@ presentation relations, unitarity and the Gamma(12) kernel."""
 import math
 import random
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 
-from e6lens import invariant, rep
+from e6lens import cli, invariant, rep
 from e6lens.cyclotomic import (GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, Cyclotomic, _mul_coeffs,
                                zeta_pow)
 from e6lens.invariant import (MAX_PMAX, LensSpace, closed_form, verify_closed_form,
@@ -32,6 +32,18 @@ from e6lens.rep import (
 from e6lens.report import Check
 
 I10 = CycloMatrix.identity(DIM)
+
+
+def naive(a, b):
+    """The product a b by entrywise Cyclotomic arithmetic, no rep helpers:
+    the reference for every matrix product in these tests."""
+    columns = list(zip(*b.rows))
+    return CycloMatrix([[sum((x * y for x, y in zip(row, col) if x and y), start=ZERO)
+                         for col in columns] for row in a.rows])
+
+
+def naive_power(a, k):
+    return reduce(naive, [a] * k, I10)
 
 
 def rand_word(rng, max_tokens=8):
@@ -74,7 +86,7 @@ def test_rho_t_diagonal():
 
 
 def test_rho_t_twelfth_power_is_identity():
-    assert rho_t() ** 12 == I10
+    assert naive_power(rho_t(), 12) == I10
 
 
 def test_row_norm_oracle():
@@ -84,32 +96,97 @@ def test_row_norm_oracle():
         assert norm == w2
 
 
+def _text(c0, c2, c6):
+    """to_text of c0 + c2*zeta^2 + c6*zeta^6, written out by hand."""
+    return f"{c0}/1 + 0/1*z + {c2}/1*z^2 + 0/1*z^3 + 0/1*z^4 + 0/1*z^5 + {c6}/1*z^6 + 0/1*z^7"
+
+
+def _witness(entry, want, got):
+    return f"{entry}: expected {_text(*want)}, got {_text(*got)}"
+
+
+def _corrupt(kind):
+    rows = [list(r) for r in _s_numerator().rows]
+    if kind == "sign flip":
+        rows[0][6] = -rows[0][6]
+    elif kind == "plus one":
+        rows[0][6] = rows[0][6] + ONE  # perturb a composite entry
+    else:  # D ns D^-1 with D = diag(2, 1, ..., 1)
+        for j in range(1, DIM):
+            rows[0][j] = 2 * rows[0][j]
+            rows[j][0] = rows[j][0] / 2
+    return CycloMatrix(rows)
+
+
+# the checks of verify relations, and each one's witness on the three
+# corruptions of w*rho(S): entries of the products, computed over the field
+NAMES = ("rho(S)^4 = I", "(rho(S) rho(T))^3 = rho(S)^2", "rho(T)^12 = I",
+         "rho(S) rho(S)* = I", "rho(T) rho(T)* = I")
+_W4, _W2 = (4032, 4608, -2304), (48, 48, -24)
+PINNED = {
+    "sign flip": (_witness("(1,1)", _W4, (1008, 1152, -576)),
+                  _witness("(1,1)", (216, 240, -120), (192, 216, -108)), None,
+                  _witness("(1,3)", (0, 0, 0), (24, 24, -12)), None),
+    "plus one": (_witness("(1,1)", _W4, (4476, 5100, -2550)),
+                 _witness("(1,1)", (456, 504, -252), (459, 506, -253)), None,
+                 _witness("(1,1)", _W2, (55, 52, -26)), None),
+    "similarity": (None, None, None, _witness("(1,1)", _W2, (189, 192, -96)), None),
+}
+
+
+def _aborts_with_first_failure(kind):
+    # construction raises on the first failing check, with its witness
+    name, witness = next((n, w) for n, w in zip(NAMES, PINNED[kind]) if w)
+    with pytest.raises(RuntimeError) as info:
+        _self_check(_corrupt(kind))
+    assert str(info.value) == f"self-check of w*rho(S) failed: {name} [{witness}]"
+
+
 def test_construction_aborts_on_corrupt_entry():
-    good = _s_numerator()
-    rows = [list(r) for r in good.rows]
-    rows[0] = list(rows[0])
-    rows[0][6] = rows[0][6] + ONE  # perturb a composite entry
-    with pytest.raises(RuntimeError):
-        _self_check(CycloMatrix(rows))
+    _aborts_with_first_failure("plus one")
 
 
 def test_s_table_checks_the_matrix_it_compiles(monkeypatch):
     # _s_table alone builds w*rho(S) for evaluation, so it runs the self-check
-    rows = [list(r) for r in _s_numerator().rows]
-    rows[0][6] = rows[0][6] + ONE
-    monkeypatch.setattr(rep, "_s_numerator", lambda: CycloMatrix(rows))
+    monkeypatch.setattr(rep, "_s_numerator", lambda: _corrupt("plus one"))
     with pytest.raises(RuntimeError, match=r"self-check of w\*rho\(S\) failed"):
         rep._s_table.__wrapped__()
 
 
 def test_construction_aborts_on_sign_flip_that_keeps_row_norms():
-    rows = [list(r) for r in _s_numerator().rows]
-    rows[0][6] = -rows[0][6]
-    corrupt = CycloMatrix(rows)
     w2 = GLOBAL_INDEX * GLOBAL_INDEX
-    assert all(sum((e * e.conjugate() for e in row), start=ZERO) == w2 for row in corrupt.rows)
-    with pytest.raises(RuntimeError, match=r"rho\(S\)\^4 = I"):
-        _self_check(corrupt)
+    assert all(sum((e * e.conjugate() for e in row), start=ZERO) == w2
+               for row in _corrupt("sign flip").rows)
+    _aborts_with_first_failure("sign flip")
+
+
+def test_cold_construction_compiles_w_rho_s_once(monkeypatch):
+    # _s_table compiles w*rho(S) once and self-checks that table: the checks
+    # run each column of a product through the kernel and compile no product
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=12)(rep._t_table.__wrapped__))
+    calls, real = [], rep._compile
+    monkeypatch.setattr(rep, "_compile", lambda rows: calls.append(rows) or real(rows))
+    assert rep._s_table.__wrapped__() == rep._s_table()
+    diagonal = [[e if i == j else ZERO for j, e in enumerate(row)]
+                for i, row in enumerate(rho_t().rows)]
+    assert [[list(row) for row in rows] for rows in calls] == [
+        [list(row) for row in _s_numerator().rows], diagonal]
+
+
+@pytest.mark.parametrize("kind", PINNED)
+def test_suites_report_a_corrupt_s_numerator(monkeypatch, capsys, kind):
+    # the suites report each check's witness, and the CLI prints them and
+    # exits 1; only construction raises
+    rho_s()
+    monkeypatch.setattr(rep, "_s_numerator", lambda: _corrupt(kind))
+    assert verify_relations().checks + verify_unitary().checks == tuple(
+        map(Check, NAMES, PINNED[kind]))
+    assert cli.main(["verify", "relations"]) == 1
+    suites = ["relations"] * 3 + ["unitarity"] * 2
+    lines = [f"PASS  {suite}: {name}" if w is None else f"FAIL  {suite}: {name}  [{w}]"
+             for suite, name, w in zip(suites, NAMES, PINNED[kind])]
+    lines.append(f"relations: {PINNED[kind].count(None)}/5 checks passed")
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
 # -- relations and unitarity ---------------------------------------------------------
@@ -121,32 +198,40 @@ def test_verify_relations_all_pass():
     assert report.passed, report.to_json()
 
 
+@pytest.mark.parametrize("entry, value, twelfth",
+                         [((0, 1), ONE, ONE), ((2, 2), 2 * ONE, 4096 * ONE)])
+def test_t_twelfth_power_check_reads_every_entry(monkeypatch, entry, value, twelfth):
+    # rho(T)^12 = I is read off the entries of rho_t(): a nonzero entry off
+    # the diagonal fails as itself, a diagonal entry through its 12th power
+    rows = [list(row) for row in rho_t().rows]
+    rows[entry[0]][entry[1]] = value
+    monkeypatch.setattr(rep, "rho_t", lambda: CycloMatrix(rows))
+    want = ONE if entry[0] == entry[1] else ZERO
+    witness = f"({entry[0] + 1},{entry[1] + 1}): expected {want.to_text()}, got {twelfth.to_text()}"
+    assert verify_relations().checks[2] == Check("rho(T)^12 = I", witness)
+
+
 def test_relations_directly():
-    s = rho_s()
-    t = rho_t()
-    assert s ** 4 == I10
-    assert (s * t) ** 3 == s * s
-    assert s * s != I10  # -I is not in the kernel
+    s, t = rho_s(), rho_t()
+    s2, st = naive(s, s), naive(s, t)
+    assert naive(s2, s2) == I10
+    assert naive(naive(st, st), st) == s2
+    assert s2 != I10  # -I is not in the kernel
 
 
 def test_verify_unitary():
     report = verify_unitary()
     assert report.passed, report.to_json()
     s = rho_s()
-    assert s * s.conjugate_transpose() == I10
+    assert naive(s, CycloMatrix(zip(*([e.conjugate() for e in row] for row in s.rows)))) == I10
 
 
 def test_construction_aborts_on_similarity_that_keeps_relations():
     # D ns D^-1 with D = diag(2, 1, ..., 1) commutes past rho(T), so every
     # presentation relation still holds; only unitarity catches it
-    rows = [list(r) for r in _s_numerator().rows]
-    for j in range(1, DIM):
-        rows[0][j] = 2 * rows[0][j]
-        rows[j][0] = rows[j][0] / 2
-    corrupt = CycloMatrix(rows)
-    assert all(check.passed for check in _relation_checks(corrupt))
-    with pytest.raises(RuntimeError, match=r"rho\(S\) rho\(S\)\* = I"):
-        _self_check(corrupt)
+    corrupt = _corrupt("similarity")
+    assert all(check.passed for check in _relation_checks(rep._compile(corrupt.rows)))
+    _aborts_with_first_failure("similarity")
 
 
 # -- kernel -----------------------------------------------------------------------------
@@ -200,7 +285,7 @@ def test_rho_matrix_identity_and_generators():
 
 def test_rho_of_minus_identity_has_unit_corner():
     m = rho_word(decompose(SL2Z(-1, 0, 0, -1)))
-    assert m == rho_s() * rho_s()
+    assert m == naive(rho_s(), rho_s())
     assert m.rows[0][0] == ONE
 
 
@@ -216,19 +301,11 @@ def test_values_are_frozen_and_compare_by_content():
     assert Check("x").passed and not Check("x", "why").passed
 
 
-def test_matrix_product_rejects_mismatched_sizes():
-    small, s = CycloMatrix.identity(2), rho_s()
-    with pytest.raises(ValueError, match="cannot multiply a 2x2 by a 10x10 matrix"):
-        small * s
-    with pytest.raises(ValueError, match="cannot multiply a 10x10 by a 2x2 matrix"):
-        s * small
-
-
 def test_homomorphism_on_random_word_pairs():
     rng = random.Random(17)
     for _ in range(50):
         u, v = rand_word(rng, 4), rand_word(rng, 4)
-        assert rho_word(u * v) == rho_word(u) * rho_word(v)
+        assert rho_word(u * v) == naive(rho_word(u), rho_word(v))
 
 
 def test_word_independence_of_rho_matrix():
@@ -247,23 +324,23 @@ def test_rho_t_power_matches_repeated_product():
     rng = random.Random(29)
     for _ in range(10):
         k = rng.randint(-30, 30)
-        assert rho_word(Word([k])) == rho_t() ** (k % 12)
+        assert rho_word(Word([k])) == naive_power(rho_t(), k % 12)
 
 
 def test_entry_11_fast_path_matches_full_matrix():
     # the fast path runs every token through its table; it skips only the
     # rows of the leftmost S step, and of the T token before it, that the
     # first entry does not read.
-    # The reference is a plain product of w*rho(S) as entered and powers of
-    # rho(T), divided by w^m at the end (integer products stay fast)
-    ns, t_powers = _s_numerator(), [rho_t() ** k for k in range(12)]
+    # The reference is the naive product of w*rho(S) as entered and powers
+    # of rho(T), divided by w^m at the end (integer products stay fast)
+    ns, t_powers = _s_numerator(), [naive_power(rho_t(), k) for k in range(12)]
     rng = random.Random(41)
     edge = [Word.parse(text) for text in ("", "S", "SS", "T5", "T-7", "T12", "T3S", "ST3",
                                            "T3ST-2", "T1ST4ST-5", "T2SST7SSST11")]
     for word in edge + [rand_word(rng, 6) for _ in range(200)]:
         product = I10
         for tok in word.tokens:
-            product = product * (ns if tok == "S" else t_powers[tok % 12])
+            product = naive(product, ns if tok == "S" else t_powers[tok % 12])
         w_power = GLOBAL_INDEX.inv() ** word.s_count()
         assert rho_entry_11(word) == product.rows[0][0] * w_power, word
 
@@ -422,37 +499,28 @@ def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
 def test_kernel_matches_naive_cyclotomic_products():
     # reference: entrywise Cyclotomic arithmetic only, no rep helpers
     w_inv = GLOBAL_INDEX.inv()
-    s = [[e * w_inv for e in row] for row in _s_numerator().rows]
-    assert [list(row) for row in rho_s().rows] == s
-
-    def naive(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(DIM)), start=ZERO) for j in range(DIM)]
-            for i in range(DIM)
-        ]
+    s = CycloMatrix([[e * w_inv for e in row] for row in _s_numerator().rows])
+    assert rho_s() == s
 
     def t_power(k):
         # rho(T)^k entrywise: the diagonal entries to the power k mod 12
-        return [[e ** (k % 12) if i == j else ZERO for j, e in enumerate(row)]
-                for i, row in enumerate(rho_t().rows)]
+        return CycloMatrix([[e ** (k % 12) if i == j else ZERO for j, e in enumerate(row)]
+                            for i, row in enumerate(rho_t().rows)])
 
-    assert [list(row) for row in (rho_t() ** 5).rows] == t_power(5)
+    assert rho_word(Word([5])) == t_power(5)
     rng = random.Random(53)
     for _ in range(8):
         word = rand_word(rng, 5)
-        expect = [[ONE if i == j else ZERO for j in range(DIM)] for i in range(DIM)]
+        expect = I10
         for tok in word.tokens:
-            factor = s if tok == "S" else t_power(tok)
-            product = CycloMatrix(expect) * CycloMatrix(factor)
-            expect = naive(expect, factor)
-            assert [list(row) for row in product.rows] == expect
-        assert [list(row) for row in rho_word(word).rows] == expect
+            expect = naive(expect, s if tok == "S" else t_power(tok))
+        assert rho_word(word) == expect
 
 
 def test_rho_word_matches_public_matrix_products():
-    t = rho_t()
-    assert rho_word(Word(["S", 5])) == rho_s() * t**5
-    assert rho_word(Word([-7, "S", 3])) == t**5 * rho_s() * t**3
+    t3, t5 = naive_power(rho_t(), 3), naive_power(rho_t(), 5)
+    assert rho_word(Word(["S", 5])) == naive(rho_s(), t5)
+    assert rho_word(Word([-7, "S", 3])) == naive(naive(t5, rho_s()), t3)
 
 
 # -- kernel ---------------------------------------------------------------------------
