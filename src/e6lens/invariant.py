@@ -110,12 +110,13 @@ def _state_sum_with_cofactors(p, q, a, b):
     return w_rho_entry_11(word)
 
 
-# closed_form takes nine values: ONE, ZERO, the four below, 2 * _BINOMIAL_42,
-# and the conjugates of the last two below.
+# closed_form returns one of nine constants: ONE, ZERO and the seven below.
 _QUANTUM_5 = quantum_integer(5)  # 2 + sqrt3
 _BINOMIAL_42 = 3 + SQRT3  # [4][3]/[2]
+_TWICE_BINOMIAL_42 = 2 * _BINOMIAL_42
 _ZETA3_Q4 = (1 + IMAG) * _BINOMIAL_42 / 2  # zeta^3 [4]; [4] is real
 _ZETA2_Q3 = 2 * zeta_pow(2) * quantum_integer(3)  # [3] is real
+_ZETA3_Q4_BAR, _ZETA2_Q3_BAR = _ZETA3_Q4.conjugate(), _ZETA2_Q3.conjugate()
 
 
 def closed_form(space):
@@ -127,10 +128,10 @@ def closed_form(space):
     if g in (2, 6):
         return _BINOMIAL_42
     if g == 3:
-        return _ZETA3_Q4 if (q % 3 == 1) == (r == 9) else _ZETA3_Q4.conjugate()
+        return _ZETA3_Q4 if (q % 3 == 1) == (r == 9) else _ZETA3_Q4_BAR
     if g == 4:
-        return _ZETA2_Q3 if (q % 4 == 1) == (r == 4) else _ZETA2_Q3.conjugate()
-    return 2 * _BINOMIAL_42 if q % 12 in (1, 11) else ZERO
+        return _ZETA2_Q3 if (q % 4 == 1) == (r == 4) else _ZETA2_Q3_BAR
+    return _TWICE_BINOMIAL_42 if q % 12 in (1, 11) else ZERO
 
 
 # homotopy_equivalent factors |p| by trial division up to this bound, which
@@ -311,42 +312,37 @@ def format_complex(re, im):
     return fr if im == 0 else (f"{fr} + {fi}i" if im > 0 else f"{fr} - {fi[1:]}i")
 
 
-def table_csv(rows):
-    lines = ["p,q,exact,float_re,float_im,agrees"]
+def _by_value(rows, render):
+    """Each row with render(row.state), called once per distinct value in
+    this call: equal values format alike, and the map dies with the call."""
+    rendered = {}
     for row in rows:
-        re, im = row.state.approx()
-        lines.append(
-            f"{row.p},{row.q},{row.state.to_text()},"
-            f"{_format_float(re)},{_format_float(im)},{str(row.agrees).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+        columns = rendered.get(row.state)
+        if columns is None:
+            columns = rendered[row.state] = render(row.state)
+        yield row, columns
+
+
+def table_csv(rows):
+    def render(value):
+        return ",".join([value.to_text(), *map(_format_float, value.approx())])
+    lines = [f"{row.p},{row.q},{columns},{str(row.agrees).lower()}"
+             for row, columns in _by_value(rows, render)]
+    return "\n".join(["p,q,exact,float_re,float_im,agrees", *lines]) + "\n"
 
 
 def table_json_obj(rows):
-    out = []
-    for row in rows:
-        re, im = row.state.approx()
-        out.append(
-            {
-                "p": row.p,
-                "q": row.q,
-                "exact": row.state.to_text(),
-                "exact_coeffs": row.state.to_json_coeffs(),
-                "float_re": float(re),
-                "float_im": float(im),
-                "agrees": row.agrees,
-            }
-        )
-    return out
+    """One fresh dict per row; rows with equal values share no mutable object."""
+    def render(value):
+        return (value.to_text(), value.to_json_coeffs(), *map(float, value.approx()))
+    return [{"p": row.p, "q": row.q, "exact": text, "exact_coeffs": [c[:] for c in coeffs],
+             "float_re": re, "float_im": im, "agrees": row.agrees}
+            for row, (text, coeffs, re, im) in _by_value(rows, render)]
 
 
 def table_text(rows):
-    lines = [f"{'p':>4} {'q':>4}  {'value':<28} {'float':<28} agrees"]
-    for row in rows:
-        re, im = row.state.approx()
-        fl = format_complex(re, im)
-        lines.append(
-            f"{row.p:>4} {row.q:>4}  {row.state.surd_str():<28} {fl:<28} "
-            f"{'yes' if row.agrees else 'NO'}"
-        )
-    return "\n".join(lines) + "\n"
+    def render(value):
+        return f"{value.surd_str():<28} {format_complex(*value.approx()):<28}"
+    lines = [f"{row.p:>4} {row.q:>4}  {columns} {'yes' if row.agrees else 'NO'}"
+             for row, columns in _by_value(rows, render)]
+    return "\n".join([f"{'p':>4} {'q':>4}  {'value':<28} {'float':<28} agrees", *lines]) + "\n"

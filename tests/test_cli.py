@@ -106,6 +106,21 @@ def test_table_120_csv_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_120_CSV_SHA256
 
 
+# sha256 of `e6lens table --pmax 120 --format <fmt>`, first measured when
+# every row formatted its own value
+TABLE_120_SHA256 = {
+    "json": "f5467b980d55282a5023b721fcd99197a494f18f3d50c1f2fec9b3cb2fa4aab7",
+    "text": "7b42766c17adfe082c9cc7e4c104bf335464b6c97bd6e0935f77f8f8cf45df5c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_120_SHA256))
+def test_table_120_json_and_text_are_pinned(capsys, fmt):
+    code, out = run_cli(capsys, "table", "--pmax", "120", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_120_SHA256[fmt]
+
+
 # sha256 of `e6lens compute p q`, first measured when state_sum read a table
 # of shortest words mod 12: every sign of p, p = 0, and a 13,288-bit q
 _BIG = 10**4000 + 1

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from e6lens.cyclotomic import (
     ONE,
     SQRT3,
     ZERO,
+    Cyclotomic,
     quantum_integer,
     zeta_pow,
 )
@@ -26,6 +28,7 @@ from e6lens.invariant import (
     MAX_PMAX,
     MAX_TRIAL_DIVISOR,
     LensSpace,
+    TableRow,
     closed_form,
     homotopy_equivalent,
     state_sum,
@@ -143,7 +146,8 @@ def test_closed_form_takes_nine_values_far_from_rounding_midpoints():
     # the values over every liftable residue pair (r, s) of (Z/12)^2
     liftable = [(r, s) for r in range(12) for s in range(12) if math.gcd(r, s, 12) == 1]
     assert len(liftable) == 96
-    values = {closed_form(LensSpace(*invariant._residue_lift(r, s))) for r, s in liftable}
+    returned = [closed_form(LensSpace(*invariant._residue_lift(r, s))) for r, s in liftable]
+    values = set(returned)
     q3, q5 = quantum_integer(3), quantum_integer(5)
     expected = {
         quantum_integer(1), q5, SQRT3 * q3, 2 * SQRT3 * q3, ZERO,
@@ -152,6 +156,11 @@ def test_closed_form_takes_nine_values_far_from_rounding_midpoints():
     }
     assert len(expected) == 9
     assert values == expected
+    # each is one of nine module constants: no branch builds its value afresh
+    constants = (ONE, ZERO, invariant._QUANTUM_5, invariant._BINOMIAL_42,
+                 invariant._TWICE_BINOMIAL_42, invariant._ZETA3_Q4, invariant._ZETA3_Q4_BAR,
+                 invariant._ZETA2_Q3, invariant._ZETA2_Q3_BAR)
+    assert {id(value) for value in returned} == {id(constant) for constant in constants}
     # approx(bits) is within 2^-(bits+8), so a part more than 2^-60 from every
     # rounding midpoint rounds to the same double at every accepted precision
     for value in values:
@@ -561,3 +570,57 @@ def test_table_formats_deterministic():
     data = table_json_obj(rows)
     json.dumps(data)  # must be serializable
     assert data[0]["p"] == 1 and data[0]["agrees"] is True
+
+
+def _spy_formatting(monkeypatch):
+    """Count, per method, the calls of each formatting method on each value."""
+    calls = Counter()
+    for name in ("approx", "to_text", "surd_str", "to_json_coeffs"):
+        real = getattr(Cyclotomic, name)
+
+        def spy(self, *args, _name=name, _real=real):
+            calls[_name, self] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Cyclotomic, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", [table_csv, table_json_obj, table_text])
+def test_table_formats_each_distinct_value_once(monkeypatch, fmt):
+    rows = sweep_table(48)
+    reference = fmt(rows)
+    calls = _spy_formatting(monkeypatch)
+    assert fmt(rows) == reference
+    distinct = {row.state for row in rows}
+    assert len(distinct) == 9 and len(rows) == 712
+    assert calls and max(calls.values()) == 1
+    assert {value for _, value in calls} == distinct
+    # equal values built differently format alike; only `agrees` tells the rows apart
+    two = Cyclotomic._raw((Fraction(2), 0, 0, 0))
+    calls.clear()
+    out = fmt([TableRow(5, 2, two, True), TableRow(5, 2, 2 * ONE, False)])
+    assert max(calls.values()) == 1
+    if fmt is table_json_obj:
+        first, second = out
+        assert (first.pop("agrees"), second.pop("agrees")) == (True, False)
+        assert first == second
+    else:
+        sep = "," if fmt is table_csv else " "
+        lines = out.splitlines()[1:]
+        (first, agrees), (second, disagrees) = (line.rsplit(sep, 1) for line in lines)
+        assert first == second
+        assert (agrees, disagrees) in (("true", "false"), ("yes", "NO"))
+
+
+def test_table_json_rows_share_no_mutable_object():
+    rows = sweep_table(24)
+    data = table_json_obj(rows)
+    mutable = [obj for row in data for obj in (row, row["exact_coeffs"], *row["exact_coeffs"])]
+    assert len({id(obj) for obj in mutable}) == len(mutable)
+    twin = next(i for i, row in enumerate(rows) if row.state == rows[1].state and i != 1)
+    assert data[twin]["exact_coeffs"] == data[1]["exact_coeffs"]
+    data[1]["exact_coeffs"][0][0] = -1
+    data[1]["exact_coeffs"].append([0, 1])
+    data[1]["exact"] = "changed"
+    assert data[:1] + data[2:] == (fresh := table_json_obj(rows))[:1] + fresh[2:]
