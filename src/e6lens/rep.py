@@ -12,18 +12,26 @@ diagonal of (w rho(S))(w rho(S))* = w^2 I says that every row of w*rho(S)
 has squared conjugate norm w^2, which pins down the two composite entries
 (3+sqrt3) and i*(3+sqrt3).
 
-Every evaluation, from one matrix entry to the construction checks, runs
-through one kernel on integer coefficients: multiplying by a field element
-is a 4x4 integer block on the coefficient basis, so a matrix compiles once
-into 40 flat rows of (index, factor) pairs that act on a flat column of 40
-coefficients.  w*rho(S) and each rho(T^k) are compiled once, and a word
-runs token by token through them; the power of w that the S tokens
-accumulate is divided out once, at the end.  One evaluator, _apply, walks
-every word, and _s_table is the one place where w*rho(S) is built and
-compiled; the checks run each column of a product through that same table
-and _t_table(1), whose image rho_t() never reads _s_table.  Inside a
-verification suite, and only there, the evaluator shares the work of common
-word suffixes through a bounded memo (_suffix_memo).
+Evaluation works at scale 12: 12 = (3 - sqrt3) w, so 12*rho(S) is integral
+too, with fewer nonzero coefficients, and a word with m S tokens is divided
+once, by 12^m.  Every evaluation runs through one kernel on integer
+coefficients: multiplying by a field element is a 4x4 integer block on the
+coefficient basis, so a matrix compiles once into flat rows of
+(index, factor) pairs that act on a flat column of coefficients.
+_s_table is the one place where 12*rho(S) is built, compiled and
+self-checked; a failing check's witness is scaled back to w*rho(S), the
+matrix as entered.
+
+rho splits into invariant blocks (_BASES): the line e1 - e5, and its
+complement, itself 1 + 2 + 6.  _blocks derives 12*rho(S) on each block from
+the checked table once, and checks the bases exactly.  The state sum reads
+only the complement: 6 e0 = 2v + u + 3b is one column there, and the v, u
+and b coordinates of its image give the first entry.  verify kernel runs
+each basis vector through its own block.  rho_word and the relation and
+unitarity checks stay on the standard basis.  One evaluator, _apply, walks
+every word through the tables of one basis; inside a verification suite,
+and only there, it shares the work of common word suffixes through a
+bounded memo (_suffix_memo).
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .cyclotomic import (
     DEGREE,
@@ -44,7 +53,6 @@ from .cyclotomic import (
     Cyclotomic,
     _mul_block,
     _mul_coeffs,
-    _norm_coeff,
     quantum_integer,
     zeta_pow,
 )
@@ -107,52 +115,67 @@ def _s_numerator():
     return CycloMatrix(rows)
 
 
+def _twelve(ns):
+    """12*rho(S) from ns = w*rho(S): each entry times 12/w = 3 - sqrt3."""
+    return CycloMatrix([[(3 - SQRT3) * e for e in row] for row in ns.rows])
+
+
 def _self_check(ns):
-    """w*rho(S) compiled from ns; abort unless that table passes its oracles."""
-    table = _compile(ns.rows)
-    for check in _relation_checks(table) + _unitary_checks(ns, table):
+    """12*rho(S) compiled from ns = w*rho(S); abort unless that table passes
+    its oracles."""
+    s12 = _twelve(ns)
+    table = _compile(s12.rows)
+    for check in _relation_checks(table) + _unitary_checks(s12, table):
         if not check.passed:
             raise RuntimeError(f"self-check of w*rho(S) failed: {check.name} [{check.witness}]")
     return table
 
 
 def _relation_checks(table):
-    """The SL(2,Z) presentation relations, for w*rho(S) compiled as table.
+    """The SL(2,Z) presentation relations, for 12*rho(S) compiled as table.
 
-    S^4 = I and (S T)^3 = S^2 become (wS)^4 = w^4 I and (wS T)^3 = w (wS)^2,
-    which stay in integer coefficients.  T^12 = I is read off the entries:
-    rho(T) must be diagonal with 12th roots of unity.
+    S^4 = I and (S T)^3 = S^2 become (12S)^4 = 12^4 I and
+    (12S T)^3 = 12 (12S)^2, which stay in integer coefficients.  T^12 = I is
+    read off the entries: rho(T) must be diagonal with 12th roots of unity.
     """
-    s2 = [_run(table, _run(table, _unit(j))) for j in range(DIM)]
-    s4 = [_entries(_run(table, _run(table, v))) for v in s2]
-    st3 = [_unit(j) for j in range(DIM)]
+    s2 = [_run(table, _run(table, v)) for v in _identity()]
+    s4 = [_run(table, _run(table, v)) for v in s2]
+    st3 = _identity()
     for _ in range(3):
-        st3 = [_run(table, _run(_t_table(1), v)) for v in st3]
+        st3 = [_run(table, _run(_t_table(1, _T_EXP), v)) for v in st3]
     t12 = [[e**12 if i == j else e for j, e in enumerate(row)]
            for i, row in enumerate(rho_t().rows)]
     return [
-        Check("rho(S)^4 = I", _difference(CycloMatrix(zip(*s4)), _scalar(GLOBAL_INDEX**4))),
-        Check("(rho(S) rho(T))^3 = rho(S)^2",
-              _difference(CycloMatrix(zip(*map(_entries, st3))),
-                          CycloMatrix(zip(*(_over_w_power(v, -1) for v in s2))))),
-        Check("rho(T)^12 = I", _difference(CycloMatrix(t12), _scalar(ONE))),
+        _check("rho(S)^4 = I", s4, _identity(12**4), 4),
+        _check("(rho(S) rho(T))^3 = rho(S)^2", st3, [[12 * c for c in v] for v in s2], 3),
+        Check("rho(T)^12 = I", _difference(CycloMatrix(t12), CycloMatrix.identity(DIM))),
     ]
 
 
-def _unitary_checks(ns, table):
-    """Unitarity of rho(S) and rho(T); for S on the w-scaled level, where
-    rho(S) rho(S)* = I becomes (wS)(wS)* = w^2 I (w is real)."""
-    w2, t = _scalar(GLOBAL_INDEX**2), rho_t()
+def _unitary_checks(s12, table):
+    """Unitarity of rho(S) and rho(T); for S at scale 12, where
+    rho(S) rho(S)* = I becomes (12S)(12S)* = 144 I (12 is real)."""
     return [
-        Check("rho(S) rho(S)* = I", _difference(_times_adjoint(table, ns), w2)),
-        Check("rho(T) rho(T)* = I", _difference(_times_adjoint(_t_table(1), t), _scalar(ONE))),
+        _check("rho(S) rho(S)* = I", _times_adjoint(table, s12), _identity(144), 2),
+        _check("rho(T) rho(T)* = I", _times_adjoint(_t_table(1, _T_EXP), rho_t()), _identity(), 0),
     ]
+
+
+def _check(name, got, want, k):
+    """Check that the flat columns got equal want.  A failure's witness is
+    on the level of w*rho(S): both sides times (w/12)^k, k the S factors."""
+    if got == want:
+        return Check(name)
+    scale = (GLOBAL_INDEX / 12) ** k
+    got, want = (CycloMatrix(zip(*([scale * e for e in _entries(v)] for v in columns)))
+                 for columns in (got, want))
+    return Check(name, _difference(got, want))
 
 
 def _times_adjoint(table, a):
-    """A A* for the matrix a compiled as table: column j of A* is row j of A, conjugated."""
-    return CycloMatrix(zip(*(_entries(_run(table, [c for e in row for c in e.conjugate()._c]))
-                             for row in a.rows)))
+    """The flat columns of A A*, for the matrix a compiled as table: column
+    j of A* is row j of A, conjugated."""
+    return [_run(table, [c for e in row for c in e.conjugate()._c]) for row in a.rows]
 
 
 def _compile(rows):
@@ -175,40 +198,104 @@ def _run(table, v):
     return [sum([f * v[j] for j, f in row]) for row in table]
 
 
-def _unit(j, x=ONE):
-    """x e_(j+1) as a flat column."""
-    return [0] * (DEGREE * j) + list(x._c) + [0] * (DEGREE * (DIM - 1 - j))
+def _unit(j, n=DIM, x=1):
+    """x times basis vector j of an n-dim space, as integer coordinates."""
+    return tuple(x if i == j else 0 for i in range(n))
 
 
-def _scalar(x):
-    """x times the identity matrix."""
-    return CycloMatrix([[x if i == j else ZERO for j in range(DIM)] for i in range(DIM)])
+def _flat(column):
+    """Integer coordinates as a flat column of coefficients."""
+    return [x if r == 0 else 0 for x in column for r in range(DEGREE)]
+
+
+def _identity(x=1):
+    """x times the 10x10 identity matrix, as flat columns."""
+    return [_flat(_unit(j, x=x)) for j in range(DIM)]
 
 
 def _entries(v, den=1):
     """The entries of a flat column divided by den, as Cyclotomic values."""
     if den != 1:
-        v = [_norm_coeff(Fraction(c, den)) for c in v]
+        v = [c // den if c % den == 0 else Fraction(c, den) for c in v]
     return [Cyclotomic._raw(v[i:i + DEGREE]) for i in range(0, len(v), DEGREE)]
 
 
 @lru_cache(maxsize=1)
 def _s_table():
-    """w*rho(S), built, compiled once and self-checked: the table that every
-    S token of every word runs through."""
+    """12*rho(S) on the standard basis, built, compiled once and
+    self-checked: the table behind rho_word and every block table."""
     return _self_check(_s_numerator())
 
 
-@lru_cache(maxsize=12)
-def _t_table(k):
-    """rho(T^k) compiled, for 0 <= k < 12."""
-    return _compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(DIM)]
-                     for i, e in enumerate(_T_EXP)])
+@lru_cache(maxsize=3 * 12)
+def _t_table(k, twists):
+    """rho(T^k) compiled on a basis with these twists (exponents of zeta^2),
+    for 0 <= k < 12: twelve tables for each of the three bases."""
+    return _compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(len(twists))]
+                     for i, e in enumerate(twists)])
+
+
+# The invariant blocks of rho, as integral bases on the standard basis
+# (0-based, {index: coordinate}): the line e1 - e5, where S acts as i, and
+# its complement, itself blocks 1 + 2 + 6: v = e0+e3+e6; u = e0+e3-2e6 and
+# e2+e9; b = e0-e3 and the rest.
+_BASES = {
+    "line": ({1: 1, 5: -1},),
+    "complement": ({0: 1, 3: 1, 6: 1}, {0: 1, 3: 1, 6: -2}, {0: 1, 3: -1}, {2: 1, 9: 1},
+                   {1: 1, 5: 1}, {2: 1, 9: -1}, {4: 1}, {7: 1}, {8: 1}),
+}
+# 6 e0 = 2v + u + 3b: the state sum's one column, on the complement's basis
+_SIX_E0 = (2, 1, 3, 0, 0, 0, 0, 0, 0)
+
+
+def _abort(where, what):
+    raise RuntimeError(f"block check failed: {where}: {what}")
+
+
+@lru_cache(maxsize=1)
+def _blocks():
+    """{name: (12*rho(S) compiled on its basis, the twists of that basis)}
+    for each block of _BASES, derived once from the checked _s_table().
+    Aborts, naming the block, unless each basis vector has a single twist
+    (so it is nonzero), the ten are pairwise orthogonal (so they span),
+    6 e0 = 2v + u + 3b, and each block is invariant under 12*rho(S)."""
+    bases = {name: [[b.get(i, 0) for i in range(DIM)] for b in basis]
+             for name, basis in _BASES.items()}
+    vectors = [(name, f"{name} vector {k}", b) for name, basis in bases.items()
+               for k, b in enumerate(basis)]
+    twists = {name: [] for name in bases}
+    for name, where, b in vectors:
+        found = sorted({_T_EXP[i] for i, x in enumerate(b) if x})
+        if len(found) != 1:
+            _abort(where, f"twists {found}, not one")
+        twists[name] += found
+    for (_, one, a), (_, two, b) in combinations(vectors, 2):
+        if sum(x * y for x, y in zip(a, b)):
+            _abort(f"{one} and {two}", "not orthogonal")
+    if len(vectors) != DIM:
+        _abort(" + ".join(bases), f"{len(vectors)} basis vectors, not {DIM}")
+    if tuple(sum(c * b[i] for c, b in zip(_SIX_E0, bases["complement"]))
+             for i in range(DIM)) != _unit(0, x=6):
+        _abort("complement", "2v + u + 3b is not 6 e0")
+    blocks = {}
+    for name, basis in bases.items():
+        columns = []
+        for b in basis:  # 12*rho(S) b, and its coordinates on the orthogonal basis
+            y = _run(_s_table(), _flat(b))
+            coords = [_entries([sum(x * y[DEGREE * i + r] for i, x in enumerate(c) if x)
+                                for r in range(DEGREE)], sum(x * x for x in c))[0]
+                      for c in basis]
+            if y != [sum(e._c[r] * c[i] for e, c in zip(coords, basis))
+                     for i in range(DIM) for r in range(DEGREE)]:
+                _abort(name, "not invariant under 12*rho(S)")
+            columns.append(coords)
+        blocks[name] = (_compile(list(zip(*columns))), tuple(twists[name]))
+    return blocks
 
 
 # The suffix memo of the running verification suite (None outside one): the
-# w-scaled flat column of each token suffix that starts at an S, keyed with
-# the column j it was applied to, least recently used first.
+# 12-scaled flat column of each token suffix that starts at an S, keyed with
+# the column and the block it was applied to, least recently used first.
 _SUFFIX_MEMO = 256
 _suffixes = ContextVar("_suffixes", default=None)
 
@@ -224,44 +311,35 @@ def _suffix_memo():
         _suffixes.reset(token)
 
 
-def _apply(tokens, j, out=DEGREE * DIM):
-    """w^m rho(tokens) e_(j+1), m the number of S tokens, as a flat integral
-    column or its first out coordinates.  The tokens act right to left, each
-    through its own compiled table: _s_table() for S, _t_table(k % 12) for
-    T^k.  The leftmost S step runs only the first out rows, and so does a T
-    token left of it (rho(T^k) is diagonal as _t_table builds it).  Inside a
-    suite (_suffix_memo) the word starts after its longest memoized suffix,
-    and the column of every suffix that starts at an S but the leftmost is
-    stored."""
+def _apply(tokens, column, block=None, out=None):
+    """12^m rho(tokens) x, m the number of S tokens and x the vector with
+    integer coordinates column on the basis of block (the standard basis if
+    None), as a flat integral column on that basis or its first out
+    coordinates.  The tokens act right to left, each through the basis's
+    compiled table: 12*rho(S) for S, _t_table(k % 12, twists) for T^k.  The
+    leftmost S step runs only the first out rows, and so does a T token left
+    of it (each basis vector has one twist, so rho(T^k) is diagonal).  Inside
+    a suite (_suffix_memo) the word starts after its longest memoized
+    suffix, and the column of every suffix that starts at an S but the
+    leftmost is stored."""
+    s, twists = _blocks()[block] if block else (_s_table(), _T_EXP)
     starts = [i for i, token in enumerate(tokens) if token == "S"]
     head = starts[0] if starts else len(tokens)
-    memo = _suffixes.get()
-    v, end = _unit(j), len(tokens)
+    memo, end = _suffixes.get(), len(tokens)
     if memo is not None:
-        end = next((i for i in starts[1:] if (tokens[i:], j) in memo), end)
-        if end < len(tokens):  # a hit, now the most recently used
-            v = memo[tokens[end:], j] = memo.pop((tokens[end:], j))
+        end = next((i for i in starts[1:] if (tokens[i:], column, block) in memo), end)
+    if end < len(tokens):  # a hit, now the most recently used
+        v = memo[tokens[end:], column, block] = memo.pop((tokens[end:], column, block))
+    else:
+        v = _flat(column)
     for i in range(end - 1, -1, -1):
-        table = _s_table() if tokens[i] == "S" else _t_table(tokens[i] % 12)
+        table = s if tokens[i] == "S" else _t_table(tokens[i] % 12, twists)
         v = _run(table if i > head else table[:out], v)
         if memo is not None and i > head and tokens[i] == "S":
-            memo[tokens[i:], j] = tuple(v)
+            memo[tokens[i:], column, block] = tuple(v)
             if len(memo) > _SUFFIX_MEMO:
                 del memo[next(iter(memo))]
     return v[:out]
-
-
-# w * (6 - 2*sqrt3) = 24, so 1/w^n = (6 - 2*sqrt3)^n / 24^n: integer products,
-# then one Fraction per coefficient.
-_W_COFACTOR = 6 - 2 * SQRT3
-
-
-def _over_w_power(v, n):
-    """The flat column v divided by w^n for n >= -1 (n = -1 multiplies by
-    w), as Cyclotomic values: one rescale, integral until its one division."""
-    num, den = (GLOBAL_INDEX._c, 1) if n < 0 else ((_W_COFACTOR**n)._c, 24**n)
-    return _entries([c for i in range(0, len(v), DEGREE)
-                     for c in _mul_coeffs(v[i:i + DEGREE], num)], den)
 
 
 @lru_cache(maxsize=1)
@@ -272,39 +350,47 @@ def rho_s():
 
 @lru_cache(maxsize=1)
 def rho_t():
-    """rho(T), the image of its compiled table _t_table(1): the word T1 never
-    reads the S table, so construction's checks can read it."""
-    return rho_word(Word([1]))
+    """rho(T), the image of its compiled table: read without the S table,
+    so construction's checks can read it."""
+    return CycloMatrix(zip(*(_entries(_run(_t_table(1, _T_EXP), v)) for v in _identity())))
 
 
 def rho_word(word):
-    """Image of a generator word: the evaluator on each basis column."""
-    m = word.s_count()
-    return CycloMatrix(zip(*(_over_w_power(_apply(word.tokens, j), m) for j in range(DIM))))
+    """Image of a generator word: the evaluator on each standard basis
+    column, divided once by 12^m."""
+    den = 12 ** word.s_count()
+    return CycloMatrix(zip(*(_entries(_apply(word.tokens, _unit(j)), den) for j in range(DIM))))
+
+
+def _first_entry(word, x):
+    """x times the first entry of rho(word).  6*12^m rho(word) e0 runs
+    through the complement, only the v, u and b rows in its leftmost S step
+    and the T token left of it; <e0, .> reads x_v + x_u + x_b, as v, u and b
+    each hold e0 once.  Then one product with x and one division."""
+    v = _apply(word.tokens, _SIX_E0, "complement", 3 * DEGREE)
+    total = [sum(v[r::DEGREE]) for r in range(DEGREE)]
+    return _entries(_mul_coeffs(total, x._c), 6 * 12 ** word.s_count())[0]
 
 
 def rho_entry_11(word):
-    """First matrix entry of rho(word): the evaluator on e_1, which runs only
-    the 4 rows of that entry in the leftmost S step and in the T token left
-    of it; every other token runs all 40 rows of its table."""
-    return _over_w_power(_apply(word.tokens, 0, DEGREE), word.s_count())[0]
+    """First matrix entry of rho(word), exact."""
+    return _first_entry(word, ONE)
 
 
 def w_rho_entry_11(word):
-    """w times the first entry of rho(word), the state sum of a gluing word:
-    the same evaluation, divided once by w^(m-1)."""
-    return _over_w_power(_apply(word.tokens, 0, DEGREE), word.s_count() - 1)[0]
+    """w times the first entry of rho(word), the state sum of a gluing word."""
+    return _first_entry(word, GLOBAL_INDEX)
 
 
 def verify_relations():
     """Report on the three presentation relations."""
-    return Report("relations", tuple(_relation_checks(_compile(_s_numerator().rows))))
+    return Report("relations", tuple(_relation_checks(_compile(_twelve(_s_numerator()).rows))))
 
 
 def verify_unitary():
     """Report that rho(S) and rho(T) are exactly unitary."""
-    ns = _s_numerator()
-    return Report("unitarity", tuple(_unitary_checks(ns, _compile(ns.rows))))
+    s12 = _twelve(_s_numerator())
+    return Report("unitarity", tuple(_unitary_checks(s12, _compile(s12.rows))))
 
 
 @_suffix_memo()
@@ -314,8 +400,9 @@ def verify_kernel_generators():
     Each generator is evaluated along two routes: its published word and a
     fresh decomposition of its matrix; both must give the identity exactly.
     A route whose word the first route already evaluated is not run again.
-    A route passes when each integral column w^m rho(word) e_(j+1) is
-    w^m e_(j+1); only a failing route is divided by w^m, for its witness.
+    A route passes when each block basis vector comes back through its
+    block as 12^m times itself; only a failing route is evaluated as a
+    matrix, for its witness.
     """
     ident = CycloMatrix.identity(DIM)
     checks = []
@@ -329,9 +416,12 @@ def verify_kernel_generators():
 
 
 def _fixes_basis(word):
-    """Whether rho(word) is the identity: each w-scaled column is w^m e_(j+1)."""
-    scale = GLOBAL_INDEX ** word.s_count()
-    return all(_apply(word.tokens, j) == _unit(j, scale) for j in range(DIM))
+    """Whether rho(word) is the identity: the blocks are invariant and their
+    bases span, so it is when each basis vector comes back as 12^m itself."""
+    scale = 12 ** word.s_count()
+    return all(_apply(word.tokens, _unit(j, len(twists)), name)
+               == _flat(_unit(j, len(twists), scale))
+               for name, (_, twists) in _blocks().items() for j in range(len(twists)))
 
 
 def _difference(got, want):

@@ -160,17 +160,38 @@ def test_construction_aborts_on_sign_flip_that_keeps_row_norms():
     _aborts_with_first_failure("sign flip")
 
 
+def _twelve_s():
+    """12*rho(S) = (3 - sqrt3) w*rho(S), entry by entry."""
+    return [[(3 - SQRT3) * e for e in row] for row in _s_numerator().rows]
+
+
+def _block_matrix(name):
+    """12*rho(S) on the basis of a block, by Cyclotomic arithmetic alone:
+    entry (k, i) is <12 rho(S) b_i, b_k> / <b_k, b_k> (the basis is real)."""
+    basis = [[b.get(i, 0) for i in range(DIM)] for b in rep._BASES[name]]
+    images = [[sum((x * e for x, e in zip(b, row) if x), start=ZERO) for row in _twelve_s()]
+              for b in basis]
+    return [[sum((x * e for x, e in zip(c, image) if x), start=ZERO) / sum(x * x for x in c)
+             for image in images] for c in basis]
+
+
 def test_cold_construction_compiles_w_rho_s_once(monkeypatch):
-    # _s_table compiles w*rho(S) once and self-checks that table: the checks
-    # run each column of a product through the kernel and compile no product
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=12)(rep._t_table.__wrapped__))
+    # _s_table compiles 12*rho(S) once and self-checks that table: the checks
+    # run each column of a product through the kernel and compile no product.
+    # The blocks come from that checked table: one compile each, of 12*rho(S)
+    # on the block's basis, and none of the entered matrix
+    blocks = rep._blocks()
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=36)(rep._t_table.__wrapped__))
     calls, real = [], rep._compile
     monkeypatch.setattr(rep, "_compile", lambda rows: calls.append(rows) or real(rows))
     assert rep._s_table.__wrapped__() == rep._s_table()
     diagonal = [[e if i == j else ZERO for j, e in enumerate(row)]
                 for i, row in enumerate(rho_t().rows)]
+    assert [[list(row) for row in rows] for rows in calls] == [_twelve_s(), diagonal]
+    del calls[:]
+    assert rep._blocks.__wrapped__() == blocks
     assert [[list(row) for row in rows] for rows in calls] == [
-        [list(row) for row in _s_numerator().rows], diagonal]
+        [[12 * IMAG]], _block_matrix("complement")]
 
 
 @pytest.mark.parametrize("kind", PINNED)
@@ -230,7 +251,7 @@ def test_construction_aborts_on_similarity_that_keeps_relations():
     # D ns D^-1 with D = diag(2, 1, ..., 1) commutes past rho(T), so every
     # presentation relation still holds; only unitarity catches it
     corrupt = _corrupt("similarity")
-    assert all(check.passed for check in _relation_checks(rep._compile(corrupt.rows)))
+    assert all(check.passed for check in _relation_checks(rep._compile(rep._twelve(corrupt).rows)))
     _aborts_with_first_failure("similarity")
 
 
@@ -255,7 +276,7 @@ def test_kernel_evaluates_each_distinct_word_once(monkeypatch):
     calls, divided = [], []
     real_apply, real_word = rep._apply, rep.rho_word
     monkeypatch.setattr(rep, "_apply",
-                        lambda tokens, j: calls.append(tokens) or real_apply(tokens, j))
+                        lambda tokens, *args: calls.append(tokens) or real_apply(tokens, *args))
     monkeypatch.setattr(rep, "rho_word", lambda word: divided.append(word) or real_word(word))
     assert verify_kernel_generators().passed
     assert len(calls) == 300 and divided == []
@@ -345,30 +366,50 @@ def test_entry_11_fast_path_matches_full_matrix():
         assert rho_entry_11(word) == product.rows[0][0] * w_power, word
 
 
+def _with_block(monkeypatch, name, table=None, twists=None):
+    """Evaluation through a copy of the derived blocks in which block name
+    has this table or these twists."""
+    blocks = dict(rep._blocks())
+    real_table, real_twists = blocks[name]
+    blocks[name] = (table or real_table, twists or real_twists)
+    monkeypatch.setattr(rep, "_blocks", lambda: blocks)
+
+
+def _corrupt_factor(table, row):
+    """A copy of a compiled table whose first factor in row is one more."""
+    (j, f), *rest = table[row]
+    return table[:row] + (((j, f + 1), *rest),) + table[row + 1:]
+
+
 @pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5", "ST5S"])
 def test_entry_11_runs_end_t_tokens_through_their_tables(monkeypatch, text):
-    # a wrong first block row of the T^5 table must show in the first entry,
-    # whether T^5 comes before the first S, after the last S, between two S
-    # or without any S
+    # a wrong first block row of the complement's T^5 table must show in the
+    # first entry, whether T^5 comes before the first S, after the last S,
+    # between two S or without any S; and the leftmost steps, which run only
+    # the v, u and b rows, must agree with a run of every row
     word = Word.parse(text)
     before = rho_entry_11(word)
-    real = rep._t_table
-    (j, f), *rest = real(5)[0]
-    corrupt = (((j, f + 1), *rest),) + real(5)[1:]
-    monkeypatch.setattr(rep, "_t_table", lambda k: corrupt if k == 5 else real(k))
+    real, (_, twists) = rep._t_table, rep._blocks()["complement"]
+    corrupt = _corrupt_factor(real(5, twists), 0)
+    monkeypatch.setattr(rep, "_t_table",
+                        lambda k, t: corrupt if (k, t) == (5, twists) else real(k, t))
     after = rho_entry_11(word)
     assert after != before
-    assert after == rho_word(word).rows[0][0]
+    column = rep._apply(word.tokens, rep._SIX_E0, "complement")
+    assert len(column) == 4 * len(twists)
+    assert after == sum(rep._entries(column[:12]), start=ZERO) / (6 * 12 ** word.s_count())
 
 
 def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
-    # rho(T) with first entry -1: construction has already checked the true
-    # table, so only the suites can see it.  A cofactor shift changes the
-    # gluing word only after its last S, so the shifted words must disagree
-    rho_s()
-    monkeypatch.setattr(rep, "_T_EXP", (6,) + rep._T_EXP[1:])
+    # rho(T) with -1 on v = e0 + e3 + e6 in the complement's table: the
+    # derivation has already checked the true twists, so only the suites can
+    # see it.  A cofactor shift changes the gluing word only after its last
+    # S, so the shifted words must disagree
+    twists = rep._blocks()["complement"][1]
+    assert twists[0] == 0
+    _with_block(monkeypatch, "complement", twists=(6,) + twists[1:])
     # fresh caches, so that the shared ones keep the true values
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=12)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=36)(rep._t_table.__wrapped__))
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     report = verify_well_defined(12)
@@ -379,15 +420,20 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
 
 def test_compiled_blocks_multiply_the_basis_vectors():
     # every 4x4 block of every compiled table is the product with e_0..e_3;
-    # a row holds its (index, factor) pairs in increasing index, zeros dropped
-    ns = _s_numerator().rows
-    diagonal = [row[i] for i, row in enumerate(rho_t().rows)]
-    tables = [(rep._s_table(), ns)]
-    tables += [(rep._t_table(k), [[e ** k if i == j else ZERO for j in range(DIM)]
-                                  for i, e in enumerate(diagonal)]) for k in range(12)]
+    # a row holds its (index, factor) pairs in increasing index, zeros dropped.
+    # The T tables of the three bases, twelve each, fill the cache exactly
+    blocks = rep._blocks()
+    tables = [(rep._s_table(), _twelve_s())]
+    tables += [(blocks[name][0], _block_matrix(name)) for name in rep._BASES]
+    for twists in [rep._T_EXP] + [twists for _, twists in blocks.values()]:
+        tables += [(rep._t_table(k, twists), [[zeta_pow(2 * k * e) if i == j else ZERO
+                                               for j in range(len(twists))]
+                                              for i, e in enumerate(twists)]) for k in range(12)]
+    info = rep._t_table.cache_info()
+    assert info.currsize == info.maxsize == 3 * 12
     basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
     for table, rows in tables:
-        assert len(table) == 4 * DIM
+        assert len(table) == 4 * len(rows)
         for row in table:
             indices = [j for j, _ in row]
             assert indices == sorted(set(indices)) and all(f for _, f in row)
@@ -402,11 +448,10 @@ def test_compiled_blocks_multiply_the_basis_vectors():
 @pytest.mark.parametrize("row", [0, 21])
 def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
     # the suites evaluate the literal words through the kernel, so one wrong
-    # factor in the compiled w*rho(S) shows as a failure that names p
-    table = rep._s_table()
-    (j, f), *rest = table[row]
-    corrupt = table[:row] + (((j, f + 1), *rest),) + table[row + 1:]
-    monkeypatch.setattr(rep, "_s_table", lambda: corrupt)
+    # factor in the complement's compiled 12*rho(S) shows as a failure that
+    # names p (row 0 reads v, row 21 a coefficient of e2 - e9 in the 6-block)
+    table = rep._blocks()["complement"][0]
+    _with_block(monkeypatch, "complement", table=_corrupt_factor(table, row))
     invariant._literal_state_sum.cache_clear()
     try:
         report = verify_closed_form(12)
@@ -427,18 +472,20 @@ def _gluing_words(p_max):
 
 def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
     # each suite that evaluates words fills its own memo up to the bound and
-    # never past it, at the largest periodicity sweep too; none outlives it
-    seen = []  # [memo, largest size an S step saw]
-    real = rep._s_table
+    # never past it, at the largest periodicity sweep too; none outlives it.
+    # Every step of every block runs the kernel, which the spy watches
+    seen = []  # [memo, largest size a kernel step saw]
+    real = rep._run
 
-    def spy():
+    def spy(table, v):
         memo = rep._suffixes.get()
         if not seen or seen[-1][0] is not memo:
             seen.append([memo, 0])
         seen[-1][1] = max(seen[-1][1], len(memo))
-        return real()
+        return real(table, v)
 
-    monkeypatch.setattr(rep, "_s_table", spy)
+    rep._blocks()  # derived once, outside the suites
+    monkeypatch.setattr(rep, "_run", spy)
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     assert verify_kernel_generators().passed
@@ -446,21 +493,28 @@ def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
     assert verify_periodicity(MAX_PMAX).passed
     assert len(seen) == 3
     assert all(len(memo) <= largest == rep._SUFFIX_MEMO for memo, largest in seen)
+    # a key names the block that its column ran through; the state sum runs
+    # one column, through the complement
+    assert {key[1:] for key in seen[1][0]} == {(rep._SIX_E0, "complement")}
+    assert {key[2] for memo, _ in seen for key in memo} <= set(rep._BASES)
     assert rep._suffixes.get() is None
 
 
 def test_outside_a_suite_every_s_step_runs(monkeypatch):
     # with no memo, a word evaluated again runs all its steps again, one
-    # S table step per S token and one T table step per T token; inside
-    # _suffix_memo the repeat starts after its longest stored suffix
+    # kernel step per token, of which one T table step per T token (so one
+    # S table step per S token); inside _suffix_memo the repeat starts
+    # after its longest stored suffix
     words = list(_gluing_words(24).values())
-    steps = sum(word.s_count() for word in words)
-    t_steps = sum(len(word.tokens) for word in words) - steps
+    steps = sum(len(word.tokens) for word in words)
+    t_steps = steps - sum(word.s_count() for word in words)
     memos, t_memos = [], []
-    real_s, real_t = rep._s_table, rep._t_table
-    monkeypatch.setattr(rep, "_s_table", lambda: memos.append(rep._suffixes.get()) or real_s())
+    real_run, real_t = rep._run, rep._t_table
+    rep._blocks()  # derived once, before the spies count steps
+    monkeypatch.setattr(rep, "_run",
+                        lambda table, v: memos.append(rep._suffixes.get()) or real_run(table, v))
     monkeypatch.setattr(rep, "_t_table",
-                        lambda k: t_memos.append(rep._suffixes.get()) or real_t(k))
+                        lambda k, twists: t_memos.append(rep._suffixes.get()) or real_t(k, twists))
     values = [rho_entry_11(word) for word in words]
     assert [rho_entry_11(word) for word in words] == values
     assert len(memos) == 2 * steps and memos == [None] * len(memos)
@@ -486,10 +540,11 @@ def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
     ends = {pair for pair, word in words.items()
             if word.tokens[-3:] == suffix and word.s_count() > 2}
     assert len(ends) == 18 and (2, 1) not in ends  # L(2,1) is the word S T2 S itself
-    column = list(rep._apply(suffix, 0))
+    key = suffix, rep._SIX_E0, "complement"
+    column = list(rep._apply(*key))
     column[0] += 1
     with rep._suffix_memo():
-        rep._suffixes.get()[suffix, 0] = tuple(column)
+        rep._suffixes.get()[key] = tuple(column)
         wrong = {(p, q) for p, q in words
                  if invariant._literal_state_sum.__wrapped__(p, q) != closed_form(LensSpace(p, q))}
         assert len(rep._suffixes.get()) < rep._SUFFIX_MEMO  # nothing was evicted
@@ -537,3 +592,60 @@ def test_kernel_spot_checks():
     assert rho_word(by_name["P1+"].word) == I10
     assert rho_word(by_name["P12"].word) == I10
     assert rho_word(by_name["P17"].word) == I10
+
+
+# -- blocks ----------------------------------------------------------------------------
+
+
+def _generator_words():
+    return {word for g in gamma12_generators() for word in (g.word, decompose(g.matrix))}
+
+
+def test_block_state_sum_equals_the_full_first_entry():
+    # the state sum reads the complement only; the standard basis gives the
+    # same value on every gluing word up to p = 24 and on both routes of
+    # each generator
+    words = set(_gluing_words(24).values()) | _generator_words()
+    assert len(words) > 180
+    for word in words:
+        assert rep.w_rho_entry_11(word) == GLOBAL_INDEX * rho_word(word).rows[0][0], word
+
+
+def test_block_kernel_check_agrees_with_the_full_matrix():
+    words = _generator_words() | {Word.parse(text) for text in ("ST5S", "SS", "T1", "ST1ST1ST1")}
+    verdicts = {word: rep._fixes_basis(word) for word in words}
+    assert verdicts == {word: rho_word(word) == I10 for word in words}
+    assert sum(verdicts.values()) == len(words) - 4
+
+
+_LINE, _COMPLEMENT = rep._BASES["line"], rep._BASES["complement"]
+
+
+@pytest.mark.parametrize("line, complement, six_e0, message", [
+    (_LINE, _COMPLEMENT[:4] + ({1: 1, 4: 1},) + _COMPLEMENT[5:], rep._SIX_E0,
+     "complement vector 4: twists [3, 7], not one"),
+    (_LINE + ({4: 1},), _COMPLEMENT[:6] + _COMPLEMENT[7:], rep._SIX_E0,
+     "line: not invariant under 12*rho(S)"),
+    (_LINE, _COMPLEMENT[:8], rep._SIX_E0, "line + complement: 9 basis vectors, not 10"),
+    (_LINE, _COMPLEMENT[:5] + ({2: 1},) + _COMPLEMENT[6:], rep._SIX_E0,
+     "complement vector 3 and complement vector 5: not orthogonal"),
+    (_LINE, _COMPLEMENT, (2, 1, 2, 0, 0, 0, 0, 0, 0), "complement: 2v + u + 3b is not 6 e0"),
+], ids=["two twists", "not invariant", "missing vector", "not orthogonal", "not 6 e0"])
+def test_block_derivation_aborts_on_a_bad_basis(monkeypatch, line, complement, six_e0, message):
+    # each check of the bases fails on its own mutation, and names the block:
+    # e1 + e5 made e1 + e4; e4 moved from the complement to the line; e8
+    # dropped; e2 - e9 made e2; a wrong column for 6 e0
+    monkeypatch.setattr(rep, "_BASES", {"line": line, "complement": complement})
+    monkeypatch.setattr(rep, "_SIX_E0", six_e0)
+    with pytest.raises(RuntimeError) as info:
+        rep._blocks.__wrapped__()
+    assert str(info.value) == f"block check failed: {message}"
+
+
+def test_corrupt_line_factor_fails_kernel(monkeypatch):
+    # verify kernel runs e1 - e5 through the line's own table: one wrong
+    # factor there fails the suite, though the standard basis is sound
+    _with_block(monkeypatch, "line", table=_corrupt_factor(rep._blocks()["line"][0], 0))
+    report = verify_kernel_generators()
+    assert not report.passed
+    assert all(check.witness.startswith("via ") for check in report.failures())
