@@ -17,7 +17,7 @@ too, with fewer nonzero coefficients, and a word with m S tokens is divided
 once, by 12^m.  Every evaluation runs through one kernel on integer
 coefficients: multiplying by a field element is a 4x4 integer block on the
 coefficient basis, so a matrix compiles once into flat rows of
-(index, factor) pairs that act on a flat column of coefficients.
+(index, factor) pairs that act on a flat column, at a cost per factor.
 _s_table is the one place where 12*rho(S) is built, compiled and
 self-checked; a failing check's witness is scaled back to w*rho(S), the
 matrix as entered.
@@ -80,10 +80,6 @@ class CycloMatrix:
     @classmethod
     def identity(cls, n):
         return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @property
-    def n(self):
-        return len(self.rows)
 
 
 # diagonal of rho(T) as exponents of zeta^2 (mod 12):
@@ -194,8 +190,15 @@ def _compile(rows):
 
 
 def _run(table, v):
-    """The kernel: a compiled matrix times the flat column v."""
-    return [sum([f * v[j] for j, f in row]) for row in table]
+    """The kernel: a compiled matrix times the flat column v.  A plain loop
+    costs per factor; a comprehension and sum() would cost calls per row."""
+    out = []
+    for row in table:
+        acc = 0
+        for j, f in row:
+            acc += f * v[j]
+        out.append(acc)
+    return out
 
 
 def _unit(j, n=DIM, x=1):
@@ -400,28 +403,33 @@ def verify_kernel_generators():
     Each generator is evaluated along two routes: its published word and a
     fresh decomposition of its matrix; both must give the identity exactly.
     A route whose word the first route already evaluated is not run again.
-    A route passes when each block basis vector comes back through its
-    block as 12^m times itself; only a failing route is evaluated as a
-    matrix, for its witness.
     """
-    ident = CycloMatrix.identity(DIM)
     checks = []
     for gen in gamma12_generators():
         routes = {gen.word: "via word"}
         routes.setdefault(decompose(gen.matrix), "via matrix")  # a repeated word runs once
-        bad = next((f"{route} {_difference(rho_word(word), ident)}"
-                    for word, route in routes.items() if not _fixes_basis(word)), None)
+        bad = next((f"{route} {witness}" for word, route in routes.items()
+                    if (witness := _kernel_witness(word))), None)
         checks.append(Check(gen.name, bad))
     return Report("kernel", tuple(checks))
 
 
-def _fixes_basis(word):
-    """Whether rho(word) is the identity: the blocks are invariant and their
-    bases span, so it is when each basis vector comes back as 12^m itself."""
+def _kernel_witness(word):
+    """None if each block basis vector b comes back through its block as
+    12^m b, which makes rho(word) = I.  Else the first entry of rho(word)
+    that differs from I; or, when none does (a block table is wrong), the
+    block, b and the first flat coordinate of 12^m rho(word) b that differs."""
     scale = 12 ** word.s_count()
-    return all(_apply(word.tokens, _unit(j, len(twists)), name)
-               == _flat(_unit(j, len(twists), scale))
-               for name, (_, twists) in _blocks().items() for j in range(len(twists)))
+    for name, (_, twists) in _blocks().items():
+        for j in range(len(twists)):
+            got = _apply(word.tokens, _unit(j, len(twists)), name)
+            want = _flat(_unit(j, len(twists), scale))
+            if got != want:
+                i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+                return (_difference(rho_word(word), CycloMatrix.identity(DIM))
+                        or f"{name} vector {j}, flat coordinate {i}: "
+                           f"expected {want[i]}, got {got[i]}")
+    return None
 
 
 def _difference(got, want):

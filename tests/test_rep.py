@@ -551,6 +551,30 @@ def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
     assert wrong == ends
 
 
+def test_run_matches_a_dense_product():
+    # the kernel against a dense reference on seeded random compiled tables:
+    # empty rows (which give 0), negative factors, 2,000-bit coefficients;
+    # a row-truncated table gives the first n entries of the full run
+    rng = random.Random(21)
+    empty = 0
+    for _ in range(60):
+        n_rows, n_cols, bits = rng.randint(1, 36), rng.randint(1, 36), rng.choice([4, 2000])
+        sizes = [rng.randint(0, min(n_cols, 8)) for _ in range(n_rows)]
+        table = tuple(tuple((j, rng.choice([-1, 1]) * rng.randint(1, 2**bits))
+                            for j in sorted(rng.sample(range(n_cols), size)))
+                      for size in sizes)
+        v = [rng.randint(-2**bits, 2**bits) for _ in range(n_cols)]
+        dense = [[dict(row).get(j, 0) for j in range(n_cols)] for row in table]
+        want = [sum(a * x for a, x in zip(row, v)) for row in dense]
+        got = rep._run(table, v)
+        assert got == want and all(type(x) is int for x in got)
+        n = rng.randint(0, n_rows)
+        assert rep._run(table[:n], v) == want[:n]
+        empty += sum(not row for row in table)
+    assert empty > 0
+    assert rep._run(((), ((0, -3),)), [7]) == [0, -21]
+
+
 def test_kernel_matches_naive_cyclotomic_products():
     # reference: entrywise Cyclotomic arithmetic only, no rep helpers
     w_inv = GLOBAL_INDEX.inv()
@@ -613,7 +637,7 @@ def test_block_state_sum_equals_the_full_first_entry():
 
 def test_block_kernel_check_agrees_with_the_full_matrix():
     words = _generator_words() | {Word.parse(text) for text in ("ST5S", "SS", "T1", "ST1ST1ST1")}
-    verdicts = {word: rep._fixes_basis(word) for word in words}
+    verdicts = {word: rep._kernel_witness(word) is None for word in words}
     assert verdicts == {word: rho_word(word) == I10 for word in words}
     assert sum(verdicts.values()) == len(words) - 4
 
@@ -644,8 +668,16 @@ def test_block_derivation_aborts_on_a_bad_basis(monkeypatch, line, complement, s
 
 def test_corrupt_line_factor_fails_kernel(monkeypatch):
     # verify kernel runs e1 - e5 through the line's own table: one wrong
-    # factor there fails the suite, though the standard basis is sound
+    # factor there fails the suite, though the standard basis is sound; each
+    # witness names the line's vector and the first flat coordinate that is
+    # not 12^m times its own
     _with_block(monkeypatch, "line", table=_corrupt_factor(rep._blocks()["line"][0], 0))
     report = verify_kernel_generators()
     assert not report.passed
-    assert all(check.witness.startswith("via ") for check in report.failures())
+    for check in report.failures():
+        assert "None" not in check.witness
+        match = re.fullmatch(r"via (word|matrix) line vector 0, flat coordinate [0-3]: "
+                             r"expected (\d+), got (-?\d+)", check.witness)
+        assert match, check.witness
+        want, got = int(match[2]), int(match[3])
+        assert want != got and want in [0] + [12**m for m in range(40)]
