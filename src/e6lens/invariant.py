@@ -140,12 +140,14 @@ MAX_TRIAL_DIVISOR = 10**6
 
 
 def homotopy_equivalent(one, two):
-    """Orientation-preserving homotopy equivalence of L(p,q) and L(p',q'):
-    p = p' and q = n^2 q' mod p for some n (for p = 0: q = q').
+    """Orientation-preserving homotopy equivalence of L(p,q) and L(p',q')
+    once L(p,q) = L(-p,-q) makes p, p' >= 0: p = p' and q = n^2 q' mod p
+    for some n (for p = 0: q = q').
 
     The unit q/q' must be a square mod each prime power of p, so q and q'
     must have the same square class; its symbols are compared one by one,
     and the first that differs decides."""
+    one, two = (LensSpace(-s.p, -s.q) if s.p < 0 else s for s in (one, two))
     if one.p != two.p:
         return False
     if one.p == 0:
@@ -154,11 +156,10 @@ def homotopy_equivalent(one, two):
 
 
 def _square_class(p, q):
-    """The symbols of the unit q mod |p| != 0 that fix it up to squares:
+    """The symbols of the unit q mod p > 0 that fix it up to squares:
     q mod 4 if 4 || p, q mod 8 if 8 | p, then q^((l-1)/2) mod l for each odd
     prime l | p (Cohen, A Course in Computational Algebraic Number Theory,
     1.5).  The odd primes come from trial division up to MAX_TRIAL_DIVISOR."""
-    p = abs(p)
     twos = (p & -p).bit_length() - 1
     if twos >= 2:
         yield q % (4 if twos == 2 else 8)

@@ -160,7 +160,7 @@ def cofactors(p, q):
     _require_int(p=p, q=q)
     g = math.gcd(p, q)
     if g != 1:
-        raise ValueError(f"p and q must be coprime, but gcd({p}, {q}) = {g}")
+        raise ValueError(f"gcd({p},{q})={g}; p and q must be coprime")
     if p == 0:
         return q, 0  # q = +-1, a*q = q^2 = 1
     a = pow(q, -1, abs(p))

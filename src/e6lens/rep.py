@@ -5,8 +5,8 @@ The image of S is (1/w) times a matrix with entries in Z[i, sqrt3], with
 w = 6 + 2*sqrt(3) the global index; the image of T is diagonal with 12th
 roots of unity (even powers of zeta = exp(pi*i/12)), as the level-12
 congruence property of rho requires.  The matrices are hand-entered data,
-so construction is self-verifying: it runs the checks that verify_relations
-and verify_unitary report.  The presentation relations S^4 = 1,
+so construction is self-verifying: verify_relations and verify_unitary
+report the checks it runs.  The presentation relations S^4 = 1,
 (ST)^3 = S^2, T^12 = 1 must hold exactly, and so must unitarity; the
 diagonal of (w rho(S))(w rho(S))* = w^2 I says that every row of w*rho(S)
 has squared conjugate norm w^2, which pins down the two composite entries
@@ -18,9 +18,9 @@ once, by 12^m.  Every evaluation runs through one kernel on integer
 coefficients: multiplying by a field element is a 4x4 integer block on the
 coefficient basis, so a matrix compiles once into flat rows of
 (index, factor) pairs that act on a flat column, at a cost per factor.
-_s_table is the one place where 12*rho(S) is built, compiled and
-self-checked; a failing check's witness is scaled back to w*rho(S), the
-matrix as entered.
+_construction builds, compiles and checks 12*rho(S) once; verify_relations
+and verify_unitary report those checks, and _s_table aborts on the first
+that fails.  A witness is scaled back to w*rho(S), the matrix as entered.
 
 rho splits into invariant blocks (_BASES): the line e1 - e5, and its
 complement, itself 1 + 2 + 6.  _blocks derives 12*rho(S) on each block from
@@ -88,7 +88,7 @@ _T_EXP = (0, 7, 6, 0, 3, 7, 0, 4, 10, 6)
 
 
 def _s_numerator():
-    """w * rho(S) as entered, with integer coefficients; _s_table checks it."""
+    """w * rho(S) as entered, with integer coefficients; _construction checks it."""
     o = ONE
     z = ZERO
     t = quantum_integer(3)  # 1 + sqrt3
@@ -111,20 +111,14 @@ def _s_numerator():
     return CycloMatrix(rows)
 
 
-def _twelve(ns):
-    """12*rho(S) from ns = w*rho(S): each entry times 12/w = 3 - sqrt3."""
-    return CycloMatrix([[(3 - SQRT3) * e for e in row] for row in ns.rows])
-
-
-def _self_check(ns):
-    """12*rho(S) compiled from ns = w*rho(S); abort unless that table passes
-    its oracles."""
-    s12 = _twelve(ns)
+@lru_cache(maxsize=1)
+def _construction():
+    """12*rho(S) built from w*rho(S) (each entry times 12/w = 3 - sqrt3) and
+    compiled once, with the relations and unitarity reports on that table."""
+    s12 = CycloMatrix([[(3 - SQRT3) * e for e in row] for row in _s_numerator().rows])
     table = _compile(s12.rows)
-    for check in _relation_checks(table) + _unitary_checks(s12, table):
-        if not check.passed:
-            raise RuntimeError(f"self-check of w*rho(S) failed: {check.name} [{check.witness}]")
-    return table
+    return (table, Report("relations", tuple(_relation_checks(table))),
+            Report("unitarity", tuple(_unitary_checks(s12, table))))
 
 
 def _relation_checks(table):
@@ -225,9 +219,13 @@ def _entries(v, den=1):
 
 @lru_cache(maxsize=1)
 def _s_table():
-    """12*rho(S) on the standard basis, built, compiled once and
-    self-checked: the table behind rho_word and every block table."""
-    return _self_check(_s_numerator())
+    """12*rho(S) on the standard basis, the table behind rho_word and every
+    block table; aborts on the first check of _construction that fails."""
+    table, relations, unitarity = _construction()
+    for check in relations.checks + unitarity.checks:
+        if not check.passed:
+            raise RuntimeError(f"self-check of w*rho(S) failed: {check.name} [{check.witness}]")
+    return table
 
 
 @lru_cache(maxsize=3 * 12)
@@ -386,14 +384,13 @@ def w_rho_entry_11(word):
 
 
 def verify_relations():
-    """Report on the three presentation relations."""
-    return Report("relations", tuple(_relation_checks(_compile(_twelve(_s_numerator()).rows))))
+    """Report on the three presentation relations, from construction."""
+    return _construction()[1]
 
 
 def verify_unitary():
-    """Report that rho(S) and rho(T) are exactly unitary."""
-    s12 = _twelve(_s_numerator())
-    return Report("unitarity", tuple(_unitary_checks(s12, _compile(s12.rows))))
+    """Report that rho(S) and rho(T) are exactly unitary, from construction."""
+    return _construction()[2]
 
 
 @_suffix_memo()

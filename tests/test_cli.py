@@ -233,6 +233,13 @@ def test_homotopy_output(capsys):
     assert "false" in out
 
 
+def test_homotopy_negative_p(capsys):
+    code, out = run_cli(capsys, "homotopy", "-7", "-1", "7", "1")
+    assert (code, out) == (0, "L(-7,-1) ~ L(7,1): true\n")
+    code, out = run_cli(capsys, "homotopy", "-7", "1", "7", "1")
+    assert (code, out) == (0, "L(-7,1) ~ L(7,1): false\n")
+
+
 def test_homotopy_non_coprime(capsys):
     code, _ = run_cli(capsys, "homotopy", "4", "2", "7", "1")
     assert code == 2

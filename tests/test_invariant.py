@@ -434,6 +434,21 @@ def test_homotopy_zero_p():
     assert not homotopy_equivalent(LensSpace(0, 1), LensSpace(0, -1))
 
 
+def test_homotopy_reads_negative_p_as_minus_p_minus_q():
+    # L(-p,-q) = L(p,q): the gluing matrices agree up to -I and a power of T
+    assert homotopy_equivalent(LensSpace(-7, -1), LensSpace(7, 1))
+    assert homotopy_equivalent(LensSpace(-7, 1), LensSpace(7, -1))
+    assert not homotopy_equivalent(LensSpace(-7, 1), LensSpace(7, 1))  # -1 is no square mod 7
+    spaces = [LensSpace(p, q) for p in range(-12, 13) if p
+              for q in range(-abs(p), abs(p) + 1) if math.gcd(p, q) == 1]
+    pairs = [(one, two) for one in spaces for two in spaces if homotopy_equivalent(one, two)]
+    assert sum(one.p < 0 < two.p for one, two in pairs) > 100
+    for one, two in pairs:
+        assert homotopy_equivalent(two, one)
+        assert closed_form(one) == closed_form(two), (one, two)
+        assert state_sum(one) == state_sum(two), (one, two)
+
+
 def test_homotopy_brute_force_against_known_case():
     # L(7,1) ~ L(7,q) iff q is a nonzero square times 1 mod 7: squares {1,2,4}
     equivalent = [q for q in range(1, 7) if homotopy_equivalent(LensSpace(7, 1), LensSpace(7, q))]

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from e6lens.invariant import LensSpace
 from e6lens.modular import (
     IDENTITY,
     S,
@@ -74,6 +75,16 @@ def test_cofactors_rejects_common_factor():
         cofactors(2, 4)
     with pytest.raises(ValueError):
         cofactors(0, 0)
+
+
+@pytest.mark.parametrize("p, q", [(4, 2), (0, 0)])
+def test_cofactors_and_lens_space_share_the_coprime_message(p, q):
+    with pytest.raises(ValueError) as lens:
+        LensSpace(p, q)
+    with pytest.raises(ValueError) as cof:
+        cofactors(p, q)
+    message = f"gcd({p},{q})={math.gcd(p, q)}; p and q must be coprime"
+    assert str(cof.value) == str(lens.value) == message
 
 
 def test_cofactors_canonical_and_valid():

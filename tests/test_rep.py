@@ -18,9 +18,7 @@ from e6lens.modular import (IDENTITY, SL2Z, GammaGenerator, T, Word, cofactors, 
 from e6lens.rep import (
     DIM,
     CycloMatrix,
-    _relation_checks,
     _s_numerator,
-    _self_check,
     rho_entry_11,
     rho_s,
     rho_t,
@@ -134,30 +132,39 @@ PINNED = {
 }
 
 
-def _aborts_with_first_failure(kind):
+def _fresh_construction(monkeypatch, kind=None):
+    """Build 12*rho(S) anew on the next call, from the corrupted w*rho(S)
+    if kind is given."""
+    if kind:
+        monkeypatch.setattr(rep, "_s_numerator", lambda: _corrupt(kind))
+    monkeypatch.setattr(rep, "_construction", lru_cache(maxsize=1)(rep._construction.__wrapped__))
+
+
+def _aborts_with_first_failure(monkeypatch, kind):
     # construction raises on the first failing check, with its witness
     name, witness = next((n, w) for n, w in zip(NAMES, PINNED[kind]) if w)
+    _fresh_construction(monkeypatch, kind)
     with pytest.raises(RuntimeError) as info:
-        _self_check(_corrupt(kind))
+        rep._s_table.__wrapped__()
     assert str(info.value) == f"self-check of w*rho(S) failed: {name} [{witness}]"
 
 
-def test_construction_aborts_on_corrupt_entry():
-    _aborts_with_first_failure("plus one")
+def test_construction_aborts_on_corrupt_entry(monkeypatch):
+    _aborts_with_first_failure(monkeypatch, "plus one")
 
 
 def test_s_table_checks_the_matrix_it_compiles(monkeypatch):
     # _s_table alone builds w*rho(S) for evaluation, so it runs the self-check
-    monkeypatch.setattr(rep, "_s_numerator", lambda: _corrupt("plus one"))
+    _fresh_construction(monkeypatch, "plus one")
     with pytest.raises(RuntimeError, match=r"self-check of w\*rho\(S\) failed"):
         rep._s_table.__wrapped__()
 
 
-def test_construction_aborts_on_sign_flip_that_keeps_row_norms():
+def test_construction_aborts_on_sign_flip_that_keeps_row_norms(monkeypatch):
     w2 = GLOBAL_INDEX * GLOBAL_INDEX
     assert all(sum((e * e.conjugate() for e in row), start=ZERO) == w2
                for row in _corrupt("sign flip").rows)
-    _aborts_with_first_failure("sign flip")
+    _aborts_with_first_failure(monkeypatch, "sign flip")
 
 
 def _twelve_s():
@@ -181,6 +188,7 @@ def test_cold_construction_compiles_w_rho_s_once(monkeypatch):
     # The blocks come from that checked table: one compile each, of 12*rho(S)
     # on the block's basis, and none of the entered matrix
     blocks = rep._blocks()
+    _fresh_construction(monkeypatch)
     monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=36)(rep._t_table.__wrapped__))
     calls, real = [], rep._compile
     monkeypatch.setattr(rep, "_compile", lambda rows: calls.append(rows) or real(rows))
@@ -199,7 +207,7 @@ def test_suites_report_a_corrupt_s_numerator(monkeypatch, capsys, kind):
     # the suites report each check's witness, and the CLI prints them and
     # exits 1; only construction raises
     rho_s()
-    monkeypatch.setattr(rep, "_s_numerator", lambda: _corrupt(kind))
+    _fresh_construction(monkeypatch, kind)
     assert verify_relations().checks + verify_unitary().checks == tuple(
         map(Check, NAMES, PINNED[kind]))
     assert cli.main(["verify", "relations"]) == 1
@@ -227,6 +235,7 @@ def test_t_twelfth_power_check_reads_every_entry(monkeypatch, entry, value, twel
     rows = [list(row) for row in rho_t().rows]
     rows[entry[0]][entry[1]] = value
     monkeypatch.setattr(rep, "rho_t", lambda: CycloMatrix(rows))
+    _fresh_construction(monkeypatch)
     want = ONE if entry[0] == entry[1] else ZERO
     witness = f"({entry[0] + 1},{entry[1] + 1}): expected {want.to_text()}, got {twelfth.to_text()}"
     assert verify_relations().checks[2] == Check("rho(T)^12 = I", witness)
@@ -247,12 +256,29 @@ def test_verify_unitary():
     assert naive(s, CycloMatrix(zip(*([e.conjugate() for e in row] for row in s.rows)))) == I10
 
 
-def test_construction_aborts_on_similarity_that_keeps_relations():
+def test_construction_aborts_on_similarity_that_keeps_relations(monkeypatch):
     # D ns D^-1 with D = diag(2, 1, ..., 1) commutes past rho(T), so every
     # presentation relation still holds; only unitarity catches it
-    corrupt = _corrupt("similarity")
-    assert all(check.passed for check in _relation_checks(rep._compile(rep._twelve(corrupt).rows)))
-    _aborts_with_first_failure("similarity")
+    _fresh_construction(monkeypatch, "similarity")
+    assert verify_relations().passed
+    _aborts_with_first_failure(monkeypatch, "similarity")
+
+
+def test_suites_report_construction_checks_without_running_them_again(monkeypatch):
+    # construction runs the relation and unitarity checks once; after it the
+    # suites compile nothing and run no kernel step, and report what a fresh
+    # build reports
+    rho_s()
+    calls = []
+    for name in ("_compile", "_run"):
+        real = getattr(rep, name)
+        monkeypatch.setattr(rep, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    reports = verify_relations(), verify_unitary()
+    assert calls == []
+    assert rep._construction.__wrapped__()[1:] == reports
+    assert {"_compile", "_run"} <= set(calls)
+    assert all(report.passed for report in reports)
 
 
 # -- kernel -----------------------------------------------------------------------------
