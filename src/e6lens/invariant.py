@@ -142,7 +142,7 @@ MAX_TRIAL_DIVISOR = 10**6
 def homotopy_equivalent(one, two):
     """Orientation-preserving homotopy equivalence of L(p,q) and L(p',q')
     once L(p,q) = L(-p,-q) makes p, p' >= 0: p = p' and q = n^2 q' mod p
-    for some n (for p = 0: q = q').
+    for some n.  Two spaces with p = 0 (q = +-1) are both S^2 x S^1.
 
     The unit q/q' must be a square mod each prime power of p, so q and q'
     must have the same square class; its symbols are compared one by one,
@@ -150,9 +150,8 @@ def homotopy_equivalent(one, two):
     one, two = (LensSpace(-s.p, -s.q) if s.p < 0 else s for s in (one, two))
     if one.p != two.p:
         return False
-    if one.p == 0:
-        return one.q == two.q
-    return all(x == y for x, y in zip(_square_class(one.p, one.q), _square_class(one.p, two.q)))
+    return one.p == 0 or all(x == y for x, y in zip(_square_class(one.p, one.q),
+                                                    _square_class(one.p, two.q)))
 
 
 def _square_class(p, q):

@@ -22,16 +22,16 @@ _construction builds, compiles and checks 12*rho(S) once; verify_relations
 and verify_unitary report those checks, and _s_table aborts on the first
 that fails.  A witness is scaled back to w*rho(S), the matrix as entered.
 
-rho splits into invariant blocks (_BASES): the line e1 - e5, and its
-complement, itself 1 + 2 + 6.  _blocks derives 12*rho(S) on each block from
-the checked table once, and checks the bases exactly.  The state sum reads
-only the complement: 6 e0 = 2v + u + 3b is one column there, and the v, u
-and b coordinates of its image give the first entry.  verify kernel runs
-each basis vector through its own block.  rho_word and the relation and
-unitarity checks stay on the standard basis.  One evaluator, _apply, walks
-every word through the tables of one basis; inside a verification suite,
-and only there, it shares the work of common word suffixes through a
-bounded memo (_suffix_memo).
+Words run on one eigenbasis of rho(T) (_BASIS), where 12*rho(S) compiles
+to 282 factors; _eigenbasis derives that table from the checked one once,
+and checks the basis exactly.  The state sum runs one column there,
+6 e0 = 2v + u + 3b, and the v, u and b coordinates of its image give the
+first entry.  verify kernel runs each of the ten basis vectors.  rho_word
+and the relation and unitarity checks stay on the standard basis.  One
+evaluator, _apply, walks every word through the tables of one basis; inside
+a verification suite, and only there, it shares the work of common word
+suffixes through a bounded memo (_suffix_memo), keyed with the column and
+the basis.
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ def _run(table, v):
     return out
 
 
-def _unit(j, n=DIM, x=1):
-    """x times basis vector j of an n-dim space, as integer coordinates."""
-    return tuple(x if i == j else 0 for i in range(n))
+def _unit(j, x=1):
+    """x times basis vector j, as integer coordinates."""
+    return tuple(x if i == j else 0 for i in range(DIM))
 
 
 def _flat(column):
@@ -207,7 +207,7 @@ def _flat(column):
 
 def _identity(x=1):
     """x times the 10x10 identity matrix, as flat columns."""
-    return [_flat(_unit(j, x=x)) for j in range(DIM)]
+    return [_flat(_unit(j, x)) for j in range(DIM)]
 
 
 def _entries(v, den=1):
@@ -219,8 +219,8 @@ def _entries(v, den=1):
 
 @lru_cache(maxsize=1)
 def _s_table():
-    """12*rho(S) on the standard basis, the table behind rho_word and every
-    block table; aborts on the first check of _construction that fails."""
+    """12*rho(S) on the standard basis, the table behind rho_word and the
+    eigenbasis table; aborts on the first check of _construction that fails."""
     table, relations, unitarity = _construction()
     for check in relations.checks + unitarity.checks:
         if not check.passed:
@@ -228,75 +228,60 @@ def _s_table():
     return table
 
 
-@lru_cache(maxsize=3 * 12)
+@lru_cache(maxsize=2 * 12)
 def _t_table(k, twists):
     """rho(T^k) compiled on a basis with these twists (exponents of zeta^2),
-    for 0 <= k < 12: twelve tables for each of the three bases."""
+    for 0 <= k < 12: twelve tables for each of the two bases."""
     return _compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(len(twists))]
                      for i, e in enumerate(twists)])
 
 
-# The invariant blocks of rho, as integral bases on the standard basis
-# (0-based, {index: coordinate}): the line e1 - e5, where S acts as i, and
-# its complement, itself blocks 1 + 2 + 6: v = e0+e3+e6; u = e0+e3-2e6 and
-# e2+e9; b = e0-e3 and the rest.
-_BASES = {
-    "line": ({1: 1, 5: -1},),
-    "complement": ({0: 1, 3: 1, 6: 1}, {0: 1, 3: 1, 6: -2}, {0: 1, 3: -1}, {2: 1, 9: 1},
-                   {1: 1, 5: 1}, {2: 1, 9: -1}, {4: 1}, {7: 1}, {8: 1}),
-}
-# 6 e0 = 2v + u + 3b: the state sum's one column, on the complement's basis
-_SIX_E0 = (2, 1, 3, 0, 0, 0, 0, 0, 0)
+# An integral basis of rho(T) eigenvectors on the standard basis (0-based,
+# {index: coordinate}), where 12*rho(S) is sparse: v = e0+e3+e6,
+# u = e0+e3-2e6, b = e0-e3, e2+e9, e1+e5, e2-e9, e4, e7, e8 and e1-e5.
+_BASIS = ({0: 1, 3: 1, 6: 1}, {0: 1, 3: 1, 6: -2}, {0: 1, 3: -1}, {2: 1, 9: 1},
+          {1: 1, 5: 1}, {2: 1, 9: -1}, {4: 1}, {7: 1}, {8: 1}, {1: 1, 5: -1})
+# 6 e0 = 2v + u + 3b: the state sum's one column, on that basis
+_SIX_E0 = (2, 1, 3, 0, 0, 0, 0, 0, 0, 0)
 
 
-def _abort(where, what):
-    raise RuntimeError(f"block check failed: {where}: {what}")
+def _abort(what):
+    raise RuntimeError(f"eigenbasis check failed: {what}")
 
 
 @lru_cache(maxsize=1)
-def _blocks():
-    """{name: (12*rho(S) compiled on its basis, the twists of that basis)}
-    for each block of _BASES, derived once from the checked _s_table().
-    Aborts, naming the block, unless each basis vector has a single twist
-    (so it is nonzero), the ten are pairwise orthogonal (so they span),
-    6 e0 = 2v + u + 3b, and each block is invariant under 12*rho(S)."""
-    bases = {name: [[b.get(i, 0) for i in range(DIM)] for b in basis]
-             for name, basis in _BASES.items()}
-    vectors = [(name, f"{name} vector {k}", b) for name, basis in bases.items()
-               for k, b in enumerate(basis)]
-    twists = {name: [] for name in bases}
-    for name, where, b in vectors:
+def _eigenbasis():
+    """(12*rho(S) compiled on _BASIS, the twists of _BASIS), derived once
+    from the checked _s_table().  Aborts unless each basis vector has a
+    single twist (so it is nonzero), the vectors are pairwise orthogonal and
+    ten (so they span, and each image is the sum of its projections), and
+    6 e0 = 2v + u + 3b."""
+    basis = [[b.get(i, 0) for i in range(DIM)] for b in _BASIS]
+    twists = []
+    for k, b in enumerate(basis):
         found = sorted({_T_EXP[i] for i, x in enumerate(b) if x})
         if len(found) != 1:
-            _abort(where, f"twists {found}, not one")
-        twists[name] += found
-    for (_, one, a), (_, two, b) in combinations(vectors, 2):
+            _abort(f"vector {k}: twists {found}, not one")
+        twists += found
+    for (j, a), (k, b) in combinations(enumerate(basis), 2):
         if sum(x * y for x, y in zip(a, b)):
-            _abort(f"{one} and {two}", "not orthogonal")
-    if len(vectors) != DIM:
-        _abort(" + ".join(bases), f"{len(vectors)} basis vectors, not {DIM}")
-    if tuple(sum(c * b[i] for c, b in zip(_SIX_E0, bases["complement"]))
-             for i in range(DIM)) != _unit(0, x=6):
-        _abort("complement", "2v + u + 3b is not 6 e0")
-    blocks = {}
-    for name, basis in bases.items():
-        columns = []
-        for b in basis:  # 12*rho(S) b, and its coordinates on the orthogonal basis
-            y = _run(_s_table(), _flat(b))
-            coords = [_entries([sum(x * y[DEGREE * i + r] for i, x in enumerate(c) if x)
-                                for r in range(DEGREE)], sum(x * x for x in c))[0]
-                      for c in basis]
-            if y != [sum(e._c[r] * c[i] for e, c in zip(coords, basis))
-                     for i in range(DIM) for r in range(DEGREE)]:
-                _abort(name, "not invariant under 12*rho(S)")
-            columns.append(coords)
-        blocks[name] = (_compile(list(zip(*columns))), tuple(twists[name]))
-    return blocks
+            _abort(f"vectors {j} and {k}: not orthogonal")
+    if len(basis) != DIM:
+        _abort(f"{len(basis)} vectors, not {DIM}")
+    if tuple(sum(c * b[i] for c, b in zip(_SIX_E0, basis)) for i in range(DIM)) != _unit(0, 6):
+        _abort("2v + u + 3b is not 6 e0")
+    columns = []
+    for b in basis:  # 12*rho(S) b, as its coordinates on the orthogonal basis
+        y = _run(_s_table(), _flat(b))
+        columns.append([_entries([sum(x * y[DEGREE * i + r] for i, x in enumerate(c) if x)
+                                  for r in range(DEGREE)], sum(x * x for x in c))[0]
+                        for c in basis])
+    return _compile(list(zip(*columns))), tuple(twists)
 
 
 # The suffix memo of the running verification suite (None outside one): the
 # 12-scaled flat column of each token suffix that starts at an S, keyed with
-# the column and the block it was applied to, least recently used first.
+# the column and the basis it was applied to, least recently used first.
 _SUFFIX_MEMO = 256
 _suffixes = ContextVar("_suffixes", default=None)
 
@@ -312,10 +297,10 @@ def _suffix_memo():
         _suffixes.reset(token)
 
 
-def _apply(tokens, column, block=None, out=None):
+def _apply(tokens, column, eigen=False, out=None):
     """12^m rho(tokens) x, m the number of S tokens and x the vector with
-    integer coordinates column on the basis of block (the standard basis if
-    None), as a flat integral column on that basis or its first out
+    integer coordinates column on the eigenbasis (the standard basis if not
+    eigen), as a flat integral column on that basis or its first out
     coordinates.  The tokens act right to left, each through the basis's
     compiled table: 12*rho(S) for S, _t_table(k % 12, twists) for T^k.  The
     leftmost S step runs only the first out rows, and so does a T token left
@@ -323,21 +308,21 @@ def _apply(tokens, column, block=None, out=None):
     a suite (_suffix_memo) the word starts after its longest memoized
     suffix, and the column of every suffix that starts at an S but the
     leftmost is stored."""
-    s, twists = _blocks()[block] if block else (_s_table(), _T_EXP)
+    s, twists = _eigenbasis() if eigen else (_s_table(), _T_EXP)
     starts = [i for i, token in enumerate(tokens) if token == "S"]
     head = starts[0] if starts else len(tokens)
     memo, end = _suffixes.get(), len(tokens)
     if memo is not None:
-        end = next((i for i in starts[1:] if (tokens[i:], column, block) in memo), end)
+        end = next((i for i in starts[1:] if (tokens[i:], column, eigen) in memo), end)
     if end < len(tokens):  # a hit, now the most recently used
-        v = memo[tokens[end:], column, block] = memo.pop((tokens[end:], column, block))
+        v = memo[tokens[end:], column, eigen] = memo.pop((tokens[end:], column, eigen))
     else:
         v = _flat(column)
     for i in range(end - 1, -1, -1):
         table = s if tokens[i] == "S" else _t_table(tokens[i] % 12, twists)
         v = _run(table if i > head else table[:out], v)
         if memo is not None and i > head and tokens[i] == "S":
-            memo[tokens[i:], column, block] = tuple(v)
+            memo[tokens[i:], column, eigen] = tuple(v)
             if len(memo) > _SUFFIX_MEMO:
                 del memo[next(iter(memo))]
     return v[:out]
@@ -365,10 +350,10 @@ def rho_word(word):
 
 def _first_entry(word, x):
     """x times the first entry of rho(word).  6*12^m rho(word) e0 runs
-    through the complement, only the v, u and b rows in its leftmost S step
+    on the eigenbasis, only the v, u and b rows in its leftmost S step
     and the T token left of it; <e0, .> reads x_v + x_u + x_b, as v, u and b
     each hold e0 once.  Then one product with x and one division."""
-    v = _apply(word.tokens, _SIX_E0, "complement", 3 * DEGREE)
+    v = _apply(word.tokens, _SIX_E0, True, 3 * DEGREE)
     total = [sum(v[r::DEGREE]) for r in range(DEGREE)]
     return _entries(_mul_coeffs(total, x._c), 6 * 12 ** word.s_count())[0]
 
@@ -412,20 +397,18 @@ def verify_kernel_generators():
 
 
 def _kernel_witness(word):
-    """None if each block basis vector b comes back through its block as
-    12^m b, which makes rho(word) = I.  Else the first entry of rho(word)
-    that differs from I; or, when none does (a block table is wrong), the
-    block, b and the first flat coordinate of 12^m rho(word) b that differs."""
+    """None if each eigenbasis vector b comes back as 12^m b, which makes
+    rho(word) = I.  Else the first entry of rho(word) that differs from I;
+    or, when none does (the eigenbasis table is wrong), b and the first flat
+    coordinate of 12^m rho(word) b that differs."""
     scale = 12 ** word.s_count()
-    for name, (_, twists) in _blocks().items():
-        for j in range(len(twists)):
-            got = _apply(word.tokens, _unit(j, len(twists)), name)
-            want = _flat(_unit(j, len(twists), scale))
-            if got != want:
-                i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-                return (_difference(rho_word(word), CycloMatrix.identity(DIM))
-                        or f"{name} vector {j}, flat coordinate {i}: "
-                           f"expected {want[i]}, got {got[i]}")
+    for j in range(DIM):
+        got, want = _apply(word.tokens, _unit(j), True), _flat(_unit(j, scale))
+        if got != want:
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            return (_difference(rho_word(word), CycloMatrix.identity(DIM))
+                    or f"basis vector {j}, flat coordinate {i}: "
+                       f"expected {want[i]}, got {got[i]}")
     return None
 
 

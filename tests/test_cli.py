@@ -240,6 +240,11 @@ def test_homotopy_negative_p(capsys):
     assert (code, out) == (0, "L(-7,1) ~ L(7,1): false\n")
 
 
+def test_homotopy_zero_p(capsys):
+    code, out = run_cli(capsys, "homotopy", "0", "1", "0", "-1")
+    assert (code, out) == (0, "L(0,1) ~ L(0,-1): true\n")
+
+
 def test_homotopy_non_coprime(capsys):
     code, _ = run_cli(capsys, "homotopy", "4", "2", "7", "1")
     assert code == 2

@@ -430,8 +430,11 @@ def test_homotopy_equivalent_examples():
 
 
 def test_homotopy_zero_p():
+    # L(0,1) and L(0,-1) are both S^2 x S^1: the gluing matrices are -I and I
     assert homotopy_equivalent(LensSpace(0, 1), LensSpace(0, 1))
-    assert not homotopy_equivalent(LensSpace(0, 1), LensSpace(0, -1))
+    assert homotopy_equivalent(LensSpace(0, 1), LensSpace(0, -1))
+    assert state_sum(LensSpace(0, 1)) == state_sum(LensSpace(0, -1)) == 2 * (3 + SQRT3)
+    assert not homotopy_equivalent(LensSpace(0, 1), LensSpace(1, 0))
 
 
 def test_homotopy_reads_negative_p_as_minus_p_minus_q():

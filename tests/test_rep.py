@@ -172,10 +172,10 @@ def _twelve_s():
     return [[(3 - SQRT3) * e for e in row] for row in _s_numerator().rows]
 
 
-def _block_matrix(name):
-    """12*rho(S) on the basis of a block, by Cyclotomic arithmetic alone:
-    entry (k, i) is <12 rho(S) b_i, b_k> / <b_k, b_k> (the basis is real)."""
-    basis = [[b.get(i, 0) for i in range(DIM)] for b in rep._BASES[name]]
+def _basis_matrix():
+    """12*rho(S) on the eigenbasis, by Cyclotomic arithmetic alone: entry
+    (k, i) is <12 rho(S) b_i, b_k> / <b_k, b_k> (the basis is real)."""
+    basis = [[b.get(i, 0) for i in range(DIM)] for b in rep._BASIS]
     images = [[sum((x * e for x, e in zip(b, row) if x), start=ZERO) for row in _twelve_s()]
               for b in basis]
     return [[sum((x * e for x, e in zip(c, image) if x), start=ZERO) / sum(x * x for x in c)
@@ -185,11 +185,11 @@ def _block_matrix(name):
 def test_cold_construction_compiles_w_rho_s_once(monkeypatch):
     # _s_table compiles 12*rho(S) once and self-checks that table: the checks
     # run each column of a product through the kernel and compile no product.
-    # The blocks come from that checked table: one compile each, of 12*rho(S)
-    # on the block's basis, and none of the entered matrix
-    blocks = rep._blocks()
+    # The eigenbasis table comes from that checked table: one compile, of
+    # 12*rho(S) on the eigenbasis, and none of the entered matrix
+    eigenbasis = rep._eigenbasis()
     _fresh_construction(monkeypatch)
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=36)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
     calls, real = [], rep._compile
     monkeypatch.setattr(rep, "_compile", lambda rows: calls.append(rows) or real(rows))
     assert rep._s_table.__wrapped__() == rep._s_table()
@@ -197,9 +197,8 @@ def test_cold_construction_compiles_w_rho_s_once(monkeypatch):
                 for i, row in enumerate(rho_t().rows)]
     assert [[list(row) for row in rows] for rows in calls] == [_twelve_s(), diagonal]
     del calls[:]
-    assert rep._blocks.__wrapped__() == blocks
-    assert [[list(row) for row in rows] for rows in calls] == [
-        [[12 * IMAG]], _block_matrix("complement")]
+    assert rep._eigenbasis.__wrapped__() == eigenbasis
+    assert [[list(row) for row in rows] for rows in calls] == [_basis_matrix()]
 
 
 @pytest.mark.parametrize("kind", PINNED)
@@ -392,13 +391,11 @@ def test_entry_11_fast_path_matches_full_matrix():
         assert rho_entry_11(word) == product.rows[0][0] * w_power, word
 
 
-def _with_block(monkeypatch, name, table=None, twists=None):
-    """Evaluation through a copy of the derived blocks in which block name
-    has this table or these twists."""
-    blocks = dict(rep._blocks())
-    real_table, real_twists = blocks[name]
-    blocks[name] = (table or real_table, twists or real_twists)
-    monkeypatch.setattr(rep, "_blocks", lambda: blocks)
+def _with_eigenbasis(monkeypatch, table=None, twists=None):
+    """Evaluation on the eigenbasis with this table or these twists."""
+    real_table, real_twists = rep._eigenbasis()
+    eigenbasis = (table or real_table, twists or real_twists)
+    monkeypatch.setattr(rep, "_eigenbasis", lambda: eigenbasis)
 
 
 def _corrupt_factor(table, row):
@@ -409,33 +406,33 @@ def _corrupt_factor(table, row):
 
 @pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5", "ST5S"])
 def test_entry_11_runs_end_t_tokens_through_their_tables(monkeypatch, text):
-    # a wrong first block row of the complement's T^5 table must show in the
+    # a wrong first block row of the eigenbasis T^5 table must show in the
     # first entry, whether T^5 comes before the first S, after the last S,
     # between two S or without any S; and the leftmost steps, which run only
     # the v, u and b rows, must agree with a run of every row
     word = Word.parse(text)
     before = rho_entry_11(word)
-    real, (_, twists) = rep._t_table, rep._blocks()["complement"]
+    real, (_, twists) = rep._t_table, rep._eigenbasis()
     corrupt = _corrupt_factor(real(5, twists), 0)
     monkeypatch.setattr(rep, "_t_table",
                         lambda k, t: corrupt if (k, t) == (5, twists) else real(k, t))
     after = rho_entry_11(word)
     assert after != before
-    column = rep._apply(word.tokens, rep._SIX_E0, "complement")
+    column = rep._apply(word.tokens, rep._SIX_E0, True)
     assert len(column) == 4 * len(twists)
     assert after == sum(rep._entries(column[:12]), start=ZERO) / (6 * 12 ** word.s_count())
 
 
 def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
-    # rho(T) with -1 on v = e0 + e3 + e6 in the complement's table: the
+    # rho(T) with -1 on v = e0 + e3 + e6 in the eigenbasis table: the
     # derivation has already checked the true twists, so only the suites can
     # see it.  A cofactor shift changes the gluing word only after its last
     # S, so the shifted words must disagree
-    twists = rep._blocks()["complement"][1]
+    twists = rep._eigenbasis()[1]
     assert twists[0] == 0
-    _with_block(monkeypatch, "complement", twists=(6,) + twists[1:])
+    _with_eigenbasis(monkeypatch, twists=(6,) + twists[1:])
     # fresh caches, so that the shared ones keep the true values
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=36)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     report = verify_well_defined(12)
@@ -447,16 +444,15 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
 def test_compiled_blocks_multiply_the_basis_vectors():
     # every 4x4 block of every compiled table is the product with e_0..e_3;
     # a row holds its (index, factor) pairs in increasing index, zeros dropped.
-    # The T tables of the three bases, twelve each, fill the cache exactly
-    blocks = rep._blocks()
-    tables = [(rep._s_table(), _twelve_s())]
-    tables += [(blocks[name][0], _block_matrix(name)) for name in rep._BASES]
-    for twists in [rep._T_EXP] + [twists for _, twists in blocks.values()]:
+    # The T tables of the two bases, twelve each, fill the cache exactly
+    table, eigen_twists = rep._eigenbasis()
+    tables = [(rep._s_table(), _twelve_s()), (table, _basis_matrix())]
+    for twists in (rep._T_EXP, eigen_twists):
         tables += [(rep._t_table(k, twists), [[zeta_pow(2 * k * e) if i == j else ZERO
                                                for j in range(len(twists))]
                                               for i, e in enumerate(twists)]) for k in range(12)]
     info = rep._t_table.cache_info()
-    assert info.currsize == info.maxsize == 3 * 12
+    assert info.currsize == info.maxsize == 2 * 12
     basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
     for table, rows in tables:
         assert len(table) == 4 * len(rows)
@@ -474,10 +470,9 @@ def test_compiled_blocks_multiply_the_basis_vectors():
 @pytest.mark.parametrize("row", [0, 21])
 def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
     # the suites evaluate the literal words through the kernel, so one wrong
-    # factor in the complement's compiled 12*rho(S) shows as a failure that
-    # names p (row 0 reads v, row 21 a coefficient of e2 - e9 in the 6-block)
-    table = rep._blocks()["complement"][0]
-    _with_block(monkeypatch, "complement", table=_corrupt_factor(table, row))
+    # factor in the eigenbasis 12*rho(S) shows as a failure that names p
+    # (row 0 reads v, row 21 a coefficient of e2 - e9 in the 6-block)
+    _with_eigenbasis(monkeypatch, table=_corrupt_factor(rep._eigenbasis()[0], row))
     invariant._literal_state_sum.cache_clear()
     try:
         report = verify_closed_form(12)
@@ -499,7 +494,7 @@ def _gluing_words(p_max):
 def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
     # each suite that evaluates words fills its own memo up to the bound and
     # never past it, at the largest periodicity sweep too; none outlives it.
-    # Every step of every block runs the kernel, which the spy watches
+    # Every step on either basis runs the kernel, which the spy watches
     seen = []  # [memo, largest size a kernel step saw]
     real = rep._run
 
@@ -510,7 +505,7 @@ def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
         seen[-1][1] = max(seen[-1][1], len(memo))
         return real(table, v)
 
-    rep._blocks()  # derived once, outside the suites
+    rep._eigenbasis()  # derived once, outside the suites
     monkeypatch.setattr(rep, "_run", spy)
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
@@ -519,10 +514,10 @@ def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
     assert verify_periodicity(MAX_PMAX).passed
     assert len(seen) == 3
     assert all(len(memo) <= largest == rep._SUFFIX_MEMO for memo, largest in seen)
-    # a key names the block that its column ran through; the state sum runs
-    # one column, through the complement
-    assert {key[1:] for key in seen[1][0]} == {(rep._SIX_E0, "complement")}
-    assert {key[2] for memo, _ in seen for key in memo} <= set(rep._BASES)
+    # a key names the basis that its column ran on; the state sum runs one
+    # column, and every passing suite runs only on the eigenbasis
+    assert {key[1:] for key in seen[1][0]} == {(rep._SIX_E0, True)}
+    assert {key[2] for memo, _ in seen for key in memo} == {True}
     assert rep._suffixes.get() is None
 
 
@@ -536,7 +531,7 @@ def test_outside_a_suite_every_s_step_runs(monkeypatch):
     t_steps = steps - sum(word.s_count() for word in words)
     memos, t_memos = [], []
     real_run, real_t = rep._run, rep._t_table
-    rep._blocks()  # derived once, before the spies count steps
+    rep._eigenbasis()  # derived once, before the spies count steps
     monkeypatch.setattr(rep, "_run",
                         lambda table, v: memos.append(rep._suffixes.get()) or real_run(table, v))
     monkeypatch.setattr(rep, "_t_table",
@@ -566,7 +561,7 @@ def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
     ends = {pair for pair, word in words.items()
             if word.tokens[-3:] == suffix and word.s_count() > 2}
     assert len(ends) == 18 and (2, 1) not in ends  # L(2,1) is the word S T2 S itself
-    key = suffix, rep._SIX_E0, "complement"
+    key = suffix, rep._SIX_E0, True
     column = list(rep._apply(*key))
     column[0] += 1
     with rep._suffix_memo():
@@ -652,7 +647,7 @@ def _generator_words():
 
 
 def test_block_state_sum_equals_the_full_first_entry():
-    # the state sum reads the complement only; the standard basis gives the
+    # the state sum runs on the eigenbasis; the standard basis gives the
     # same value on every gluing word up to p = 24 and on both routes of
     # each generator
     words = set(_gluing_words(24).values()) | _generator_words()
@@ -668,41 +663,53 @@ def test_block_kernel_check_agrees_with_the_full_matrix():
     assert sum(verdicts.values()) == len(words) - 4
 
 
-_LINE, _COMPLEMENT = rep._BASES["line"], rep._BASES["complement"]
+def test_eigenbasis_table_splits_into_blocks():
+    # 12*rho(S) on the eigenbasis is sparse: its factors link the ten basis
+    # vectors only within v, {u, e2+e9}, the 6-block and the line e1 - e5,
+    # where S acts as i (rows 36-39 multiply by 12i)
+    table = rep._eigenbasis()[0]
+    assert sum(len(row) for row in table) == 282
+    links = {(r // 4, j // 4) for r, row in enumerate(table) for j, _ in row}
+    blocks = []  # the connected components of the links
+    for k in range(DIM):
+        linked = [block for block in blocks if any({(k, i), (i, k)} & links for i in block)]
+        blocks = [block for block in blocks if block not in linked] + [set().union({k}, *linked)]
+    assert sorted(map(sorted, blocks)) == [[0], [1, 3], [2, 4, 5, 6, 7, 8], [9]]
+    columns = [_mul_coeffs((12 * IMAG)._c, [int(r == j) for r in range(4)]) for j in range(4)]
+    assert [dict((j - 36, f) for j, f in row) for row in table[36:]] == [
+        {j: column[r] for j, column in enumerate(columns) if column[r]} for r in range(4)]
 
 
-@pytest.mark.parametrize("line, complement, six_e0, message", [
-    (_LINE, _COMPLEMENT[:4] + ({1: 1, 4: 1},) + _COMPLEMENT[5:], rep._SIX_E0,
-     "complement vector 4: twists [3, 7], not one"),
-    (_LINE + ({4: 1},), _COMPLEMENT[:6] + _COMPLEMENT[7:], rep._SIX_E0,
-     "line: not invariant under 12*rho(S)"),
-    (_LINE, _COMPLEMENT[:8], rep._SIX_E0, "line + complement: 9 basis vectors, not 10"),
-    (_LINE, _COMPLEMENT[:5] + ({2: 1},) + _COMPLEMENT[6:], rep._SIX_E0,
-     "complement vector 3 and complement vector 5: not orthogonal"),
-    (_LINE, _COMPLEMENT, (2, 1, 2, 0, 0, 0, 0, 0, 0), "complement: 2v + u + 3b is not 6 e0"),
-], ids=["two twists", "not invariant", "missing vector", "not orthogonal", "not 6 e0"])
-def test_block_derivation_aborts_on_a_bad_basis(monkeypatch, line, complement, six_e0, message):
-    # each check of the bases fails on its own mutation, and names the block:
-    # e1 + e5 made e1 + e4; e4 moved from the complement to the line; e8
-    # dropped; e2 - e9 made e2; a wrong column for 6 e0
-    monkeypatch.setattr(rep, "_BASES", {"line": line, "complement": complement})
+_B = rep._BASIS
+
+
+@pytest.mark.parametrize("basis, six_e0, message", [
+    (_B[:4] + ({1: 1, 4: 1},) + _B[5:], rep._SIX_E0, "vector 4: twists [3, 7], not one"),
+    (_B[:8] + _B[9:], rep._SIX_E0, "9 vectors, not 10"),
+    (_B[:5] + ({2: 1},) + _B[6:], rep._SIX_E0, "vectors 3 and 5: not orthogonal"),
+    (_B, (2, 1, 2, 0, 0, 0, 0, 0, 0, 0), "2v + u + 3b is not 6 e0"),
+], ids=["two twists", "missing vector", "not orthogonal", "not 6 e0"])
+def test_block_derivation_aborts_on_a_bad_basis(monkeypatch, basis, six_e0, message):
+    # each check of the eigenbasis fails on its own mutation: e1 + e5 made
+    # e1 + e4; e8 dropped; e2 - e9 made e2; a wrong column for 6 e0
+    monkeypatch.setattr(rep, "_BASIS", basis)
     monkeypatch.setattr(rep, "_SIX_E0", six_e0)
     with pytest.raises(RuntimeError) as info:
-        rep._blocks.__wrapped__()
-    assert str(info.value) == f"block check failed: {message}"
+        rep._eigenbasis.__wrapped__()
+    assert str(info.value) == f"eigenbasis check failed: {message}"
 
 
 def test_corrupt_line_factor_fails_kernel(monkeypatch):
-    # verify kernel runs e1 - e5 through the line's own table: one wrong
-    # factor there fails the suite, though the standard basis is sound; each
-    # witness names the line's vector and the first flat coordinate that is
-    # not 12^m times its own
-    _with_block(monkeypatch, "line", table=_corrupt_factor(rep._blocks()["line"][0], 0))
+    # verify kernel runs e1 - e5, the last basis vector, through the
+    # eigenbasis table: one wrong factor in its rows fails the suite, though
+    # the standard basis is sound; each witness names the vector and the
+    # first flat coordinate that is not 12^m times its own
+    _with_eigenbasis(monkeypatch, table=_corrupt_factor(rep._eigenbasis()[0], 36))
     report = verify_kernel_generators()
     assert not report.passed
     for check in report.failures():
         assert "None" not in check.witness
-        match = re.fullmatch(r"via (word|matrix) line vector 0, flat coordinate [0-3]: "
+        match = re.fullmatch(r"via (word|matrix) basis vector 9, flat coordinate 3[6-9]: "
                              r"expected (\d+), got (-?\d+)", check.witness)
         assert match, check.witness
         want, got = int(match[2]), int(match[3])
