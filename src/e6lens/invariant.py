@@ -53,8 +53,8 @@ from .rep import _suffix_memo, w_rho_entry_11
 from .report import Check, Report
 
 # Largest sweep bound that sweep_table and the verification sweeps accept.
-# At 120 on a shared 2-core host (Python 3.11.7), verify_periodicity takes 0.7-1.1 s
-# and verify_closed_form 0.35-0.45 s from a cold cache; every other sweep <= 0.12 s.
+# At 120 on a shared 2-core host (Python 3.11.7), verify_periodicity takes 0.55-0.9 s
+# and verify_closed_form 0.22-0.3 s from a cold cache; every other sweep <= 0.07 s.
 MAX_PMAX = 120
 
 # The least bound of each verification sweep, by suite name: periodicity

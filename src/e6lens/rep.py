@@ -16,8 +16,9 @@ Evaluation works at scale 12: 12 = (3 - sqrt3) w, so 12*rho(S) is integral
 too, with fewer nonzero coefficients, and a word with m S tokens is divided
 once, by 12^m.  Every evaluation runs through one kernel on integer
 coefficients: multiplying by a field element is a 4x4 integer block on the
-coefficient basis, so a matrix compiles once into flat rows of
-(index, factor) pairs that act on a flat column, at a cost per factor.
+coefficient basis, so a matrix compiles once into flat columns of
+(row, factor) pairs that act on a flat column, at a cost per factor on a
+nonzero coordinate: a column that lives in a few blocks pays only for them.
 _construction builds, compiles and checks 12*rho(S) once; verify_relations
 and verify_unitary report those checks, and _s_table aborts on the first
 that fails.  A witness is scaled back to w*rho(S), the matrix as entered.
@@ -26,12 +27,13 @@ Words run on one eigenbasis of rho(T) (_BASIS), where 12*rho(S) compiles
 to 282 factors; _eigenbasis derives that table from the checked one once,
 and checks the basis exactly.  The state sum runs one column there,
 6 e0 = 2v + u + 3b, and the v, u and b coordinates of its image give the
-first entry.  verify kernel runs each of the ten basis vectors.  rho_word
-and the relation and unitarity checks stay on the standard basis.  One
-evaluator, _apply, walks every word through the tables of one basis; inside
-a verification suite, and only there, it shares the work of common word
-suffixes through a bounded memo (_suffix_memo), keyed with the column and
-the basis.
+first entry; its leftmost S step runs only the v, u and b rows, the head
+_eigenbasis(3).  verify kernel runs each of the ten basis vectors.
+rho_word and the relation and unitarity checks stay on the standard basis.
+One evaluator, _apply, walks every word through the tables of one basis;
+inside a verification suite, and only there, it shares the work of common
+word suffixes through a bounded memo (_suffix_memo), keyed with the column
+and the basis.
 """
 
 from __future__ import annotations
@@ -169,29 +171,30 @@ def _times_adjoint(table, a):
 
 
 def _compile(rows):
-    """The flat rows of a matrix with integer coefficients: flat row
-    DEGREE*i + r holds (DEGREE*k + j, f) for each nonzero
-    f = _mul_block(rows[i][k])[r][j]."""
-    flat = []
-    for row in rows:
-        block_rows = [[] for _ in range(DEGREE)]
+    """A square matrix with integer coefficients as (flat rows, flat
+    columns): flat column DEGREE*k + j holds (DEGREE*i + r, f), by
+    increasing row, for each nonzero f = _mul_block(rows[i][k])[r][j]."""
+    columns = [[] for _ in range(DEGREE * len(rows))]
+    for i, row in enumerate(rows):
         for k, a in enumerate(row):
             if a:
-                for out, factors in zip(block_rows, _mul_block(a._c)):
-                    out.extend((DEGREE * k + j, f) for j, f in enumerate(factors) if f)
-        flat.extend(tuple(out) for out in block_rows)
-    return tuple(flat)
+                for r, factors in enumerate(_mul_block(a._c)):
+                    for j, f in enumerate(factors):
+                        if f:
+                            columns[DEGREE * k + j].append((DEGREE * i + r, f))
+    return DEGREE * len(rows), tuple(map(tuple, columns))
 
 
 def _run(table, v):
-    """The kernel: a compiled matrix times the flat column v.  A plain loop
-    costs per factor; a comprehension and sum() would cost calls per row."""
-    out = []
-    for row in table:
-        acc = 0
-        for j, f in row:
-            acc += f * v[j]
-        out.append(acc)
+    """The kernel: a compiled matrix times the flat column v, one coordinate
+    per column.  A plain loop over the factors of each nonzero coordinate:
+    a step costs per factor on a nonzero coordinate, a zero costs nothing."""
+    rows, columns = table
+    out = [0] * rows
+    for x, column in zip(v, columns, strict=True):
+        if x:
+            for i, f in column:
+                out[i] += f * x
     return out
 
 
@@ -228,10 +231,11 @@ def _s_table():
     return table
 
 
-@lru_cache(maxsize=2 * 12)
+@lru_cache(maxsize=3 * 12)
 def _t_table(k, twists):
     """rho(T^k) compiled on a basis with these twists (exponents of zeta^2),
-    for 0 <= k < 12: twelve tables for each of the two bases."""
+    for 0 <= k < 12: twelve tables for each of the two bases and for the
+    head of the eigenbasis."""
     return _compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(len(twists))]
                      for i, e in enumerate(twists)])
 
@@ -249,13 +253,18 @@ def _abort(what):
     raise RuntimeError(f"eigenbasis check failed: {what}")
 
 
-@lru_cache(maxsize=1)
-def _eigenbasis():
+@lru_cache(maxsize=2)
+def _eigenbasis(n=DIM):
     """(12*rho(S) compiled on _BASIS, the twists of _BASIS), derived once
-    from the checked _s_table().  Aborts unless each basis vector has a
-    single twist (so it is nonzero), the vectors are pairwise orthogonal and
-    ten (so they span, and each image is the sum of its projections), and
-    6 e0 = 2v + u + 3b."""
+    from the checked _s_table(); for n < DIM its head, derived once from
+    _eigenbasis(): only the table's rows and the twists of the first n
+    vectors.  Aborts unless each basis vector has a single twist (so it is
+    nonzero), the vectors are pairwise orthogonal and ten (so they span, and
+    each image is the sum of its projections), and 6 e0 = 2v + u + 3b."""
+    if n < DIM:
+        (_, columns), twists = _eigenbasis()
+        rows = DEGREE * n
+        return (rows, tuple(tuple(p for p in c if p[0] < rows) for c in columns)), twists[:n]
     basis = [[b.get(i, 0) for i in range(DIM)] for b in _BASIS]
     twists = []
     for k, b in enumerate(basis):
@@ -297,18 +306,20 @@ def _suffix_memo():
         _suffixes.reset(token)
 
 
-def _apply(tokens, column, eigen=False, out=None):
+def _apply(tokens, column, eigen=False, n=DIM):
     """12^m rho(tokens) x, m the number of S tokens and x the vector with
     integer coordinates column on the eigenbasis (the standard basis if not
-    eigen), as a flat integral column on that basis or its first out
-    coordinates.  The tokens act right to left, each through the basis's
-    compiled table: 12*rho(S) for S, _t_table(k % 12, twists) for T^k.  The
-    leftmost S step runs only the first out rows, and so does a T token left
-    of it (each basis vector has one twist, so rho(T^k) is diagonal).  Inside
-    a suite (_suffix_memo) the word starts after its longest memoized
-    suffix, and the column of every suffix that starts at an S but the
-    leftmost is stored."""
-    s, twists = _eigenbasis() if eigen else (_s_table(), _T_EXP)
+    eigen), as a flat integral column on that basis; for n < DIM (eigenbasis
+    only) its coordinates on the first n vectors.  The tokens act right to
+    left, each through the basis's compiled table: 12*rho(S) for S,
+    _t_table(k % 12, twists) for T^k.  The head _eigenbasis(n) runs the
+    leftmost S step, only the rows of the first n vectors, and each T token
+    left of every S, on their coordinates alone (each basis vector has one
+    twist, so rho(T^k) is diagonal).  Inside a suite (_suffix_memo) the
+    word starts after its longest memoized suffix, and the column of every
+    suffix that starts at an S but the leftmost is stored."""
+    basis = _eigenbasis() if eigen else (_s_table(), _T_EXP)
+    part = _eigenbasis(n) if n < DIM else basis
     starts = [i for i, token in enumerate(tokens) if token == "S"]
     head = starts[0] if starts else len(tokens)
     memo, end = _suffixes.get(), len(tokens)
@@ -317,15 +328,15 @@ def _apply(tokens, column, eigen=False, out=None):
     if end < len(tokens):  # a hit, now the most recently used
         v = memo[tokens[end:], column, eigen] = memo.pop((tokens[end:], column, eigen))
     else:
-        v = _flat(column)
+        v = _flat(column if starts else column[:n])
     for i in range(end - 1, -1, -1):
-        table = s if tokens[i] == "S" else _t_table(tokens[i] % 12, twists)
-        v = _run(table if i > head else table[:out], v)
+        s, twists = basis if i > head else part
+        v = _run(s if tokens[i] == "S" else _t_table(tokens[i] % 12, twists), v)
         if memo is not None and i > head and tokens[i] == "S":
             memo[tokens[i:], column, eigen] = tuple(v)
             if len(memo) > _SUFFIX_MEMO:
                 del memo[next(iter(memo))]
-    return v[:out]
+    return v
 
 
 @lru_cache(maxsize=1)
@@ -353,7 +364,7 @@ def _first_entry(word, x):
     on the eigenbasis, only the v, u and b rows in its leftmost S step
     and the T token left of it; <e0, .> reads x_v + x_u + x_b, as v, u and b
     each hold e0 once.  Then one product with x and one division."""
-    v = _apply(word.tokens, _SIX_E0, True, 3 * DEGREE)
+    v = _apply(word.tokens, _SIX_E0, True, 3)
     total = [sum(v[r::DEGREE]) for r in range(DEGREE)]
     return _entries(_mul_coeffs(total, x._c), 6 * 12 ** word.s_count())[0]
 

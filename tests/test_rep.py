@@ -189,7 +189,7 @@ def test_cold_construction_compiles_w_rho_s_once(monkeypatch):
     # 12*rho(S) on the eigenbasis, and none of the entered matrix
     eigenbasis = rep._eigenbasis()
     _fresh_construction(monkeypatch)
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=3 * 12)(rep._t_table.__wrapped__))
     calls, real = [], rep._compile
     monkeypatch.setattr(rep, "_compile", lambda rows: calls.append(rows) or real(rows))
     assert rep._s_table.__wrapped__() == rep._s_table()
@@ -392,34 +392,41 @@ def test_entry_11_fast_path_matches_full_matrix():
 
 
 def _with_eigenbasis(monkeypatch, table=None, twists=None):
-    """Evaluation on the eigenbasis with this table or these twists."""
+    """Evaluation on the eigenbasis with this table or these twists, and on
+    the head that rep derives from them."""
     real_table, real_twists = rep._eigenbasis()
     eigenbasis = (table or real_table, twists or real_twists)
-    monkeypatch.setattr(rep, "_eigenbasis", lambda: eigenbasis)
+    head = rep._eigenbasis.__wrapped__  # reads the patched _eigenbasis()
+    monkeypatch.setattr(rep, "_eigenbasis", lambda n=DIM: eigenbasis if n == DIM else head(n))
 
 
 def _corrupt_factor(table, row):
-    """A copy of a compiled table whose first factor in row is one more."""
-    (j, f), *rest = table[row]
-    return table[:row] + (((j, f + 1), *rest),) + table[row + 1:]
+    """A copy of a compiled table whose first factor that lands in output
+    row `row` is one more."""
+    rows, columns = table
+    j = next(j for j, column in enumerate(columns) if any(i == row for i, _ in column))
+    column = tuple((i, f + (i == row)) for i, f in columns[j])
+    return rows, columns[:j] + (column,) + columns[j + 1:]
 
 
 @pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5", "ST5S"])
 def test_entry_11_runs_end_t_tokens_through_their_tables(monkeypatch, text):
-    # a wrong first block row of the eigenbasis T^5 table must show in the
-    # first entry, whether T^5 comes before the first S, after the last S,
-    # between two S or without any S; and the leftmost steps, which run only
-    # the v, u and b rows, must agree with a run of every row
+    # a wrong first block row of the eigenbasis T^5 table (and of its head's,
+    # which holds the same rows) must show in the first entry, whether T^5
+    # comes before the first S, after the last S, between two S or without
+    # any S; and the leftmost steps, which run only the v, u and b rows,
+    # must agree with a run of every row
     word = Word.parse(text)
     before = rho_entry_11(word)
-    real, (_, twists) = rep._t_table, rep._eigenbasis()
-    corrupt = _corrupt_factor(real(5, twists), 0)
+    real = rep._t_table
+    corrupt = {t: _corrupt_factor(real(5, t), 0) for t in (rep._eigenbasis()[1],
+                                                           rep._eigenbasis(3)[1])}
     monkeypatch.setattr(rep, "_t_table",
-                        lambda k, t: corrupt if (k, t) == (5, twists) else real(k, t))
+                        lambda k, t: corrupt[t] if k == 5 and t in corrupt else real(k, t))
     after = rho_entry_11(word)
     assert after != before
     column = rep._apply(word.tokens, rep._SIX_E0, True)
-    assert len(column) == 4 * len(twists)
+    assert len(column) == 4 * DIM
     assert after == sum(rep._entries(column[:12]), start=ZERO) / (6 * 12 ** word.s_count())
 
 
@@ -432,7 +439,7 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
     assert twists[0] == 0
     _with_eigenbasis(monkeypatch, twists=(6,) + twists[1:])
     # fresh caches, so that the shared ones keep the true values
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=3 * 12)(rep._t_table.__wrapped__))
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     report = verify_well_defined(12)
@@ -443,27 +450,33 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
 
 def test_compiled_blocks_multiply_the_basis_vectors():
     # every 4x4 block of every compiled table is the product with e_0..e_3;
-    # a row holds its (index, factor) pairs in increasing index, zeros dropped.
-    # The T tables of the two bases, twelve each, fill the cache exactly
+    # a column holds its (row, factor) pairs in increasing row, zeros
+    # dropped.  The eigenbasis head is the table's v, u and b rows on every
+    # column.  The T tables of the two bases and the head, twelve each, fill
+    # the cache exactly
     table, eigen_twists = rep._eigenbasis()
-    tables = [(rep._s_table(), _twelve_s()), (table, _basis_matrix())]
-    for twists in (rep._T_EXP, eigen_twists):
+    head, head_twists = rep._eigenbasis(3)
+    assert head_twists == eigen_twists[:3]
+    tables = [(rep._s_table(), _twelve_s()), (table, _basis_matrix()),
+              (head, _basis_matrix()[:3])]
+    for twists in (rep._T_EXP, eigen_twists, head_twists):
         tables += [(rep._t_table(k, twists), [[zeta_pow(2 * k * e) if i == j else ZERO
                                                for j in range(len(twists))]
                                               for i, e in enumerate(twists)]) for k in range(12)]
     info = rep._t_table.cache_info()
-    assert info.currsize == info.maxsize == 2 * 12
+    assert info.currsize == info.maxsize == 3 * 12
     basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
-    for table, rows in tables:
-        assert len(table) == 4 * len(rows)
-        for row in table:
-            indices = [j for j, _ in row]
-            assert indices == sorted(set(indices)) and all(f for _, f in row)
-        flat = [dict(row) for row in table]
+    for (n_rows, columns), rows in tables:
+        assert n_rows == 4 * len(rows) and len(columns) == 4 * len(rows[0])
+        for column in columns:
+            indices = [i for i, _ in column]
+            assert indices == sorted(set(indices)) and all(f for _, f in column)
+            assert all(i < n_rows for i in indices)
+        flat = [dict(column) for column in columns]
         for i, row in enumerate(rows):
             for k, a in enumerate(row):
                 for j, e in enumerate(basis):
-                    column = [flat[4 * i + r].get(4 * k + j, 0) for r in range(4)]
+                    column = [flat[4 * k + j].get(4 * i + r, 0) for r in range(4)]
                     assert column == _mul_coeffs(a._c, e), (i, k, j)
 
 
@@ -572,28 +585,61 @@ def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
     assert wrong == ends
 
 
+class _Untouchable:
+    """A factor that must never be multiplied."""
+
+    def __mul__(self, other):
+        raise AssertionError("a factor of a zero coordinate was multiplied")
+
+    __rmul__ = __mul__
+
+
 def test_run_matches_a_dense_product():
     # the kernel against a dense reference on seeded random compiled tables:
-    # empty rows (which give 0), negative factors, 2,000-bit coefficients;
-    # a row-truncated table gives the first n entries of the full run
+    # columns v that are mostly zero, empty columns (which add nothing) and
+    # rows that no column reaches (which give 0), negative factors, 2,000-bit
+    # coefficients.  A factor on a zero coordinate is never multiplied, so
+    # one that raises on * changes nothing; the head of a table, the pairs
+    # of its first n rows, gives the first n entries of the full run
     rng = random.Random(21)
-    empty = 0
+    empty = mostly_zero = 0
     for _ in range(60):
         n_rows, n_cols, bits = rng.randint(1, 36), rng.randint(1, 36), rng.choice([4, 2000])
-        sizes = [rng.randint(0, min(n_cols, 8)) for _ in range(n_rows)]
-        table = tuple(tuple((j, rng.choice([-1, 1]) * rng.randint(1, 2**bits))
-                            for j in sorted(rng.sample(range(n_cols), size)))
-                      for size in sizes)
-        v = [rng.randint(-2**bits, 2**bits) for _ in range(n_cols)]
-        dense = [[dict(row).get(j, 0) for j in range(n_cols)] for row in table]
+        sizes = [rng.randint(0, min(n_rows, 8)) for _ in range(n_cols)]
+        columns = tuple(tuple((i, rng.choice([-1, 1]) * rng.randint(1, 2**bits))
+                              for i in sorted(rng.sample(range(n_rows), size)))
+                        for size in sizes)
+        share = rng.choice([0.1, 1])
+        v = [rng.randint(-2**bits, 2**bits) if rng.random() < share else 0 for _ in range(n_cols)]
+        dense = [[dict(column).get(i, 0) for column in columns] for i in range(n_rows)]
         want = [sum(a * x for a, x in zip(row, v)) for row in dense]
-        got = rep._run(table, v)
+        got = rep._run((n_rows, columns), v)
         assert got == want and all(type(x) is int for x in got)
+        guarded = tuple(column if x else tuple((i, _Untouchable()) for i, _ in column)
+                        for x, column in zip(v, columns))
+        assert rep._run((n_rows, guarded), v) == want
         n = rng.randint(0, n_rows)
-        assert rep._run(table[:n], v) == want[:n]
-        empty += sum(not row for row in table)
-    assert empty > 0
-    assert rep._run(((), ((0, -3),)), [7]) == [0, -21]
+        head = tuple(tuple((i, f) for i, f in column if i < n) for column in columns)
+        assert rep._run((n, head), v) == want[:n]
+        empty += sum(not column for column in columns)
+        mostly_zero += 2 * v.count(0) > n_cols
+    assert empty > 0 and mostly_zero > 10
+    assert rep._run((3, ((), ((0, -3),))), [5, 7]) == [-21, 0, 0]
+
+
+def test_run_never_multiplies_a_zero_coordinate():
+    # column 1 feeds rows 0 and 1 through factors that raise on *; v is 0
+    # there, so the step runs without them and gives the dense product
+    table = (3, (((0, 2), (2, 5)), ((0, _Untouchable()), (1, _Untouchable())), ((1, -1),)))
+    assert rep._run(table, [3, 0, 4]) == [6, -4, 15]
+
+
+@pytest.mark.parametrize("size", [4 * DIM - 1, 4 * DIM + 1], ids=["short", "long"])
+def test_run_rejects_a_column_of_the_wrong_length(size):
+    # a column with one coordinate too few or too many is an error, not a
+    # truncated product
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (longer|shorter)"):
+        rep._run(rep._eigenbasis()[0], [1] * size)
 
 
 def test_kernel_matches_naive_cyclotomic_products():
@@ -666,18 +712,18 @@ def test_block_kernel_check_agrees_with_the_full_matrix():
 def test_eigenbasis_table_splits_into_blocks():
     # 12*rho(S) on the eigenbasis is sparse: its factors link the ten basis
     # vectors only within v, {u, e2+e9}, the 6-block and the line e1 - e5,
-    # where S acts as i (rows 36-39 multiply by 12i)
-    table = rep._eigenbasis()[0]
-    assert sum(len(row) for row in table) == 282
-    links = {(r // 4, j // 4) for r, row in enumerate(table) for j, _ in row}
+    # where S acts as i (columns 36-39 multiply by 12i)
+    columns = rep._eigenbasis()[0][1]
+    assert sum(len(column) for column in columns) == 282
+    links = {(i // 4, j // 4) for j, column in enumerate(columns) for i, _ in column}
     blocks = []  # the connected components of the links
     for k in range(DIM):
         linked = [block for block in blocks if any({(k, i), (i, k)} & links for i in block)]
         blocks = [block for block in blocks if block not in linked] + [set().union({k}, *linked)]
     assert sorted(map(sorted, blocks)) == [[0], [1, 3], [2, 4, 5, 6, 7, 8], [9]]
-    columns = [_mul_coeffs((12 * IMAG)._c, [int(r == j) for r in range(4)]) for j in range(4)]
-    assert [dict((j - 36, f) for j, f in row) for row in table[36:]] == [
-        {j: column[r] for j, column in enumerate(columns) if column[r]} for r in range(4)]
+    line = [_mul_coeffs((12 * IMAG)._c, [int(r == j) for r in range(4)]) for j in range(4)]
+    assert [dict((i - 36, f) for i, f in column) for column in columns[36:]] == [
+        {r: f for r, f in enumerate(column) if f} for column in line]
 
 
 _B = rep._BASIS
