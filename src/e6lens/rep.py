@@ -29,11 +29,11 @@ and checks the basis exactly.  The state sum runs one column there,
 6 e0 = 2v + u + 3b, and the v, u and b coordinates of its image give the
 first entry; its leftmost S step runs only the v, u and b rows, the head
 _eigenbasis(3).  verify kernel runs each of the ten basis vectors.
-rho_word and the relation and unitarity checks stay on the standard basis.
-One evaluator, _apply, walks every word through the tables of one basis;
-inside a verification suite, and only there, it shares the work of common
-word suffixes through a bounded memo (_suffix_memo), keyed with the column
-and the basis.
+rho_word and the relation and unitarity checks stay on the standard basis:
+the reference, which runs every token.  One evaluator, _apply, walks every
+word through the tables of one basis; inside a verification suite, and
+only there, it shares the work of common eigenbasis word suffixes through
+a bounded memo (_suffix_memo), keyed with the column.
 """
 
 from __future__ import annotations
@@ -220,10 +220,10 @@ def _entries(v, den=1):
     return [Cyclotomic._raw(v[i:i + DEGREE]) for i in range(0, len(v), DEGREE)]
 
 
-@lru_cache(maxsize=1)
 def _s_table():
     """12*rho(S) on the standard basis, the table behind rho_word and the
-    eigenbasis table; aborts on the first check of _construction that fails."""
+    eigenbasis table, as _construction built it once; aborts on the first of
+    its checks that fails."""
     table, relations, unitarity = _construction()
     for check in relations.checks + unitarity.checks:
         if not check.passed:
@@ -231,11 +231,10 @@ def _s_table():
     return table
 
 
-@lru_cache(maxsize=3 * 12)
+@lru_cache(maxsize=2 * 12)
 def _t_table(k, twists):
     """rho(T^k) compiled on a basis with these twists (exponents of zeta^2),
-    for 0 <= k < 12: twelve tables for each of the two bases and for the
-    head of the eigenbasis."""
+    for 0 <= k < 12: twelve tables for each of the two bases."""
     return _compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(len(twists))]
                      for i, e in enumerate(twists)])
 
@@ -257,14 +256,14 @@ def _abort(what):
 def _eigenbasis(n=DIM):
     """(12*rho(S) compiled on _BASIS, the twists of _BASIS), derived once
     from the checked _s_table(); for n < DIM its head, derived once from
-    _eigenbasis(): only the table's rows and the twists of the first n
-    vectors.  Aborts unless each basis vector has a single twist (so it is
-    nonzero), the vectors are pairwise orthogonal and ten (so they span, and
-    each image is the sum of its projections), and 6 e0 = 2v + u + 3b."""
+    _eigenbasis(): the table alone, with only the rows of the first n
+    vectors, so the other coordinates of its image are zero.  Aborts unless
+    each basis vector has a single twist (so it is nonzero), the vectors are
+    pairwise orthogonal and ten (so they span, and each image is the sum of
+    its projections), and 6 e0 = 2v + u + 3b."""
     if n < DIM:
-        (_, columns), twists = _eigenbasis()
-        rows = DEGREE * n
-        return (rows, tuple(tuple(p for p in c if p[0] < rows) for c in columns)), twists[:n]
+        rows, columns = _eigenbasis()[0]
+        return rows, tuple(tuple(p for p in c if p[0] < DEGREE * n) for c in columns)
     basis = [[b.get(i, 0) for i in range(DIM)] for b in _BASIS]
     twists = []
     for k, b in enumerate(basis):
@@ -289,8 +288,8 @@ def _eigenbasis(n=DIM):
 
 
 # The suffix memo of the running verification suite (None outside one): the
-# 12-scaled flat column of each token suffix that starts at an S, keyed with
-# the column and the basis it was applied to, least recently used first.
+# 12-scaled flat eigenbasis column of each token suffix that starts at an S,
+# keyed with the column it was applied to, least recently used first.
 _SUFFIX_MEMO = 256
 _suffixes = ContextVar("_suffixes", default=None)
 
@@ -310,30 +309,29 @@ def _apply(tokens, column, eigen=False, n=DIM):
     """12^m rho(tokens) x, m the number of S tokens and x the vector with
     integer coordinates column on the eigenbasis (the standard basis if not
     eigen), as a flat integral column on that basis; for n < DIM (eigenbasis
-    only) its coordinates on the first n vectors.  The tokens act right to
-    left, each through the basis's compiled table: 12*rho(S) for S,
+    only) exact on the first n vectors alone.  The tokens act right to left,
+    each through the basis's compiled table: 12*rho(S) for S,
     _t_table(k % 12, twists) for T^k.  The head _eigenbasis(n) runs the
-    leftmost S step, only the rows of the first n vectors, and each T token
-    left of every S, on their coordinates alone (each basis vector has one
-    twist, so rho(T^k) is diagonal).  Inside a suite (_suffix_memo) the
-    word starts after its longest memoized suffix, and the column of every
-    suffix that starts at an S but the leftmost is stored."""
-    basis = _eigenbasis() if eigen else (_s_table(), _T_EXP)
-    part = _eigenbasis(n) if n < DIM else basis
+    leftmost S step, only the rows of the first n vectors; the zeros it
+    leaves cost the T tokens left of it nothing.  Inside a suite
+    (_suffix_memo) an eigenbasis word starts after its longest memoized
+    suffix, and the column of every suffix that starts at an S but the
+    leftmost is stored; a standard-basis word runs every token."""
+    s, twists = _eigenbasis() if eigen else (_s_table(), _T_EXP)
+    head = _eigenbasis(n) if n < DIM else s
     starts = [i for i, token in enumerate(tokens) if token == "S"]
-    head = starts[0] if starts else len(tokens)
-    memo, end = _suffixes.get(), len(tokens)
+    first = starts[0] if starts else len(tokens)
+    memo, end = _suffixes.get() if eigen else None, len(tokens)
     if memo is not None:
-        end = next((i for i in starts[1:] if (tokens[i:], column, eigen) in memo), end)
+        end = next((i for i in starts[1:] if (tokens[i:], column) in memo), end)
     if end < len(tokens):  # a hit, now the most recently used
-        v = memo[tokens[end:], column, eigen] = memo.pop((tokens[end:], column, eigen))
+        v = memo[tokens[end:], column] = memo.pop((tokens[end:], column))
     else:
-        v = _flat(column if starts else column[:n])
-    for i in range(end - 1, -1, -1):
-        s, twists = basis if i > head else part
-        v = _run(s if tokens[i] == "S" else _t_table(tokens[i] % 12, twists), v)
-        if memo is not None and i > head and tokens[i] == "S":
-            memo[tokens[i:], column, eigen] = tuple(v)
+        v = _flat(column)
+    for i, t in reversed([*enumerate(tokens[:end])]):
+        v = _run(head if i == first else s if t == "S" else _t_table(t % 12, twists), v)
+        if memo is not None and i > first and t == "S":
+            memo[tokens[i:], column] = tuple(v)
             if len(memo) > _SUFFIX_MEMO:
                 del memo[next(iter(memo))]
     return v
@@ -361,11 +359,11 @@ def rho_word(word):
 
 def _first_entry(word, x):
     """x times the first entry of rho(word).  6*12^m rho(word) e0 runs
-    on the eigenbasis, only the v, u and b rows in its leftmost S step
-    and the T token left of it; <e0, .> reads x_v + x_u + x_b, as v, u and b
-    each hold e0 once.  Then one product with x and one division."""
+    on the eigenbasis, only the v, u and b rows in its leftmost S step;
+    <e0, .> reads x_v + x_u + x_b, as v, u and b each hold e0 once.  Then
+    one product with x and one division."""
     v = _apply(word.tokens, _SIX_E0, True, 3)
-    total = [sum(v[r::DEGREE]) for r in range(DEGREE)]
+    total = [sum(v[r:3 * DEGREE:DEGREE]) for r in range(DEGREE)]
     return _entries(_mul_coeffs(total, x._c), 6 * 12 ** word.s_count())[0]
 
 

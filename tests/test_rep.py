@@ -145,7 +145,7 @@ def _aborts_with_first_failure(monkeypatch, kind):
     name, witness = next((n, w) for n, w in zip(NAMES, PINNED[kind]) if w)
     _fresh_construction(monkeypatch, kind)
     with pytest.raises(RuntimeError) as info:
-        rep._s_table.__wrapped__()
+        rep._s_table()
     assert str(info.value) == f"self-check of w*rho(S) failed: {name} [{witness}]"
 
 
@@ -154,10 +154,10 @@ def test_construction_aborts_on_corrupt_entry(monkeypatch):
 
 
 def test_s_table_checks_the_matrix_it_compiles(monkeypatch):
-    # _s_table alone builds w*rho(S) for evaluation, so it runs the self-check
+    # _s_table, the table that evaluation reads, runs the self-check
     _fresh_construction(monkeypatch, "plus one")
     with pytest.raises(RuntimeError, match=r"self-check of w\*rho\(S\) failed"):
-        rep._s_table.__wrapped__()
+        rep._s_table()
 
 
 def test_construction_aborts_on_sign_flip_that_keeps_row_norms(monkeypatch):
@@ -183,16 +183,17 @@ def _basis_matrix():
 
 
 def test_cold_construction_compiles_w_rho_s_once(monkeypatch):
-    # _s_table compiles 12*rho(S) once and self-checks that table: the checks
-    # run each column of a product through the kernel and compile no product.
+    # construction compiles 12*rho(S) once and self-checks that table, which
+    # every _s_table() call returns: the checks run each column of a product
+    # through the kernel and compile no product.
     # The eigenbasis table comes from that checked table: one compile, of
     # 12*rho(S) on the eigenbasis, and none of the entered matrix
     eigenbasis = rep._eigenbasis()
     _fresh_construction(monkeypatch)
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=3 * 12)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
     calls, real = [], rep._compile
     monkeypatch.setattr(rep, "_compile", lambda rows: calls.append(rows) or real(rows))
-    assert rep._s_table.__wrapped__() == rep._s_table()
+    assert rep._s_table() is rep._s_table()
     diagonal = [[e if i == j else ZERO for j, e in enumerate(row)]
                 for i, row in enumerate(rho_t().rows)]
     assert [[list(row) for row in rows] for rows in calls] == [_twelve_s(), diagonal]
@@ -238,6 +239,21 @@ def test_t_twelfth_power_check_reads_every_entry(monkeypatch, entry, value, twel
     want = ONE if entry[0] == entry[1] else ZERO
     witness = f"({entry[0] + 1},{entry[1] + 1}): expected {want.to_text()}, got {twelfth.to_text()}"
     assert verify_relations().checks[2] == Check("rho(T)^12 = I", witness)
+
+
+def test_a_wrong_entered_twist_fails_only_the_st_relation(monkeypatch):
+    # rho(T) is built from powers of zeta^2, so rho(T)^12 = I and
+    # rho(T) rho(T)* = I hold for any twists: with the twists 0, 1, ..., 9
+    # only (rho(S) rho(T))^3 = rho(S)^2 fails, with a witness
+    monkeypatch.setattr(rep, "_T_EXP", tuple(range(DIM)))
+    _fresh_construction(monkeypatch)
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
+    monkeypatch.setattr(rep, "rho_t", lru_cache(maxsize=1)(rep.rho_t.__wrapped__))
+    s4, st3, t12 = verify_relations().checks
+    assert st3.name == "(rho(S) rho(T))^3 = rho(S)^2"
+    assert re.fullmatch(r"\(\d+,\d+\): expected .+, got .+", st3.witness)
+    assert s4.passed and t12.passed
+    assert verify_unitary().checks[1] == Check("rho(T) rho(T)* = I")
 
 
 def test_relations_directly():
@@ -375,8 +391,7 @@ def test_rho_t_power_matches_repeated_product():
 
 def test_entry_11_fast_path_matches_full_matrix():
     # the fast path runs every token through its table; it skips only the
-    # rows of the leftmost S step, and of the T token before it, that the
-    # first entry does not read.
+    # rows of the leftmost S step that the first entry does not read.
     # The reference is the naive product of w*rho(S) as entered and powers
     # of rho(T), divided by w^m at the end (integer products stay fast)
     ns, t_powers = _s_numerator(), [naive_power(rho_t(), k) for k in range(12)]
@@ -411,18 +426,17 @@ def _corrupt_factor(table, row):
 
 @pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5", "ST5S"])
 def test_entry_11_runs_end_t_tokens_through_their_tables(monkeypatch, text):
-    # a wrong first block row of the eigenbasis T^5 table (and of its head's,
-    # which holds the same rows) must show in the first entry, whether T^5
-    # comes before the first S, after the last S, between two S or without
-    # any S; and the leftmost steps, which run only the v, u and b rows,
-    # must agree with a run of every row
+    # a wrong first block row of the eigenbasis T^5 table, which the head
+    # borrows too, must show in the first entry, whether T^5 comes before
+    # the first S, after the last S, between two S or without any S; and the
+    # leftmost S step, which runs only the v, u and b rows, must agree with a
+    # run of every row
     word = Word.parse(text)
     before = rho_entry_11(word)
-    real = rep._t_table
-    corrupt = {t: _corrupt_factor(real(5, t), 0) for t in (rep._eigenbasis()[1],
-                                                           rep._eigenbasis(3)[1])}
+    real, twists = rep._t_table, rep._eigenbasis()[1]
+    corrupt = _corrupt_factor(real(5, twists), 0)
     monkeypatch.setattr(rep, "_t_table",
-                        lambda k, t: corrupt[t] if k == 5 and t in corrupt else real(k, t))
+                        lambda k, t: corrupt if (k, t) == (5, twists) else real(k, t))
     after = rho_entry_11(word)
     assert after != before
     column = rep._apply(word.tokens, rep._SIX_E0, True)
@@ -451,20 +465,20 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
 def test_compiled_blocks_multiply_the_basis_vectors():
     # every 4x4 block of every compiled table is the product with e_0..e_3;
     # a column holds its (row, factor) pairs in increasing row, zeros
-    # dropped.  The eigenbasis head is the table's v, u and b rows on every
-    # column.  The T tables of the two bases and the head, twelve each, fill
-    # the cache exactly
+    # dropped.  The eigenbasis head is the S table's v, u and b rows on every
+    # column, and zero below them.  The T tables of the two bases, twelve
+    # each, fill the cache exactly
     table, eigen_twists = rep._eigenbasis()
-    head, head_twists = rep._eigenbasis(3)
-    assert head_twists == eigen_twists[:3]
+    head = rep._eigenbasis(3)
+    assert [column[:len(h)] for h, column in zip(head[1], table[1])] == list(head[1])
     tables = [(rep._s_table(), _twelve_s()), (table, _basis_matrix()),
-              (head, _basis_matrix()[:3])]
-    for twists in (rep._T_EXP, eigen_twists, head_twists):
+              (head, _basis_matrix()[:3] + [[ZERO] * DIM] * (DIM - 3))]
+    for twists in (rep._T_EXP, eigen_twists):
         tables += [(rep._t_table(k, twists), [[zeta_pow(2 * k * e) if i == j else ZERO
                                                for j in range(len(twists))]
                                               for i, e in enumerate(twists)]) for k in range(12)]
     info = rep._t_table.cache_info()
-    assert info.currsize == info.maxsize == 3 * 12
+    assert info.currsize == info.maxsize == 2 * 12
     basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
     for (n_rows, columns), rows in tables:
         assert n_rows == 4 * len(rows) and len(columns) == 4 * len(rows[0])
@@ -478,6 +492,27 @@ def test_compiled_blocks_multiply_the_basis_vectors():
                 for j, e in enumerate(basis):
                     column = [flat[4 * k + j].get(4 * i + r, 0) for r in range(4)]
                     assert column == _mul_coeffs(a._c, e), (i, k, j)
+
+
+def test_each_t_table_is_compiled_once_per_basis(monkeypatch, capsys):
+    # from cold caches, verify all, a table sweep and one compute compile
+    # rho(T^k) only for the standard basis and the eigenbasis, whose tables
+    # the state sum's head borrows, and each table once
+    assert rep._t_table.cache_info().maxsize == 2 * 12
+    for module, name in ((rep, "_construction"), (rep, "_eigenbasis"), (rep, "rho_t"),
+                         (rep, "rho_s"), (invariant, "_literal_state_sum")):
+        cached = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lru_cache(cached.cache_info().maxsize)(cached.__wrapped__))
+    compiled, compile_t = [], rep._t_table.__wrapped__
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(
+        lambda k, twists: compiled.append((k, twists)) or compile_t(k, twists)))
+    for argv in (["verify", "all"], ["table", "--pmax", "120", "--format", "csv"],
+                 ["compute", "5", "1"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(compiled) == len(set(compiled))
+    assert {twists for _, twists in compiled} == {rep._T_EXP, rep._eigenbasis()[1]}
 
 
 @pytest.mark.parametrize("row", [0, 21])
@@ -527,10 +562,10 @@ def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
     assert verify_periodicity(MAX_PMAX).passed
     assert len(seen) == 3
     assert all(len(memo) <= largest == rep._SUFFIX_MEMO for memo, largest in seen)
-    # a key names the basis that its column ran on; the state sum runs one
-    # column, and every passing suite runs only on the eigenbasis
-    assert {key[1:] for key in seen[1][0]} == {(rep._SIX_E0, True)}
-    assert {key[2] for memo, _ in seen for key in memo} == {True}
+    # a key is a suffix and the eigenbasis column it ran on; the state sum
+    # runs one column
+    assert {key[1] for key in seen[1][0]} == {rep._SIX_E0}
+    assert {len(key) for memo, _ in seen for key in memo} == {2}
     assert rep._suffixes.get() is None
 
 
@@ -565,6 +600,22 @@ def test_outside_a_suite_every_s_step_runs(monkeypatch):
     assert 0 < len(memos) < steps
 
 
+def test_the_standard_basis_reference_takes_no_shortcut(monkeypatch):
+    # rho_word is the reference that the eigenbasis is compared with: inside
+    # a suite it still runs every token of all ten columns, every time, and
+    # stores nothing in the memo
+    word = Word.parse("T2ST3ST-1S")
+    want = rho_word(word)  # construction, before the spy counts steps
+    steps, real = [], rep._run
+    monkeypatch.setattr(rep, "_run", lambda table, v: steps.append(table) or real(table, v))
+    with rep._suffix_memo():
+        for _ in range(2):
+            del steps[:]
+            assert rho_word(word) == want
+            assert len(steps) == DIM * len(word)
+        assert rep._suffixes.get() == {}
+
+
 def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
     # a memoized suffix is shared, not assumed: one wrong column makes
     # exactly the pairs whose words end in that suffix (at an S other than
@@ -574,8 +625,8 @@ def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
     ends = {pair for pair, word in words.items()
             if word.tokens[-3:] == suffix and word.s_count() > 2}
     assert len(ends) == 18 and (2, 1) not in ends  # L(2,1) is the word S T2 S itself
-    key = suffix, rep._SIX_E0, True
-    column = list(rep._apply(*key))
+    key = suffix, rep._SIX_E0
+    column = list(rep._apply(*key, True))
     column[0] += 1
     with rep._suffix_memo():
         rep._suffixes.get()[key] = tuple(column)
