@@ -40,9 +40,6 @@ class SL2Z:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self):
-        return SL2Z(self.d, -self.b, -self.c, self.a)
-
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
@@ -169,9 +166,7 @@ def cofactors(p, q):
 
 
 def lens_matrix(p, q, a, b):
-    """The gluing matrix (-q, b; p, -a) of L(p, q), for a*q - b*p = 1."""
-    if a * q - b * p != 1:
-        raise ValueError(f"need a*q - b*p = 1, got {a * q - b * p}")
+    """The gluing matrix (-q, b; p, -a) of L(p, q); SL2Z checks a*q - b*p = 1."""
     return SL2Z(-q, b, p, -a)
 
 

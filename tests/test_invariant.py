@@ -405,18 +405,20 @@ def test_verify_periodicity_rejects_small_bound():
 
 
 def test_periodicity_mechanism_through_congruence_kernel():
-    # for (p2, q2) = (p, q) mod 12 the two gluing matrices differ, up to a
-    # power of T on the right, by an element of Gamma(12), which rho kills;
+    # for (p2, q2) = (p, q) mod 12 the two gluing matrices agree mod 12, up
+    # to a power of T on the right, so rho, of level 12, maps them alike;
     # rho(T) fixes e_1, so equal invariants follow
-    from e6lens.modular import SL2Z, decompose, in_gamma12, lens_matrix
-    from e6lens.rep import DIM, CycloMatrix, rho_word
+    from e6lens.modular import SL2Z, Word, decompose, lens_matrix
+    from e6lens.rep import rho_word
+
+    def mod12(m):
+        return tuple(x % 12 for x in m.entries())
 
     for p, q, p2, q2 in [(1, 0, 13, 12), (5, 2, 17, 14), (7, 3, 19, 15)]:
         glue = lens_matrix(p, q, *cofactors(p, q))
         glue2 = lens_matrix(p2, q2, *cofactors(p2, q2))
-        candidates = (glue.inverse() * glue2 * SL2Z(1, k, 0, 1) for k in range(12))
-        corrector = next(m for m in candidates if in_gamma12(m))
-        assert rho_word(decompose(corrector)) == CycloMatrix.identity(DIM)
+        k = next(k for k in range(12) if mod12(glue2 * SL2Z(1, k, 0, 1)) == mod12(glue))
+        assert rho_word(decompose(glue2) * Word([k])) == rho_word(decompose(glue))
         assert state_sum(LensSpace(p, q)) == state_sum(LensSpace(p2, q2))
 
 

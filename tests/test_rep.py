@@ -71,9 +71,10 @@ def test_rho_s_is_symmetric():
 
 
 def test_rho_t_diagonal():
-    # rho_t() is the image of the compiled T table; this pins every entry
-    # from literals, independent of rep._T_EXP
+    # rho_t() is the image of the word T, as rho_s() is of S; this pins
+    # every entry from literals, independent of rep._T_EXP
     t = rho_t()
+    assert t == rho_word(Word([1]))
     z2 = zeta_pow(2)
     expected = (ONE, -z2, -ONE, ONE, IMAG, -z2, ONE, z2 ** 4, z2 ** -2, -ONE)
     assert [t.rows[i][i] for i in range(DIM)] == list(expected)
@@ -118,17 +119,16 @@ def _corrupt(kind):
 
 # the checks of verify relations, and each one's witness on the three
 # corruptions of w*rho(S): entries of the products, computed over the field
-NAMES = ("rho(S)^4 = I", "(rho(S) rho(T))^3 = rho(S)^2", "rho(T)^12 = I",
-         "rho(S) rho(S)* = I", "rho(T) rho(T)* = I")
+NAMES = ("rho(S)^4 = I", "(rho(S) rho(T))^3 = rho(S)^2", "rho(S) rho(S)* = I")
 _W4, _W2 = (4032, 4608, -2304), (48, 48, -24)
 PINNED = {
     "sign flip": (_witness("(1,1)", _W4, (1008, 1152, -576)),
-                  _witness("(1,1)", (216, 240, -120), (192, 216, -108)), None,
-                  _witness("(1,3)", (0, 0, 0), (24, 24, -12)), None),
+                  _witness("(1,1)", (216, 240, -120), (192, 216, -108)),
+                  _witness("(1,3)", (0, 0, 0), (24, 24, -12))),
     "plus one": (_witness("(1,1)", _W4, (4476, 5100, -2550)),
-                 _witness("(1,1)", (456, 504, -252), (459, 506, -253)), None,
-                 _witness("(1,1)", _W2, (55, 52, -26)), None),
-    "similarity": (None, None, None, _witness("(1,1)", _W2, (189, 192, -96)), None),
+                 _witness("(1,1)", (456, 504, -252), (459, 506, -253)),
+                 _witness("(1,1)", _W2, (55, 52, -26))),
+    "similarity": (None, None, _witness("(1,1)", _W2, (189, 192, -96))),
 }
 
 
@@ -211,10 +211,10 @@ def test_suites_report_a_corrupt_s_numerator(monkeypatch, capsys, kind):
     assert verify_relations().checks + verify_unitary().checks == tuple(
         map(Check, NAMES, PINNED[kind]))
     assert cli.main(["verify", "relations"]) == 1
-    suites = ["relations"] * 3 + ["unitarity"] * 2
+    suites = ["relations"] * 2 + ["unitarity"]
     lines = [f"PASS  {suite}: {name}" if w is None else f"FAIL  {suite}: {name}  [{w}]"
              for suite, name, w in zip(suites, NAMES, PINNED[kind])]
-    lines.append(f"relations: {PINNED[kind].count(None)}/5 checks passed")
+    lines.append(f"relations: {PINNED[kind].count(None)}/3 checks passed")
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
@@ -223,37 +223,40 @@ def test_suites_report_a_corrupt_s_numerator(monkeypatch, capsys, kind):
 
 def test_verify_relations_all_pass():
     report = verify_relations()
-    assert len(report.checks) == 3
+    assert len(report.checks) == 2
     assert report.passed, report.to_json()
 
 
-@pytest.mark.parametrize("entry, value, twelfth",
-                         [((0, 1), ONE, ONE), ((2, 2), 2 * ONE, 4096 * ONE)])
-def test_t_twelfth_power_check_reads_every_entry(monkeypatch, entry, value, twelfth):
-    # rho(T)^12 = I is read off the entries of rho_t(): a nonzero entry off
-    # the diagonal fails as itself, a diagonal entry through its 12th power
-    rows = [list(row) for row in rho_t().rows]
-    rows[entry[0]][entry[1]] = value
-    monkeypatch.setattr(rep, "rho_t", lambda: CycloMatrix(rows))
+def _checks_with_twists(monkeypatch, twists):
+    """The three construction checks, built anew with these twists."""
+    monkeypatch.setattr(rep, "_T_EXP", twists)
     _fresh_construction(monkeypatch)
-    want = ONE if entry[0] == entry[1] else ZERO
-    witness = f"({entry[0] + 1},{entry[1] + 1}): expected {want.to_text()}, got {twelfth.to_text()}"
-    assert verify_relations().checks[2] == Check("rho(T)^12 = I", witness)
+    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
+    return verify_relations().checks + verify_unitary().checks
+
+
+def _fails_with_witness(check):
+    return (check.name == "(rho(S) rho(T))^3 = rho(S)^2" and not check.passed
+            and re.fullmatch(r"\(\d+,\d+\): expected .+, got .+", check.witness))
 
 
 def test_a_wrong_entered_twist_fails_only_the_st_relation(monkeypatch):
-    # rho(T) is built from powers of zeta^2, so rho(T)^12 = I and
-    # rho(T) rho(T)* = I hold for any twists: with the twists 0, 1, ..., 9
-    # only (rho(S) rho(T))^3 = rho(S)^2 fails, with a witness
-    monkeypatch.setattr(rep, "_T_EXP", tuple(range(DIM)))
-    _fresh_construction(monkeypatch)
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
-    monkeypatch.setattr(rep, "rho_t", lru_cache(maxsize=1)(rep.rho_t.__wrapped__))
-    s4, st3, t12 = verify_relations().checks
-    assert st3.name == "(rho(S) rho(T))^3 = rho(S)^2"
-    assert re.fullmatch(r"\(\d+,\d+\): expected .+, got .+", st3.witness)
-    assert s4.passed and t12.passed
-    assert verify_unitary().checks[1] == Check("rho(T) rho(T)* = I")
+    # rho(T) is built from powers of zeta^2, so only the ST relation reads
+    # the twists: with the twists 0, 1, ..., 9 it fails, with a witness,
+    # while rho(S)^4 = I and rho(S) rho(S)* = I pass
+    s4, st3, unitary = _checks_with_twists(monkeypatch, tuple(range(DIM)))
+    assert _fails_with_witness(st3)
+    assert (s4, unitary) == (Check(NAMES[0]), Check(NAMES[2]))
+
+
+def test_each_moved_twist_fails_the_st_relation(monkeypatch):
+    # each entry of _T_EXP moved by +1 and by +6 fails (rho(S) rho(T))^3 =
+    # rho(S)^2, the one construction check that reads the twists
+    twists = rep._T_EXP
+    for i in range(DIM):
+        for step in (1, 6):
+            moved = twists[:i] + ((twists[i] + step) % 12,) + twists[i + 1:]
+            assert _fails_with_witness(_checks_with_twists(monkeypatch, moved)[1]), (i, step)
 
 
 def test_relations_directly():
