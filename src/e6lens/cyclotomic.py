@@ -78,17 +78,6 @@ def _require_int(**values):
             raise ValueError(f"{name} must be an int, not {value!r}")
 
 
-def _power(base, n, one):
-    """base**n for an int n >= 0, by square-and-multiply (none after the top bit)."""
-    acc = one
-    while n:
-        if n & 1:
-            acc = acc * base
-        n >>= 1
-        base = base * base if n else base
-    return acc
-
-
 def _norm_coeff(c):
     if isinstance(c, int) and not isinstance(c, bool):
         return c
@@ -177,8 +166,15 @@ class Cyclotomic:
         return self * o.inv()
 
     def __pow__(self, n):
+        """self**n for an int n, by square-and-multiply (none after the top bit)."""
         _require_int(n=n)
-        return _power(self if n >= 0 else self.inv(), abs(n), ONE)
+        base, acc, n = self if n >= 0 else self.inv(), ONE, abs(n)
+        while n:
+            if n & 1:
+                acc = acc * base
+            n >>= 1
+            base = base * base if n else base
+        return acc
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -20,16 +20,17 @@ coefficients: multiplying by a field element is a 4x4 integer block on the
 coefficient basis, so a matrix compiles once into flat columns of
 (row, factor) pairs that act on a flat column, at a cost per factor on a
 nonzero coordinate: a column that lives in a few blocks pays only for them.
-_construction builds, compiles and checks 12*rho(S) once; verify_relations
-and verify_unitary report those checks, and _s_table aborts on the first
-that fails.  A witness is scaled back to w*rho(S), the matrix as entered.
+_construction builds the standard basis once, its 12*rho(S) and twelve
+rho(T^k) compiled, and checks it; verify_relations and verify_unitary
+report those checks, and _standard aborts on the first that fails.  A
+witness is scaled back to w*rho(S), the matrix as entered.
 
 Words run on one eigenbasis of rho(T) (_BASIS), where 12*rho(S) compiles
-to 282 factors; _eigenbasis derives that table from the checked one once,
-and checks the basis exactly.  The state sum runs one column there,
+to 282 factors; _eigenbasis derives that basis from the checked one once,
+and checks it exactly.  The state sum runs one column there,
 6 e0 = 2v + u + 3b, and the v, u and b coordinates of its image give the
-first entry; its leftmost S step runs only the v, u and b rows, the head
-_eigenbasis(3).  verify kernel runs each of the ten basis vectors.
+first entry; its leftmost S step runs only the v, u and b rows (the
+head, derived with the basis).  verify kernel runs each basis vector.
 rho_word and the relation and unitarity checks stay on the standard basis:
 the reference, which runs every token.  One evaluator, _apply, walks every
 word through the tables of one basis; inside a verification suite, and
@@ -116,16 +117,17 @@ def _s_numerator():
 
 @lru_cache(maxsize=1)
 def _construction():
-    """12*rho(S) built from w*rho(S) (each entry times 12/w = 3 - sqrt3) and
-    compiled once, with the relations and unitarity reports on that table."""
+    """The standard basis, built once: (12*rho(S) from w*rho(S), each entry
+    times 12/w = 3 - sqrt3, and its twelve rho(T^k)), compiled, with the
+    relations and unitarity reports on those tables."""
     s12 = CycloMatrix([[(3 - SQRT3) * e for e in row] for row in _s_numerator().rows])
-    table = _compile(s12.rows)
-    return (table, Report("relations", tuple(_relation_checks(table))),
-            Report("unitarity", tuple(_unitary_checks(s12, table))))
+    basis = _compile(s12.rows), _t_tables(_T_EXP)
+    return (basis, Report("relations", tuple(_relation_checks(*basis))),
+            Report("unitarity", tuple(_unitary_checks(s12, basis[0]))))
 
 
-def _relation_checks(table):
-    """The SL(2,Z) presentation relations, for 12*rho(S) compiled as table.
+def _relation_checks(table, t):
+    """The SL(2,Z) presentation relations, for the compiled 12*rho(S) and rho(T^k) = t[k].
 
     S^4 = I and (S T)^3 = S^2 become (12S)^4 = 12^4 I and
     (12S T)^3 = 12 (12S)^2, which stay in integer coefficients.  T^12 = I
@@ -135,7 +137,7 @@ def _relation_checks(table):
     s4 = [_run(table, _run(table, v)) for v in s2]
     st3 = _identity()
     for _ in range(3):
-        st3 = [_run(table, _run(_t_table(1, _T_EXP), v)) for v in st3]
+        st3 = [_run(table, _run(t[1], v)) for v in st3]
     return [
         _check("rho(S)^4 = I", s4, _identity(12**4), 4),
         _check("(rho(S) rho(T))^3 = rho(S)^2", st3, [[12 * c for c in v] for v in s2], 3),
@@ -216,23 +218,22 @@ def _entries(v, den=1):
     return [Cyclotomic._raw(v[i:i + DEGREE]) for i in range(0, len(v), DEGREE)]
 
 
-def _s_table():
-    """12*rho(S) on the standard basis, the table behind rho_word and the
-    eigenbasis table, as _construction built it once; aborts on the first of
-    its checks that fails."""
-    table, relations, unitarity = _construction()
+def _standard():
+    """The standard basis, (12*rho(S), its twelve rho(T^k)), as
+    _construction built it once: the tables behind rho_word and the
+    eigenbasis.  Aborts on the first of construction's checks that fails."""
+    basis, relations, unitarity = _construction()
     for check in relations.checks + unitarity.checks:
         if not check.passed:
             raise RuntimeError(f"self-check of w*rho(S) failed: {check.name} [{check.witness}]")
-    return table
+    return basis
 
 
-@lru_cache(maxsize=2 * 12)
-def _t_table(k, twists):
+def _t_tables(twists):
     """rho(T^k) compiled on a basis with these twists (exponents of zeta^2),
-    for 0 <= k < 12: twelve tables for each of the two bases."""
-    return _compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(len(twists))]
-                     for i, e in enumerate(twists)])
+    the table of T^k at index k, for 0 <= k < 12."""
+    return tuple(_compile([[zeta_pow(2 * k * e) if i == j else ZERO for j in range(len(twists))]
+                           for i, e in enumerate(twists)]) for k in range(12))
 
 
 # An integral basis of rho(T) eigenvectors on the standard basis (0-based,
@@ -248,18 +249,15 @@ def _abort(what):
     raise RuntimeError(f"eigenbasis check failed: {what}")
 
 
-@lru_cache(maxsize=2)
-def _eigenbasis(n=DIM):
-    """(12*rho(S) compiled on _BASIS, the twists of _BASIS), derived once
-    from the checked _s_table(); for n < DIM its head, derived once from
-    _eigenbasis(): the table alone, with only the rows of the first n
-    vectors, so the other coordinates of its image are zero.  Aborts unless
-    each basis vector has a single twist (so it is nonzero), the vectors are
-    pairwise orthogonal and ten (so they span, and each image is the sum of
-    its projections), and 6 e0 = 2v + u + 3b."""
-    if n < DIM:
-        rows, columns = _eigenbasis()[0]
-        return rows, tuple(tuple(p for p in c if p[0] < DEGREE * n) for c in columns)
+@lru_cache(maxsize=1)
+def _eigenbasis():
+    """The eigenbasis _BASIS, derived once from the checked standard basis:
+    (12*rho(S) compiled on it, its twelve rho(T^k), and the state sum's
+    head: that 12*rho(S) with only the rows of v, u and b, so the other
+    coordinates of its image are zero).  Aborts unless each basis vector has
+    a single twist (so it is nonzero), the vectors are pairwise orthogonal
+    and ten (so they span, and each image is the sum of its projections),
+    and 6 e0 = 2v + u + 3b."""
     basis = [[b.get(i, 0) for i in range(DIM)] for b in _BASIS]
     twists = []
     for k, b in enumerate(basis):
@@ -274,13 +272,15 @@ def _eigenbasis(n=DIM):
         _abort(f"{len(basis)} vectors, not {DIM}")
     if tuple(sum(c * b[i] for c, b in zip(_SIX_E0, basis)) for i in range(DIM)) != _unit(0, 6):
         _abort("2v + u + 3b is not 6 e0")
-    columns = []
+    images = []
     for b in basis:  # 12*rho(S) b, as its coordinates on the orthogonal basis
-        y = _run(_s_table(), _flat(b))
-        columns.append([_entries([sum(x * y[DEGREE * i + r] for i, x in enumerate(c) if x)
-                                  for r in range(DEGREE)], sum(x * x for x in c))[0]
-                        for c in basis])
-    return _compile(list(zip(*columns))), tuple(twists)
+        y = _run(_standard()[0], _flat(b))
+        images.append([_entries([sum(x * y[DEGREE * i + r] for i, x in enumerate(c) if x)
+                                 for r in range(DEGREE)], sum(x * x for x in c))[0]
+                       for c in basis])
+    rows, columns = _compile(list(zip(*images)))
+    head = tuple(tuple(p for p in c if p[0] < 3 * DEGREE) for c in columns)
+    return (rows, columns), _t_tables(twists), (rows, head)
 
 
 # The suffix memo of the running verification suite (None outside one): the
@@ -301,20 +301,20 @@ def _suffix_memo():
         _suffixes.reset(token)
 
 
-def _apply(tokens, column, eigen=False, n=DIM):
+def _apply(tokens, column, eigen=False, head=False):
     """12^m rho(tokens) x, m the number of S tokens and x the vector with
     integer coordinates column on the eigenbasis (the standard basis if not
-    eigen), as a flat integral column on that basis; for n < DIM (eigenbasis
-    only) exact on the first n vectors alone.  The tokens act right to left,
-    each through the basis's compiled table: 12*rho(S) for S,
-    _t_table(k % 12, twists) for T^k.  The head _eigenbasis(n) runs the
-    leftmost S step, only the rows of the first n vectors; the zeros it
-    leaves cost the T tokens left of it nothing.  Inside a suite
-    (_suffix_memo) an eigenbasis word starts after its longest memoized
-    suffix, and the column of every suffix that starts at an S but the
-    leftmost is stored; a standard-basis word runs every token."""
-    s, twists = _eigenbasis() if eigen else (_s_table(), _T_EXP)
-    head = _eigenbasis(n) if n < DIM else s
+    eigen), as a flat integral column on that basis; with head (eigenbasis
+    only) exact on v, u and b alone.  The tokens act right to left, each
+    through a compiled table of the basis: 12*rho(S) for S, rho(T^(k % 12))
+    for T^k.  With head the eigenbasis head runs the leftmost S step, only
+    the v, u and b rows; the zeros it leaves cost the T tokens left of it
+    nothing.  Inside a suite (_suffix_memo) an eigenbasis word starts after
+    its longest memoized suffix, and the column of every suffix that starts
+    at an S but the leftmost is stored; a standard-basis word runs every
+    token."""
+    s, t = (_eigenbasis() if eigen else _standard())[:2]
+    top = _eigenbasis()[2] if head else s
     starts = [i for i, token in enumerate(tokens) if token == "S"]
     first = starts[0] if starts else len(tokens)
     memo, end = _suffixes.get() if eigen else None, len(tokens)
@@ -324,24 +324,22 @@ def _apply(tokens, column, eigen=False, n=DIM):
         v = memo[tokens[end:], column] = memo.pop((tokens[end:], column))
     else:
         v = _flat(column)
-    for i, t in reversed([*enumerate(tokens[:end])]):
-        v = _run(head if i == first else s if t == "S" else _t_table(t % 12, twists), v)
-        if memo is not None and i > first and t == "S":
+    for i, token in reversed([*enumerate(tokens[:end])]):
+        v = _run(top if i == first else s if token == "S" else t[token % 12], v)
+        if memo is not None and i > first and token == "S":
             memo[tokens[i:], column] = tuple(v)
             if len(memo) > _SUFFIX_MEMO:
                 del memo[next(iter(memo))]
     return v
 
 
-@lru_cache(maxsize=1)
 def rho_s():
-    """rho(S), exact; aborts if the transcription self-checks fail."""
+    """rho(S), exact: a one-token word image; aborts if construction's checks fail."""
     return rho_word(Word(["S"]))
 
 
-@lru_cache(maxsize=1)
 def rho_t():
-    """rho(T), exact; aborts if the transcription self-checks fail."""
+    """rho(T), exact: a one-token word image; aborts if construction's checks fail."""
     return rho_word(Word([1]))
 
 
@@ -357,7 +355,7 @@ def _first_entry(word, x):
     on the eigenbasis, only the v, u and b rows in its leftmost S step;
     <e0, .> reads x_v + x_u + x_b, as v, u and b each hold e0 once.  Then
     one product with x and one division."""
-    v = _apply(word.tokens, _SIX_E0, True, 3)
+    v = _apply(word.tokens, _SIX_E0, eigen=True, head=True)
     total = [sum(v[r:3 * DEGREE:DEGREE]) for r in range(DEGREE)]
     return _entries(_mul_coeffs(total, x._c), 6 * 12 ** word.s_count())[0]
 

@@ -126,7 +126,7 @@ def test_criterion_7_numeric_spot_values():
 
 def test_criterion_8_row_norm_oracle():
     w2 = GLOBAL_INDEX * GLOBAL_INDEX
-    numerator = _s_numerator()  # as entered; _s_table runs the self-checks on it
+    numerator = _s_numerator()  # as entered; _standard runs the self-checks on it
     for i, row in enumerate(numerator.rows):
         norm = sum((e * e.conjugate() for e in row), start=Cyclotomic([0] * 8))
         assert norm == w2, f"row {i + 1}"

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from e6lens import cyclotomic
 from e6lens.cyclotomic import (
     GLOBAL_INDEX,
     IMAG,
@@ -16,7 +17,6 @@ from e6lens.cyclotomic import (
     SQRT3,
     ZERO,
     Cyclotomic,
-    _power,
     quantum_integer,
     zeta_pow,
 )
@@ -146,22 +146,20 @@ def test_division_and_powers():
     assert x**-2 == (x * x).inv()
 
 
-def test_power_squares_only_up_to_the_top_bit():
-    # a counting stand-in: n.bit_length() - 1 squarings, one product per set bit
-    class Counted:
-        products = 0
-
-        def __init__(self, exponent):
-            self.exponent = exponent
-
-        def __mul__(self, other):
-            Counted.products += 1
-            return Counted(self.exponent + other.exponent)
-
+def test_power_squares_only_up_to_the_top_bit(monkeypatch):
+    # x ** n multiplies n.bit_length() - 1 times to square and once per set
+    # bit, counted at the coefficient product that every field product runs
+    x = 2 + SQRT3
+    powers = [ONE]
+    for _ in range(64):
+        powers.append(powers[-1] * x)
+    products = []
+    real = cyclotomic._mul_coeffs
+    monkeypatch.setattr(cyclotomic, "_mul_coeffs", lambda a, b: products.append(1) or real(a, b))
     for n in range(65):
-        Counted.products = 0
-        assert _power(Counted(1), n, Counted(0)).exponent == n
-        assert Counted.products == max(n.bit_length() - 1, 0) + bin(n).count("1"), n
+        del products[:]
+        assert x ** n == powers[n]
+        assert len(products) == max(n.bit_length() - 1, 0) + bin(n).count("1"), n
 
 
 # -- quantum integers ---------------------------------------------------------

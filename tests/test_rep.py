@@ -145,7 +145,7 @@ def _aborts_with_first_failure(monkeypatch, kind):
     name, witness = next((n, w) for n, w in zip(NAMES, PINNED[kind]) if w)
     _fresh_construction(monkeypatch, kind)
     with pytest.raises(RuntimeError) as info:
-        rep._s_table()
+        rep._standard()
     assert str(info.value) == f"self-check of w*rho(S) failed: {name} [{witness}]"
 
 
@@ -154,10 +154,10 @@ def test_construction_aborts_on_corrupt_entry(monkeypatch):
 
 
 def test_s_table_checks_the_matrix_it_compiles(monkeypatch):
-    # _s_table, the table that evaluation reads, runs the self-check
+    # _standard, the basis that evaluation reads, runs the self-check
     _fresh_construction(monkeypatch, "plus one")
     with pytest.raises(RuntimeError, match=r"self-check of w\*rho\(S\) failed"):
-        rep._s_table()
+        rep._standard()
 
 
 def test_construction_aborts_on_sign_flip_that_keeps_row_norms(monkeypatch):
@@ -182,24 +182,36 @@ def _basis_matrix():
              for image in images] for c in basis]
 
 
+def _t_diagonals():
+    """The diagonal of rho(T) on the standard basis and on the eigenbasis,
+    read from rho_t(): a basis vector takes the twist of its support."""
+    diagonal = [rho_t().rows[i][i] for i in range(DIM)]
+    return diagonal, [diagonal[min(b)] for b in rep._BASIS]
+
+
+def _t_powers(diagonal):
+    """rho(T^k) for k = 0..11, entry by entry, where rho(T) is this diagonal."""
+    return [[[e ** k if i == j else ZERO for j in range(len(diagonal))]
+             for i, e in enumerate(diagonal)] for k in range(12)]
+
+
 def test_cold_construction_compiles_w_rho_s_once(monkeypatch):
-    # construction compiles 12*rho(S) once and self-checks that table, which
-    # every _s_table() call returns: the checks run each column of a product
-    # through the kernel and compile no product.
-    # The eigenbasis table comes from that checked table: one compile, of
-    # 12*rho(S) on the eigenbasis, and none of the entered matrix
-    eigenbasis = rep._eigenbasis()
+    # construction compiles 12*rho(S) once, then its twelve rho(T^k), and
+    # self-checks those tables, which every _standard() call returns: the
+    # checks run each column of a product through the kernel and compile no
+    # product.
+    # The eigenbasis comes from that checked table: one compile, of
+    # 12*rho(S) on the eigenbasis, and none of the entered matrix, then its
+    # twelve rho(T^k); its head is a part of that table, not a compile
+    eigenbasis, (standard, eigen) = rep._eigenbasis(), _t_diagonals()
     _fresh_construction(monkeypatch)
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
     calls, real = [], rep._compile
     monkeypatch.setattr(rep, "_compile", lambda rows: calls.append(rows) or real(rows))
-    assert rep._s_table() is rep._s_table()
-    diagonal = [[e if i == j else ZERO for j, e in enumerate(row)]
-                for i, row in enumerate(rho_t().rows)]
-    assert [[list(row) for row in rows] for rows in calls] == [_twelve_s(), diagonal]
+    assert rep._standard() is rep._standard()
+    assert [[list(row) for row in rows] for rows in calls] == [_twelve_s()] + _t_powers(standard)
     del calls[:]
     assert rep._eigenbasis.__wrapped__() == eigenbasis
-    assert [[list(row) for row in rows] for rows in calls] == [_basis_matrix()]
+    assert [[list(row) for row in rows] for rows in calls] == [_basis_matrix()] + _t_powers(eigen)
 
 
 @pytest.mark.parametrize("kind", PINNED)
@@ -231,7 +243,6 @@ def _checks_with_twists(monkeypatch, twists):
     """The three construction checks, built anew with these twists."""
     monkeypatch.setattr(rep, "_T_EXP", twists)
     _fresh_construction(monkeypatch)
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(rep._t_table.__wrapped__))
     return verify_relations().checks + verify_unitary().checks
 
 
@@ -409,13 +420,14 @@ def test_entry_11_fast_path_matches_full_matrix():
         assert rho_entry_11(word) == product.rows[0][0] * w_power, word
 
 
-def _with_eigenbasis(monkeypatch, table=None, twists=None):
-    """Evaluation on the eigenbasis with this table or these twists, and on
-    the head that rep derives from them."""
-    real_table, real_twists = rep._eigenbasis()
-    eigenbasis = (table or real_table, twists or real_twists)
-    head = rep._eigenbasis.__wrapped__  # reads the patched _eigenbasis()
-    monkeypatch.setattr(rep, "_eigenbasis", lambda n=DIM: eigenbasis if n == DIM else head(n))
+def _with_eigenbasis(monkeypatch, table=None, t=None):
+    """Evaluation on the eigenbasis with this 12*rho(S) table or these
+    rho(T^k) tables, and with the head of that table: its v, u and b rows."""
+    real_table, real_t, _ = rep._eigenbasis()
+    rows, columns = table or real_table
+    head = tuple(tuple((i, f) for i, f in column if i < 12) for column in columns)
+    eigenbasis = (rows, columns), t or real_t, (rows, head)
+    monkeypatch.setattr(rep, "_eigenbasis", lambda: eigenbasis)
 
 
 def _corrupt_factor(table, row):
@@ -429,17 +441,14 @@ def _corrupt_factor(table, row):
 
 @pytest.mark.parametrize("text", ["T5", "T5S", "ST5", "T5ST3S", "T5ST3ST5", "ST5S"])
 def test_entry_11_runs_end_t_tokens_through_their_tables(monkeypatch, text):
-    # a wrong first block row of the eigenbasis T^5 table, which the head
-    # borrows too, must show in the first entry, whether T^5 comes before
-    # the first S, after the last S, between two S or without any S; and the
-    # leftmost S step, which runs only the v, u and b rows, must agree with a
-    # run of every row
+    # a wrong first block row of the eigenbasis T^5 table must show in the
+    # first entry, whether T^5 comes before the first S, after the last S,
+    # between two S or without any S; and the leftmost S step, which runs
+    # only the v, u and b rows, must agree with a run of every row
     word = Word.parse(text)
     before = rho_entry_11(word)
-    real, twists = rep._t_table, rep._eigenbasis()[1]
-    corrupt = _corrupt_factor(real(5, twists), 0)
-    monkeypatch.setattr(rep, "_t_table",
-                        lambda k, t: corrupt if (k, t) == (5, twists) else real(k, t))
+    t = rep._eigenbasis()[1]
+    _with_eigenbasis(monkeypatch, t=t[:5] + (_corrupt_factor(t[5], 0),) + t[6:])
     after = rho_entry_11(word)
     assert after != before
     column = rep._apply(word.tokens, rep._SIX_E0, True)
@@ -452,11 +461,10 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
     # derivation has already checked the true twists, so only the suites can
     # see it.  A cofactor shift changes the gluing word only after its last
     # S, so the shifted words must disagree
-    twists = rep._eigenbasis()[1]
-    assert twists[0] == 0
-    _with_eigenbasis(monkeypatch, twists=(6,) + twists[1:])
-    # fresh caches, so that the shared ones keep the true values
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=3 * 12)(rep._t_table.__wrapped__))
+    twists = tuple(rep._T_EXP[min(b)] for b in rep._BASIS)
+    assert twists[0] == 0 and rep._t_tables(twists) == rep._eigenbasis()[1]
+    _with_eigenbasis(monkeypatch, t=rep._t_tables((6,) + twists[1:]))
+    # a fresh cache, so that the shared one keeps the true values
     monkeypatch.setattr(invariant, "_literal_state_sum",
                         lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
     report = verify_well_defined(12)
@@ -469,19 +477,15 @@ def test_compiled_blocks_multiply_the_basis_vectors():
     # every 4x4 block of every compiled table is the product with e_0..e_3;
     # a column holds its (row, factor) pairs in increasing row, zeros
     # dropped.  The eigenbasis head is the S table's v, u and b rows on every
-    # column, and zero below them.  The T tables of the two bases, twelve
-    # each, fill the cache exactly
-    table, eigen_twists = rep._eigenbasis()
-    head = rep._eigenbasis(3)
+    # column, and zero below them.  Each basis holds twelve T tables, the
+    # one of rho(T^k) at index k
+    (s, standard_t), (table, eigen_t, head) = rep._standard(), rep._eigenbasis()
     assert [column[:len(h)] for h, column in zip(head[1], table[1])] == list(head[1])
-    tables = [(rep._s_table(), _twelve_s()), (table, _basis_matrix()),
+    tables = [(s, _twelve_s()), (table, _basis_matrix()),
               (head, _basis_matrix()[:3] + [[ZERO] * DIM] * (DIM - 3))]
-    for twists in (rep._T_EXP, eigen_twists):
-        tables += [(rep._t_table(k, twists), [[zeta_pow(2 * k * e) if i == j else ZERO
-                                               for j in range(len(twists))]
-                                              for i, e in enumerate(twists)]) for k in range(12)]
-    info = rep._t_table.cache_info()
-    assert info.currsize == info.maxsize == 2 * 12
+    assert len(standard_t) == len(eigen_t) == 12
+    for t, diagonal in zip((standard_t, eigen_t), _t_diagonals()):
+        tables += zip(t, _t_powers(diagonal))
     basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
     for (n_rows, columns), rows in tables:
         assert n_rows == 4 * len(rows) and len(columns) == 4 * len(rows[0])
@@ -497,25 +501,27 @@ def test_compiled_blocks_multiply_the_basis_vectors():
                     assert column == _mul_coeffs(a._c, e), (i, k, j)
 
 
-def test_each_t_table_is_compiled_once_per_basis(monkeypatch, capsys):
-    # from cold caches, verify all, a table sweep and one compute compile
-    # rho(T^k) only for the standard basis and the eigenbasis, whose tables
-    # the state sum's head borrows, and each table once
-    assert rep._t_table.cache_info().maxsize == 2 * 12
-    for module, name in ((rep, "_construction"), (rep, "_eigenbasis"), (rep, "rho_t"),
-                         (rep, "rho_s"), (invariant, "_literal_state_sum")):
+def test_each_basis_is_compiled_whole_once(monkeypatch, capsys):
+    # from cold caches, construction compiles the standard basis whole, its
+    # 12*rho(S) and twelve rho(T^k), and the eigenbasis derivation its own
+    # thirteen tables; after that verify all, a table sweep and one compute
+    # compile nothing
+    for module, name in ((rep, "_construction"), (rep, "_eigenbasis"),
+                         (invariant, "_literal_state_sum")):
         cached = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lru_cache(cached.cache_info().maxsize)(cached.__wrapped__))
-    compiled, compile_t = [], rep._t_table.__wrapped__
-    monkeypatch.setattr(rep, "_t_table", lru_cache(maxsize=2 * 12)(
-        lambda k, twists: compiled.append((k, twists)) or compile_t(k, twists)))
+    compiled, real = [], rep._compile
+    monkeypatch.setattr(rep, "_compile", lambda rows: compiled.append(rows) or real(rows))
+    rho_s()
+    assert len(compiled) == 13
+    rep._eigenbasis()
+    assert len(compiled) == 2 * 13
     for argv in (["verify", "all"], ["table", "--pmax", "120", "--format", "csv"],
                  ["compute", "5", "1"]):
         assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(compiled) == len(set(compiled))
-    assert {twists for _, twists in compiled} == {rep._T_EXP, rep._eigenbasis()[1]}
+    assert len(compiled) == 2 * 13
 
 
 @pytest.mark.parametrize("row", [0, 21])
@@ -581,12 +587,16 @@ def test_outside_a_suite_every_s_step_runs(monkeypatch):
     steps = sum(len(word.tokens) for word in words)
     t_steps = steps - sum(word.s_count() for word in words)
     memos, t_memos = [], []
-    real_run, real_t = rep._run, rep._t_table
-    rep._eigenbasis()  # derived once, before the spies count steps
-    monkeypatch.setattr(rep, "_run",
-                        lambda table, v: memos.append(rep._suffixes.get()) or real_run(table, v))
-    monkeypatch.setattr(rep, "_t_table",
-                        lambda k, twists: t_memos.append(rep._suffixes.get()) or real_t(k, twists))
+    real_run = rep._run
+    t_tables = rep._standard()[1] + rep._eigenbasis()[1]  # built before the spy counts steps
+
+    def spy(table, v):
+        memos.append(rep._suffixes.get())
+        if any(table is t for t in t_tables):
+            t_memos.append(memos[-1])
+        return real_run(table, v)
+
+    monkeypatch.setattr(rep, "_run", spy)
     values = [rho_entry_11(word) for word in words]
     assert [rho_entry_11(word) for word in words] == values
     assert len(memos) == 2 * steps and memos == [None] * len(memos)
