@@ -180,11 +180,12 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return all(x == y for x, y in zip(self._c, o._c))
+        return self._c == o._c
 
     def __hash__(self):
         # a rational value hashes as that rational, since it compares equal to it
-        return hash(self._c if any(self._c[1:]) else self._c[0])
+        c = self._c
+        return hash(c if c[1] or c[2] or c[3] else c[0])
 
     def __bool__(self):
         return any(self._c)

@@ -121,8 +121,12 @@ _ZETA3_Q4_BAR, _ZETA2_Q3_BAR = _ZETA3_Q4.conjugate(), _ZETA2_Q3.conjugate()
 
 def closed_form(space):
     """Z via the exact case table (see module docstring)."""
-    r, q = space.p % 12, space.q
-    g = math.gcd(r, 12)
+    return _closed_form(space.p, space.q)
+
+
+def _closed_form(p, q):
+    """closed_form read from the ints p, q, which sweep_table passes unchecked."""
+    r, g = p % 12, math.gcd(p, 12)
     if g == 1:
         return ONE if r in (1, 11) else _QUANTUM_5
     if g in (2, 6):
@@ -294,10 +298,9 @@ def sweep_table(p_max):
     all coprime pairs 1 <= p <= p_max, 0 <= q < p, in (p, q) order."""
     check_pmax(p_max)
     rows = []
-    for p, q in _coprime_pairs(p_max):
-        space = LensSpace(p, q)
-        s = state_sum(space)
-        rows.append(TableRow(p, q, s, s == closed_form(space)))
+    for p, q in _coprime_pairs(p_max):  # coprime, so no LensSpace checks them again
+        state = _literal_state_sum(*_residue_lift(p, q))  # state_sum's body
+        rows.append(TableRow(p, q, state, state == _closed_form(p, q)))
     return rows
 
 

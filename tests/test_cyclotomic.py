@@ -358,6 +358,18 @@ def test_equality_across_coefficient_kinds():
     b = Cyclotomic([Fraction(1), Fraction(0)] + [Fraction(0)] * 6)
     assert a == b
     assert hash(a) == hash(b)
+    # _raw keeps what it is given: Fraction(n, 1) in place of n, in any slot,
+    # of a rational and of an irrational value, compares and hashes as n
+    for ints in ((5, 0, 0, 0), (2, -3, 0, 7)):
+        for slot in range(4):
+            fracs = list(ints)
+            fracs[slot] = Fraction(ints[slot], 1)
+            x, y = Cyclotomic._raw(ints), Cyclotomic._raw(fracs)
+            assert x == y and y == x and not x != y
+            assert hash(x) == hash(y)
+    # a float, a bool or a string is no field value: unequal, and no error
+    for other in (1.0, True, "1"):
+        assert (ONE == other) is False and (other == ONE) is False
 
 
 def test_rational_values_hash_as_their_rationals():

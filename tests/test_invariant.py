@@ -307,6 +307,23 @@ def test_corrupt_served_entry_shows_in_the_table_only(monkeypatch):
     assert verify_closed_form(24).passed
 
 
+def test_corrupt_closed_form_shows_in_its_row_only(monkeypatch):
+    # every row reads its own closed form: (97, 5) shares its residues mod 12
+    # with (13, 5), (25, 5), ..., (109, 5), and none of them may follow it
+    real = invariant._closed_form
+    monkeypatch.setattr(invariant, "_closed_form", lambda p, q: (
+        ZERO if (p, q) == (97, 5) else real(p, q)))
+    assert {(r.p, r.q) for r in sweep_table(120) if not r.agrees} == {(97, 5)}
+
+
+def test_every_table_row_matches_the_public_api():
+    # the sweep inlines state_sum and closed_form; each row equals them
+    for row in sweep_table(120):
+        space = LensSpace(row.p, row.q)
+        assert row.state == state_sum(space)
+        assert row.agrees == (row.state == closed_form(space))
+
+
 def test_served_memo_is_bounded_by_the_group_order():
     # state_sum caches only lifts: one per first column of SL(2,Z/12), 96 of
     # its 1,152 elements
