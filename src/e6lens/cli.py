@@ -73,10 +73,10 @@ def _build_parser():
 def _cmd_compute(args, out):
     space = invariant.LensSpace(args.p, args.q)
     value = invariant.state_sum(space)
-    re, im = value.approx()
-    print(f"Z({space}) exact: {value.to_text()}", file=out)
-    print(f"Z({space}) surd:  {value.surd_str()}", file=out)
-    print(f"Z({space}) float: {invariant.format_complex(re, im)}", file=out)
+    label = f"Z({space})"  # two decimal ints, which a 1000-bit p makes costly
+    print(f"{label} exact: {value.to_text()}", file=out)
+    print(f"{label} surd:  {value.surd_str()}", file=out)
+    print(f"{label} float: {invariant.format_complex(*value.approx())}", file=out)
     return 0
 
 

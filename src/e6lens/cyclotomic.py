@@ -218,11 +218,19 @@ class Cyclotomic:
 
     # -- numeric embedding ---------------------------------------------------
 
+    def _surd_ints(self):
+        """((ra, rb, ia, ib), d) with re = (ra + rb*sqrt3)/d, im = (ia + ib*sqrt3)/d
+        and d = 2*lcm(coefficient denominators); an int is its own numerator."""
+        c = self._c
+        m = math.lcm(*(x.denominator for x in c))
+        n0, n1, n2, n3 = (x.numerator * (m // x.denominator) for x in c)
+        # zeta^2 = (sqrt3 + i)/2, zeta^4 = (1 + i*sqrt3)/2, zeta^6 = i
+        return (2 * n0 + n2, n1, n1 + 2 * n3, n2), 2 * m
+
     def surd_parts(self):
         """Exact (real, imag) decomposition, each a pair (a, b) for a + b*sqrt3."""
-        c0, c1, c2, c3 = (Fraction(x) for x in self._c)
-        # zeta^2 = (sqrt3 + i)/2, zeta^4 = (1 + i*sqrt3)/2, zeta^6 = i
-        return (c0 + c2 / 2, c1 / 2), (c1 / 2 + c3, c2 / 2)
+        (ra, rb, ia, ib), d = self._surd_ints()
+        return (Fraction(ra, d), Fraction(rb, d)), (Fraction(ia, d), Fraction(ib, d))
 
     def approx(self, precision_bits=64):
         """Rational (re, im) approximation, each within 2^-precision_bits."""
@@ -231,8 +239,8 @@ class Cyclotomic:
             raise ValueError(
                 f"precision must be between {MIN_PRECISION_BITS} and {MAX_PRECISION_BITS} bits"
             )
-        re, im = self.surd_parts()
-        return _eval_surd(re, precision_bits), _eval_surd(im, precision_bits)
+        (ra, rb, ia, ib), d = self._surd_ints()
+        return _eval_surd(ra, rb, d, precision_bits), _eval_surd(ia, ib, d, precision_bits)
 
     def to_complex(self, precision_bits=64):
         re, im = self.approx(precision_bits)
@@ -242,10 +250,10 @@ class Cyclotomic:
 
     def to_text(self):
         """Canonical text form: `c0 + c1*z + c2*z^2 + ... + c7*z^7`, ci as num/den."""
-        return " + ".join(
-            f"{f.numerator}/{f.denominator}{suffix}"
-            for f, suffix in zip(self.coeffs, _TEXT_SUFFIXES)
-        )
+        c0, c2, c4, c6 = self._c
+        return (f"{c0.numerator}/{c0.denominator} + 0/1*z + {c2.numerator}/{c2.denominator}*z^2"
+                f" + 0/1*z^3 + {c4.numerator}/{c4.denominator}*z^4 + 0/1*z^5"
+                f" + {c6.numerator}/{c6.denominator}*z^6 + 0/1*z^7")
 
     @classmethod
     def from_text(cls, text):
@@ -263,7 +271,7 @@ class Cyclotomic:
 
     def to_json_coeffs(self):
         """JSON-ready form: list of 8 [numerator, denominator] pairs."""
-        return [[f.numerator, f.denominator] for f in self.coeffs]
+        return [pair for x in self._c for pair in ([x.numerator, x.denominator], [0, 1])]
 
     # -- display -------------------------------------------------------------
 
@@ -272,7 +280,8 @@ class Cyclotomic:
 
     def surd_str(self):
         """Human form over {1, sqrt3} and i, e.g. `2 + sqrt3`."""
-        re_s, im_s = (_join_terms(zip(part, ("", "sqrt3"))) for part in self.surd_parts())
+        (ra, rb, ia, ib), d = self._surd_ints()
+        re_s, im_s = _surd_text(ra, rb, d), _surd_text(ia, ib, d)
         if im_s == "0":
             return re_s
         if im_s == "1":
@@ -288,35 +297,26 @@ class Cyclotomic:
         return f"{re_s} + {im_wrapped}"
 
 
-_TEXT_SUFFIXES = ("", "*z") + tuple(f"*z^{k}" for k in range(2, SLOTS))
+def _eval_surd(a, b, d, bits):
+    """(a + b*sqrt3)/d within 2^-bits: sqrt3 rounded down to g fraction bits."""
+    if not b:
+        return Fraction(a, d)
+    g = bits + 8 + (abs(b) // d + 2).bit_length()
+    return Fraction((a << g) + b * math.isqrt(3 << (2 * g)), d << g)
 
 
-def _sqrt3_lower(bits):
-    # rational lower bound of sqrt(3) within 2^-bits
-    return Fraction(math.isqrt(3 << (2 * bits)), 1 << bits)
+def _ratio_str(n, d):
+    """str(Fraction(n, d)) for d > 0: `n` when d divides n, else reduced `n/d`."""
+    g = math.gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
 
 
-def _eval_surd(parts, bits):
-    """Evaluate a + b*sqrt3 within 2^-bits."""
-    a, b = parts
-    guard = bits + 8 + (int(abs(b)) + 2).bit_length()
-    return a + b * _sqrt3_lower(guard) if b else a
-
-
-def _join_terms(pairs):
-    """`a + b*x - c*y` from (coefficient, label) pairs; label "" is the constant."""
-    terms = []
-    for coeff, label in pairs:
-        if not coeff:
-            continue
-        if not label:
-            terms.append(str(coeff))
-        elif coeff == 1:
-            terms.append(label)
-        elif coeff == -1:
-            terms.append(f"-{label}")
-        else:
-            terms.append(f"{coeff}*{label}")
+def _surd_text(a, b, d):
+    """`a/d + b/d*sqrt3` with zero terms dropped, `0` if both are 0."""
+    a, b = _ratio_str(a, d), _ratio_str(b, d)
+    terms = [] if a == "0" else [a]
+    if b != "0":
+        terms.append({"1": "sqrt3", "-1": "-sqrt3"}.get(b, f"{b}*sqrt3"))
     return " + ".join(terms).replace(" + -", " - ") or "0"
 
 

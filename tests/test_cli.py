@@ -130,10 +130,19 @@ COMPUTE_SHA256 = {
     (0, 1): "e4915f5aa5125b248cf57a9d5582c1d9b0053be5c78b1722da51e4a52d6802c4",
     (-1, 0): "de195f733899e134ded585d0bbef04001b29fb9698cae320b1535b60504066bc",
     (_BIG, pow(3, 8387, _BIG)): "deab00cc995fd0ec8217b2c2bc4257eb5f8433197fa314ef95572f8926a0424c",
+    # the values no pin above covers, and a complex 1000-bit one (p = 3 mod 12),
+    # first measured when values rendered through Fraction arithmetic
+    (2, 1): "16d74b53cf3f0eda4c9a4613aa53b36ce20da4f329e5b209fe225858c1c18c87",
+    (3, 1): "0b87d5a194554f9102dc9705bf8f020ce974e4f99ef5d27fd7302d7b4aef5217",
+    (3, 2): "159d0573158746253c2a3f6f4efea4d8b702b12dd1b602f5aa290a9b637f091a",
+    (4, 1): "b969fd6d14f611b8fc33f753d2720739d5d2bdb6be6313bb3af144b811bbe910",
+    (4, 3): "16b2a7d90ffbab2926959566f9c301c670a468c5ad6865955d412c9fd8de913c",
+    (2**999 + 7, 2): "eb01f203a91cc425737860931482cb79e6c85903e1f796ec6ee0985262ed5b47",
 }
 
 
-@pytest.mark.parametrize("pq", list(COMPUTE_SHA256), ids=["5,1", "-12,7", "0,1", "-1,0", "big"])
+@pytest.mark.parametrize("pq", list(COMPUTE_SHA256), ids=[
+    "5,1", "-12,7", "0,1", "-1,0", "big", "2,1", "3,1", "3,2", "4,1", "4,3", "2**999+7,2"])
 def test_compute_output_is_pinned(capsys, pq):
     code, out = run_cli(capsys, "compute", *map(str, pq))
     assert code == 0

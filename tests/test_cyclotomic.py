@@ -400,3 +400,102 @@ def test_surd_display():
     assert ZERO.surd_str() == "0"
     assert IMAG.surd_str() == "i"
     assert (-IMAG).surd_str() == "-i"
+
+
+# -- rendering from integer numerators ----------------------------------------
+#
+# The references below are the Fraction formulas the renderers replaced:
+# every part and string must come out the same, byte for byte.
+
+
+def rendering_values():
+    """Seeded values of every coefficient kind the field holds: zero, small
+    ints, 2,000-bit ints, Fractions with denominators 1..60, and _raw values
+    that hold Fraction(n, 1) in place of n."""
+    rng = random.Random(29)
+    values = [ZERO, ONE, IMAG, SQRT3, GLOBAL_INDEX, -IMAG, GLOBAL_INDEX.inv()]
+    for _ in range(8):
+        values.append(Cyclotomic._raw([rng.choice((0, rng.randint(-9, 9))) for _ in range(4)]))
+        values.append(Cyclotomic._raw(
+            [rng.choice((0, 1, -1)) * rng.getrandbits(2000) for _ in range(4)]))
+        values.append(Cyclotomic([Fraction(rng.choice((rng.randint(-99, 99), rng.getrandbits(2000))),
+                                           rng.randint(1, 60)) if k % 2 == 0 else 0
+                                  for k in range(8)]))
+        values.append(Cyclotomic._raw([Fraction(rng.randint(-9, 9), 1) for _ in range(4)]))
+    return values
+
+
+def ref_surd_parts(x):
+    c0, c1, c2, c3 = (Fraction(v) for v in x._c)
+    return (c0 + c2 / 2, c1 / 2), (c1 / 2 + c3, c2 / 2)
+
+
+def ref_approx(x, bits):
+    def evaluate(a, b):
+        guard = bits + 8 + (int(abs(b)) + 2).bit_length()
+        return a + b * Fraction(math.isqrt(3 << (2 * guard)), 1 << guard) if b else a
+
+    return tuple(evaluate(a, b) for a, b in ref_surd_parts(x))
+
+
+def ref_surd_str(x):
+    def join(a, b):
+        terms = [str(a)] if a else []
+        if b:
+            terms.append("sqrt3" if b == 1 else "-sqrt3" if b == -1 else f"{b}*sqrt3")
+        return " + ".join(terms).replace(" + -", " - ") or "0"
+
+    re_s, im_s = (join(a, b) for a, b in ref_surd_parts(x))
+    if im_s == "0":
+        return re_s
+    if im_s == "1":
+        im_wrapped = "i"
+    elif im_s == "-1":
+        im_wrapped = "-i"
+    elif " " in im_s or "/" in im_s:
+        im_wrapped = f"i*({im_s})"
+    else:
+        im_wrapped = f"{im_s}*i"
+    return im_wrapped if re_s == "0" else f"{re_s} + {im_wrapped}"
+
+
+def ref_slots(x):
+    return [Fraction(v) for c in x._c for v in (c, 0)]
+
+
+def ref_to_text(x):
+    suffixes = ["", "*z"] + [f"*z^{k}" for k in range(2, 8)]
+    return " + ".join(f"{f.numerator}/{f.denominator}{s}" for f, s in zip(ref_slots(x), suffixes))
+
+
+@pytest.mark.parametrize("bits", [53, 64, 200, MAX_PRECISION_BITS])
+def test_approx_equals_the_fraction_formula(bits):
+    for x in rendering_values():
+        parts = x.approx(bits)
+        assert all(type(part) is Fraction for part in parts), x
+        assert parts == ref_approx(x, bits), x
+
+
+def test_renderers_equal_the_fraction_formulas():
+    for x in rendering_values():
+        assert x.surd_parts() == ref_surd_parts(x), x
+        assert all(type(v) is Fraction for part in x.surd_parts() for v in part), x
+        assert x.surd_str() == ref_surd_str(x), x
+        assert x.to_text() == ref_to_text(x), x
+        assert Cyclotomic.from_text(x.to_text()) == x
+        json_pairs = x.to_json_coeffs()
+        assert json_pairs == [[f.numerator, f.denominator] for f in ref_slots(x)], x
+        assert all(type(v) is int for pair in json_pairs for v in pair), x
+
+
+def test_rendering_builds_fractions_only_for_approx_parts(monkeypatch):
+    values = rendering_values()
+    made = []
+    monkeypatch.setattr(cyclotomic, "Fraction", lambda *args: made.append(args) or Fraction(*args))
+    for x in values:
+        del made[:]
+        assert x.approx(64) == ref_approx(x, 64)
+        assert len(made) <= 2, (x, made)
+        del made[:]
+        x.to_text(), x.to_json_coeffs(), x.surd_str()
+        assert made == [], (x, made)
