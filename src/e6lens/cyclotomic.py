@@ -107,10 +107,6 @@ class Cyclotomic:
         object.__setattr__(self, "_c", tuple(coeffs))
         return self
 
-    @classmethod
-    def from_rational(cls, r):
-        return cls._raw((_norm_coeff(r), 0, 0, 0))
-
     @property
     def coeffs(self):
         """The 8 coefficients of zeta^0..zeta^7 as Fractions (odd ones 0)."""
@@ -125,7 +121,7 @@ class Cyclotomic:
         if isinstance(other, Cyclotomic):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Cyclotomic.from_rational(other)
+            return Cyclotomic._raw((_norm_coeff(other), 0, 0, 0))
         return None
 
     def __add__(self, other):
@@ -190,13 +186,10 @@ class Cyclotomic:
     def __bool__(self):
         return any(self._c)
 
-    def is_zero(self):
-        return not any(self._c)
-
     def inv(self):
         """Multiplicative inverse: the product of the three other Galois
         conjugates, divided by the norm (their product with self, rational)."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_12)")
         others = self._galois(5) * self._galois(7) * self._galois(11)
         norm = Fraction((self * others)._c[0])

@@ -42,9 +42,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import count, groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .cyclotomic import (IMAG, ONE, SQRT3, ZERO, Cyclotomic, _require_int, quantum_integer,
                          zeta_pow)
@@ -125,7 +126,7 @@ def closed_form(space):
 
 
 def _closed_form(p, q):
-    """closed_form read from the ints p, q, which sweep_table passes unchecked."""
+    """closed_form read from the ints p, q, which the sweeps pass unchecked."""
     r, g = p % 12, math.gcd(p, 12)
     if g == 1:
         return ONE if r in (1, 11) else _QUANTUM_5
@@ -208,7 +209,7 @@ def verify_closed_form(p_max=48):
     for p, coprime in groupby(_coprime_pairs(p_max), key=itemgetter(0)):
         qs = [q for _, q in coprime]
         bad = next((f"first mismatch at q={q}" for q in qs
-                    if _literal_state_sum(p, q) != closed_form(LensSpace(p, q))), None)
+                    if _literal_state_sum(p, q) != _closed_form(p, q)), None)
         name = f"state sum = closed form, p={p} ({len(qs)} pairs)"
         checks.append(Check(name, bad))
     return Report("closedform", tuple(checks))
@@ -267,7 +268,7 @@ def verify_corollary(p_max=60):
     check_pmax(p_max, "corollary")
     checks = []
     for p, coprime in groupby(_coprime_pairs(p_max), key=itemgetter(0)):
-        spaces = [(q, tuple(_square_class(p, q)), closed_form(LensSpace(p, q)))
+        spaces = [(q, tuple(_square_class(p, q)), _closed_form(p, q))
                   for _, q in coprime]
         classes = {}  # square class -> [(q, value)], q ascending
         for q, key, value in spaces:
@@ -285,8 +286,7 @@ def verify_corollary(p_max=60):
 # sweep table
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     p: int
     q: int
     state: Cyclotomic
@@ -315,37 +315,30 @@ def format_complex(re, im):
     return fr if im == 0 else (f"{fr} + {fi}i" if im > 0 else f"{fr} - {fi[1:]}i")
 
 
-def _by_value(rows, render):
-    """Each row with render(row.state), called once per distinct value in
-    this call: equal values format alike, and the map dies with the call."""
-    rendered = {}
-    for row in rows:
-        columns = rendered.get(row.state)
-        if columns is None:
-            columns = rendered[row.state] = render(row.state)
-        yield row, columns
-
-
+# Each formatter renders each distinct value once, through a cache local to
+# the call: equal values format alike, and the cache dies with the call.
 def table_csv(rows):
+    @cache
     def render(value):
         return ",".join([value.to_text(), *map(_format_float, value.approx())])
-    lines = [f"{row.p},{row.q},{columns},{str(row.agrees).lower()}"
-             for row, columns in _by_value(rows, render)]
+    lines = [f"{row.p},{row.q},{render(row.state)},{str(row.agrees).lower()}" for row in rows]
     return "\n".join(["p,q,exact,float_re,float_im,agrees", *lines]) + "\n"
 
 
 def table_json_obj(rows):
     """One fresh dict per row; rows with equal values share no mutable object."""
+    @cache
     def render(value):
         return (value.to_text(), value.to_json_coeffs(), *map(float, value.approx()))
     return [{"p": row.p, "q": row.q, "exact": text, "exact_coeffs": [c[:] for c in coeffs],
              "float_re": re, "float_im": im, "agrees": row.agrees}
-            for row, (text, coeffs, re, im) in _by_value(rows, render)]
+            for row in rows for text, coeffs, re, im in [render(row.state)]]
 
 
 def table_text(rows):
+    @cache
     def render(value):
         return f"{value.surd_str():<28} {format_complex(*value.approx()):<28}"
-    lines = [f"{row.p:>4} {row.q:>4}  {columns} {'yes' if row.agrees else 'NO'}"
-             for row, columns in _by_value(rows, render)]
+    lines = [f"{row.p:>4} {row.q:>4}  {render(row.state)} {'yes' if row.agrees else 'NO'}"
+             for row in rows]
     return "\n".join([f"{'p':>4} {'q':>4}  {'value':<28} {'float':<28} agrees", *lines]) + "\n"

@@ -226,9 +226,9 @@ def test_verify_closed_form_report():
 
 
 def test_verify_closed_form_names_first_mismatch(monkeypatch):
-    real = invariant.closed_form
-    monkeypatch.setattr(invariant, "closed_form", lambda space: (
-        ZERO if (space.p, space.q) in {(5, 2), (5, 3)} else real(space)))
+    real = invariant._closed_form
+    monkeypatch.setattr(invariant, "_closed_form", lambda p, q: (
+        ZERO if (p, q) in {(5, 2), (5, 3)} else real(p, q)))
     report = verify_closed_form(p_max=6)
     assert report.failures() == [
         Check("state sum = closed form, p=5 (4 pairs)", "first mismatch at q=2")
@@ -533,9 +533,9 @@ def test_verify_corollary_small():
 
 def test_verify_corollary_names_first_unequal_pair(monkeypatch):
     # at p = 7 the classes are {1, 2, 4} and {3, 5, 6}
-    real = invariant.closed_form
-    monkeypatch.setattr(invariant, "closed_form", lambda space: (
-        ZERO if (space.p, space.q) == (7, 4) else real(space)))
+    real = invariant._closed_form
+    monkeypatch.setattr(invariant, "_closed_form", lambda p, q: (
+        ZERO if (p, q) == (7, 4) else real(p, q)))
     report = verify_corollary(p_max=7)
     assert report.failures() == [
         Check("p=7 (12 equivalent pairs)", "L(7,1) vs L(7,4)")
@@ -546,9 +546,9 @@ def test_verify_corollary_witness_is_first_in_pair_order(monkeypatch):
     # at p = 13 the classes are the squares {1, 3, 4, 9, 10, 12} and the
     # rest {2, 5, 6, 7, 8, 11}; with L(13,12) and L(13,5) changed, scanning
     # q upward meets (2, 5) first, but (1, 12) comes first in (q, q') order
-    real = invariant.closed_form
-    monkeypatch.setattr(invariant, "closed_form", lambda space: (
-        ZERO if (space.p, space.q) in {(13, 12), (13, 5)} else real(space)))
+    real = invariant._closed_form
+    monkeypatch.setattr(invariant, "_closed_form", lambda p, q: (
+        ZERO if (p, q) in {(13, 12), (13, 5)} else real(p, q)))
     report = verify_corollary(p_max=13)
     assert report.failures() == [
         Check("p=13 (42 equivalent pairs)", "L(13,1) vs L(13,12)")
@@ -557,10 +557,10 @@ def test_verify_corollary_witness_is_first_in_pair_order(monkeypatch):
 
 def test_verify_corollary_calls_closed_form_once_per_space(monkeypatch):
     calls = []
-    real = invariant.closed_form
-    monkeypatch.setattr(invariant, "closed_form", lambda space: calls.append(space) or real(space))
+    real = invariant._closed_form
+    monkeypatch.setattr(invariant, "_closed_form", lambda p, q: calls.append((p, q)) or real(p, q))
     assert verify_corollary(p_max=60).passed
-    assert len(calls) == len(list(invariant._coprime_pairs(60)))
+    assert calls == list(invariant._coprime_pairs(60))
 
 
 # -- table driver ------------------------------------------------------------------------------
@@ -581,6 +581,16 @@ def test_sweep_table_contains_expected_rows():
     assert rows[(3, 1)].state == (1 - IMAG) * (3 + SQRT3) / 2  # zeta^-3 [4]
     assert rows[(12, 5)].state == ZERO
     assert all(r.agrees for r in rows.values())
+
+
+def test_sweep_table_rows_are_immutable_tuples():
+    rows = sweep_table(12)
+    for row in rows:
+        p, q, state, agrees = row
+        assert (p, q, state, agrees) == (row.p, row.q, row.state, row.agrees)
+        with pytest.raises(AttributeError):
+            row.agrees = not agrees
+    assert rows[0] == (1, 0, ONE, True)
 
 
 def test_sweep_table_rejects_bad_bound():

@@ -81,7 +81,7 @@ def test_rho_t_diagonal():
     for i in range(DIM):
         for j in range(DIM):
             if i != j:
-                assert t.rows[i][j].is_zero()
+                assert not t.rows[i][j]
 
 
 def test_rho_t_twelfth_power_is_identity():
