@@ -24,6 +24,7 @@ rational normalization.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 DEGREE = 4  # [Q(zeta_12) : Q]
@@ -78,6 +79,16 @@ def _require_int(**values):
             raise ValueError(f"{name} must be an int, not {value!r}")
 
 
+def _value_type(name, fields):
+    """A namedtuple base whose subclass validates in __new__: `_make`, `_replace`,
+    copy and pickle build through the subclass, and tuple `+` and `*` are gone."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    base.__add__ = base.__mul__ = base.__rmul__ = lambda self, other: NotImplemented
+    return base
+
+
 def _norm_coeff(c):
     if isinstance(c, int) and not isinstance(c, bool):
         return c
@@ -114,6 +125,9 @@ class Cyclotomic:
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
+
+    def __reduce__(self):
+        return Cyclotomic._raw, (self._c,)
 
     # -- ring / field operations -------------------------------------------
 
@@ -159,7 +173,7 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        return Cyclotomic._raw(map(_norm_coeff, (self * o.inv())._c))
 
     def __pow__(self, n):
         """self**n for an int n, by square-and-multiply (none after the top bit)."""

@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import count, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from .cyclotomic import (IMAG, ONE, SQRT3, ZERO, Cyclotomic, _require_int, quantum_integer,
-                         zeta_pow)
+from .cyclotomic import (IMAG, ONE, SQRT3, ZERO, Cyclotomic, _require_int, _value_type,
+                         quantum_integer, zeta_pow)
 from .modular import cofactors, decompose, lens_matrix
 from .rep import _suffix_memo, w_rho_entry_11
 from .report import Check, Report
@@ -63,18 +62,17 @@ MAX_PMAX = 120
 MIN_PMAX = {"welldefined": 1, "periodicity": 13, "closedform": 1, "corollary": 1}
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(_value_type("LensSpace", "p q")):
     """L(p, q) for coprime integers p, q (any signs, q not reduced mod p)."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_int(p=self.p, q=self.q)
-        g = math.gcd(self.p, self.q)
+    def __new__(cls, p, q):
+        _require_int(p=p, q=q)
+        g = math.gcd(p, q)
         if g != 1:
-            raise ValueError(f"gcd({self.p},{self.q})={g}; p and q must be coprime")
+            raise ValueError(f"gcd({p},{q})={g}; p and q must be coprime")
+        return super().__new__(cls, p, q)
 
     def __str__(self):
         return f"L({self.p},{self.q})"

@@ -7,38 +7,31 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .cyclotomic import _require_int
+from .cyclotomic import _require_int, _value_type
 
 
-@dataclass(frozen=True)
-class SL2Z:
+class SL2Z(_value_type("SL2Z", "a b c d")):
     """Integer 2x2 matrix [[a, b], [c, d]] with determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_int(a=self.a, b=self.b, c=self.c, d=self.d)
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant must be 1: {self.entries()}")
+    def __new__(cls, a, b, c, d):
+        _require_int(a=a, b=b, c=c, d=d)
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant must be 1: {(a, b, c, d)}")
+        return super().__new__(cls, a, b, c, d)
 
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def __mul__(self, other):
         if not isinstance(other, SL2Z):
             return NotImplemented
-        return SL2Z(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        (a, b, c, d), (e, f, g, h) = self, other
+        return SL2Z(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
@@ -52,8 +45,7 @@ T = SL2Z(1, 1, 0, 1)
 _WORD_TOKEN = re.compile(r"S|T(-?\d+)")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_value_type("Word", "tokens")):
     """A word in the generators S and T, stored as a token sequence.
 
     Tokens are the literal string "S" or a nonzero int k meaning T^k.
@@ -61,11 +53,11 @@ class Word:
     cancel); S may repeat, since S^2 = -I is meaningful in SL(2,Z).
     """
 
-    tokens: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, tokens=()):
         merged = []
-        for tok in self.tokens:
+        for tok in tokens:
             if tok == "S":
                 merged.append("S")
             elif isinstance(tok, int) and not isinstance(tok, bool):
@@ -77,7 +69,7 @@ class Word:
                     merged.append(tok)
             else:
                 raise ValueError(f"bad token {tok!r}: expected 'S' or nonzero int")
-        object.__setattr__(self, "tokens", tuple(merged))
+        return super().__new__(cls, tuple(merged))
 
     def __len__(self):
         return len(self.tokens)
@@ -92,7 +84,7 @@ class Word:
 
     def to_matrix(self):
         """Left-to-right product of the token matrices; empty word -> I."""
-        a, b, c, d = IDENTITY.entries()
+        a, b, c, d = IDENTITY
         for tok in self.tokens:
             if tok == "S":  # right multiplication by (0, -1; 1, 0)
                 a, b, c, d = b, -a, d, -c
@@ -133,7 +125,7 @@ def decompose(m):
     exactly; its length is O(log max|entry|).
     """
     tokens = []
-    a, b, c, d = m.entries()
+    a, b, c, d = m
     while c:
         k = _nearest_div(a, c)
         a -= k * c
@@ -172,11 +164,10 @@ def lens_matrix(p, q, a, b):
 
 def in_gamma12(m):
     """Membership in Gamma(12) = {P in SL(2,Z) : P = I mod 12}."""
-    return (m.a % 12, m.b % 12, m.c % 12, m.d % 12) == (1, 0, 0, 1)
+    return tuple(x % 12 for x in m) == (1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class GammaGenerator:
+class GammaGenerator(NamedTuple):
     name: str
     matrix: SL2Z
     word: Word

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -57,6 +56,7 @@ from .cyclotomic import (
     Cyclotomic,
     _mul_block,
     _mul_coeffs,
+    _value_type,
     quantum_integer,
     zeta_pow,
 )
@@ -66,20 +66,19 @@ from .report import Check, Report
 DIM = 10
 
 
-@dataclass(frozen=True)
-class CycloMatrix:
+class CycloMatrix(_value_type("CycloMatrix", "rows")):
     """Immutable square matrix over Q(zeta_12), as a tuple of rows."""
 
-    rows: tuple[tuple[Cyclotomic, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+    def __new__(cls, rows):
+        rows = tuple(tuple(row) for row in rows)
         for row in rows:
             if len(row) != len(rows):
                 raise ValueError("matrix must be square")
             if not all(isinstance(e, Cyclotomic) for e in row):
                 raise TypeError("entries must be Cyclotomic")
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, rows)
 
     @classmethod
     def identity(cls, n):

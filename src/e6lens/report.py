@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named check; it fails exactly when it carries a witness."""
 
     name: str
@@ -18,8 +17,7 @@ class Check:
         return self.witness is None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     title: str
     checks: tuple[Check, ...]
 
@@ -48,7 +46,5 @@ class Report:
 
 
 def merge(title, reports):
-    checks = []
-    for r in reports:
-        checks.extend(Check(f"{r.title}: {c.name}", c.witness) for c in r.checks)
-    return Report(title, tuple(checks))
+    return Report(title, tuple(Check(f"{r.title}: {c.name}", c.witness)
+                               for r in reports for c in r.checks))

@@ -3,8 +3,11 @@ parameter rejects what is not an int, and the two parsers read exactly
 what their writers write."""
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,19 @@ def test_star_import_binds_every_name_in_all():
     namespace = {}
     exec("from e6lens import *", namespace)  # AttributeError on a stale name
     assert set(e6lens.__all__) <= set(namespace)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the modules that `import e6lens.cli` adds in a fresh interpreter, taken
+    # against what was loaded before it, since site may preload some
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import e6lens.cli; print(*sorted(set(sys.modules) - before))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert {"e6lens.cli", "e6lens.rep"} <= added
+    assert not added & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("call, bad", [

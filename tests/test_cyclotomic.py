@@ -2,7 +2,9 @@
 quantum integers, conjugation, numeric embedding and serialization."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from e6lens.cyclotomic import (
     quantum_integer,
     zeta_pow,
 )
+from e6lens.invariant import _closed_form
 
 
 def c(*coeffs):
@@ -144,6 +147,31 @@ def test_division_and_powers():
     assert x**0 == ONE
     assert x**3 == x * x * x
     assert x**-2 == (x * x).inv()
+
+
+def test_division_keeps_integral_coefficients_as_ints():
+    # an integral quotient coefficient is an int, never Fraction(n, 1): in
+    # the nine closed-form values (two built with `/`), in x / x and at random
+    values = {_closed_form(p, q) for p in range(1, 25) for q in range(p) if math.gcd(p, q) == 1}
+    assert len(values) == 9
+    rng = random.Random(47)
+    pairs = [(rand_cyc(rng), rand_cyc(rng)) for _ in range(50)]
+    quotients = [SQRT3 / SQRT3, GLOBAL_INDEX / GLOBAL_INDEX, (2 * SQRT3) / 2,
+                 *(x / y for x, y in pairs if y)]
+    for value in [*values, *quotients]:
+        assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+                   for x in value._c), value._c
+
+
+def test_values_copy_and_pickle_by_coefficients():
+    rng = random.Random(53)
+    for x in [ZERO, ONE, SQRT3, GLOBAL_INDEX.inv(), *(rand_cyc(rng) for _ in range(20))]:
+        copies = [copy.copy(x), copy.deepcopy(x),
+                  *(pickle.loads(pickle.dumps(x, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+        for y in copies:
+            assert type(y) is Cyclotomic and y == x and hash(y) == hash(x)
+            assert list(map(type, y._c)) == list(map(type, x._c))
 
 
 def test_power_squares_only_up_to_the_top_bit(monkeypatch):

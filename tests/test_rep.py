@@ -1,7 +1,9 @@
 """The 10-dimensional representation: exact construction, self-checks,
 presentation relations, unitarity and the Gamma(12) kernel."""
 
+import copy
 import math
+import pickle
 import random
 import re
 from functools import lru_cache, reduce
@@ -27,7 +29,7 @@ from e6lens.rep import (
     verify_relations,
     verify_unitary,
 )
-from e6lens.report import Check
+from e6lens.report import Check, Report
 
 I10 = CycloMatrix.identity(DIM)
 
@@ -370,9 +372,48 @@ def test_values_are_frozen_and_compare_by_content():
     assert word == Word(["S", 7]) and hash(word) == hash(Word(["S", 7]))
     same = CycloMatrix([[ONE, ZERO], [ZERO, ONE]])
     assert matrix == same and hash(matrix) == hash(same)
-    for value, field in ((word, "tokens"), (matrix, "rows"), (Check("x"), "witness")):
-        with pytest.raises(AttributeError):
-            setattr(value, field, ())
+    space, sl2z = LensSpace(5, 1), SL2Z(1, 1, 0, 1)
+    values = [word, matrix, space, sl2z, Check("x", "why"), Report("r", (Check("x"),)),
+              GammaGenerator("P1+", SL2Z(1, 12, 0, 1), Word([12]))]
+    for value in values:
+        twin = type(value)(*copy.deepcopy(tuple(value)))
+        assert twin == value and hash(twin) == hash(value)
+        for field in (*value._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+        copies = [copy.copy(value), copy.deepcopy(value),
+                  *(pickle.loads(pickle.dumps(value, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+        for other in copies:
+            assert type(other) is type(value) and other == value and hash(other) == hash(value)
+    # every other way to build a value runs its constructor's checks
+    unchecked = [
+        (lambda: space._replace(p=4, q=2), ValueError, r"gcd\(4,2\)=2"),
+        (lambda: LensSpace._make((4, 2)), ValueError, r"gcd\(4,2\)=2"),
+        (lambda: sl2z._replace(a=2), ValueError, "determinant must be 1"),
+        (lambda: SL2Z._make((2, 1, 0, 1)), ValueError, "determinant must be 1"),
+        (lambda: SL2Z._make((1.0, 0, 0, 1)), ValueError, "a must be an int"),
+        (lambda: matrix._replace(rows=[[ONE, ZERO]]), ValueError, "matrix must be square"),
+        (lambda: CycloMatrix._make([[[ONE, ZERO]]]), ValueError, "matrix must be square"),
+        (lambda: CycloMatrix._make([[[1]]]), TypeError, "entries must be Cyclotomic"),
+        (lambda: word._replace(tokens=[1.5]), ValueError, "bad token 1.5"),
+        (lambda: Word._make([["T"]]), ValueError, "bad token 'T'"),
+    ]
+    for build, error, message in unchecked:
+        with pytest.raises(error, match=message):
+            build()
+    forged = tuple.__new__(LensSpace, (4, 2))  # skips LensSpace.__new__
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match=r"gcd\(4,2\)=2"):
+            pickle.loads(pickle.dumps(forged, protocol))
+    for copier in (copy.copy, copy.deepcopy):
+        with pytest.raises(ValueError, match=r"gcd\(4,2\)=2"):
+            copier(forged)
+    # the tuple operators are not inherited: + and int * stay undefined
+    for value in (word, sl2z, space, matrix):
+        for operation in (lambda: value + value, lambda: 2 * value, lambda: value * 2):
+            with pytest.raises(TypeError):
+                operation()
     # a check fails exactly when it carries a witness
     assert Check("x").passed and not Check("x", "why").passed
 
