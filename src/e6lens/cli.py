@@ -14,7 +14,7 @@ import sys
 from functools import cache
 
 from . import invariant, rep
-from .report import merge
+from .report import Check, Report, merge
 
 # Every verification suite as (target, module, suite name), in the order of
 # `verify all`.  Suites are looked up by name when they run; the targets in
@@ -102,8 +102,12 @@ def _cmd_verify(args, out):
                              f"{', '.join(invariant.MIN_PMAX)} and all do")
         invariant.check_pmax(args.pmax, *sweeps)
         bound = {"p_max": args.pmax}
-    reports = [getattr(module, name)(**(bound if target in sweeps else {}))
-               for target, module, name in suites]
+    reports = []
+    for target, module, name in suites:
+        try:
+            reports.append(getattr(module, name)(**(bound if target in sweeps else {})))
+        except RuntimeError as exc:  # its table failed a self-check: report that, not a traceback
+            reports.append(Report(target, (Check(name, str(exc)),)))
     combined = merge(args.target, reports)
     if args.format == "json":
         out.write(combined.to_json())

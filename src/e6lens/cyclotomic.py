@@ -16,9 +16,9 @@ field Q(zeta_24): the constructor, `coeffs`, `to_text` and `to_json_coeffs`
 use 8 slots, and the odd slots are always zero.
 
 Coefficients are arbitrary-precision rationals (stdlib Fraction, always
-reduced, positive denominator).  Internally integer coefficients are kept
-as plain ints so that denominator-free chains of products never pay for
-rational normalization.
+reduced, positive denominator).  Cyclotomic._raw builds every value and
+keeps its integer coefficients as plain ints, so that denominator-free
+chains of products never pay for rational normalization.
 """
 
 from __future__ import annotations
@@ -102,20 +102,25 @@ class Cyclotomic:
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs):
+    def __new__(cls, coeffs):
         """From the 8 coefficients of zeta^0..zeta^7; the odd ones must be 0."""
         c = tuple(_norm_coeff(x) for x in coeffs)
         if len(c) != SLOTS:
             raise ValueError(f"need {SLOTS} coefficients, got {len(c)}")
         if any(c[1::2]):
             raise ValueError("odd powers of zeta: the value is outside Q(zeta_12)")
-        object.__setattr__(self, "_c", c[::2])
+        return cls._raw(c[::2])
 
     @classmethod
     def _raw(cls, coeffs):
-        # trusted fast path: coeffs already a length-4 sequence of int/Fraction
+        """The one constructor: the value with these 4 coefficients (int or
+        Fraction) of zeta^0, zeta^2, zeta^4 and zeta^6, each stored as an
+        int or as a Fraction whose denominator is above 1."""
+        c = tuple(coeffs)
+        if not type(c[0]) is type(c[1]) is type(c[2]) is type(c[3]) is int:
+            c = tuple(map(_norm_coeff, c))
         self = object.__new__(cls)
-        object.__setattr__(self, "_c", tuple(coeffs))
+        object.__setattr__(self, "_c", c)
         return self
 
     @property
@@ -135,7 +140,7 @@ class Cyclotomic:
         if isinstance(other, Cyclotomic):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Cyclotomic._raw((_norm_coeff(other), 0, 0, 0))
+            return Cyclotomic._raw((other, 0, 0, 0))
         return None
 
     def __add__(self, other):
@@ -173,7 +178,7 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._raw(map(_norm_coeff, (self * o.inv())._c))
+        return self * o.inv()
 
     def __pow__(self, n):
         """self**n for an int n, by square-and-multiply (none after the top bit)."""
@@ -207,7 +212,7 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero in Q(zeta_12)")
         others = self._galois(5) * self._galois(7) * self._galois(11)
         norm = Fraction((self * others)._c[0])
-        return Cyclotomic._raw(_norm_coeff(c / norm) for c in others._c)
+        return Cyclotomic._raw(c / norm for c in others._c)
 
     def conjugate(self):
         """Complex conjugation, the field automorphism zeta^2 -> zeta^-2."""

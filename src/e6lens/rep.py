@@ -118,36 +118,28 @@ def _s_numerator():
 def _construction():
     """The standard basis, built once: (12*rho(S) from w*rho(S), each entry
     times 12/w = 3 - sqrt3, and its twelve rho(T^k)), compiled, with the
-    relations and unitarity reports on those tables."""
-    s12 = CycloMatrix([[(3 - SQRT3) * e for e in row] for row in _s_numerator().rows])
-    basis = _compile(s12.rows), _t_tables(_T_EXP)
-    return (basis, Report("relations", tuple(_relation_checks(*basis))),
-            Report("unitarity", tuple(_unitary_checks(s12, basis[0]))))
+    relations and unitarity reports on those tables.
 
-
-def _relation_checks(table, t):
-    """The SL(2,Z) presentation relations, for the compiled 12*rho(S) and rho(T^k) = t[k].
-
-    S^4 = I and (S T)^3 = S^2 become (12S)^4 = 12^4 I and
-    (12S T)^3 = 12 (12S)^2, which stay in integer coefficients.  T^12 = I
-    holds by construction: rho(T) is entered as powers of zeta^2.
+    The checks stay in integer coefficients at scale 12: S^4 = I,
+    (S T)^3 = S^2 and rho(S) rho(S)* = I become (12S)^4 = 12^4 I,
+    (12S T)^3 = 12 (12S)^2 and (12S)(12S)* = 144 I, where column j of
+    (12S)* is row j of 12S, conjugated (12 is real).  T^12 = I and the
+    unitarity of rho(T) hold by construction: rho(T) is entered as powers
+    of zeta^2.
     """
+    s12 = [[(3 - SQRT3) * e for e in row] for row in _s_numerator().rows]
+    table, t = _compile(s12), _t_tables(_T_EXP)
     s2 = [_run(table, _run(table, v)) for v in _identity()]
     s4 = [_run(table, _run(table, v)) for v in s2]
     st3 = _identity()
     for _ in range(3):
         st3 = [_run(table, _run(t[1], v)) for v in st3]
-    return [
-        _check("rho(S)^4 = I", s4, _identity(12**4), 4),
-        _check("(rho(S) rho(T))^3 = rho(S)^2", st3, [[12 * c for c in v] for v in s2], 3),
-    ]
-
-
-def _unitary_checks(s12, table):
-    """Unitarity of rho(S), at scale 12: rho(S) rho(S)* = I becomes
-    (12S)(12S)* = 144 I (12 is real).  rho(T), diagonal with roots of
-    unity, is unitary by construction."""
-    return [_check("rho(S) rho(S)* = I", _times_adjoint(table, s12), _identity(144), 2)]
+    adjoint = [_run(table, [c for e in row for c in e.conjugate()._c]) for row in s12]
+    return ((table, t),
+            Report("relations", (
+                _check("rho(S)^4 = I", s4, _identity(12**4), 4),
+                _check("(rho(S) rho(T))^3 = rho(S)^2", st3, [[12 * c for c in v] for v in s2], 3))),
+            Report("unitarity", (_check("rho(S) rho(S)* = I", adjoint, _identity(144), 2),)))
 
 
 def _check(name, got, want, k):
@@ -156,15 +148,9 @@ def _check(name, got, want, k):
     if got == want:
         return Check(name)
     scale = (GLOBAL_INDEX / 12) ** k
-    got, want = (CycloMatrix(zip(*([scale * e for e in _entries(v)] for v in columns)))
+    got, want = (zip(*([scale * e for e in _entries(v)] for v in columns))
                  for columns in (got, want))
     return Check(name, _difference(got, want))
-
-
-def _times_adjoint(table, a):
-    """The flat columns of A A*, for the matrix a compiled as table: column
-    j of A* is row j of A, conjugated."""
-    return [_run(table, [c for e in row for c in e.conjugate()._c]) for row in a.rows]
 
 
 def _compile(rows):
@@ -407,14 +393,15 @@ def _kernel_witness(word):
         got, want = _apply(word.tokens, _unit(j), True), _flat(_unit(j, scale))
         if got != want:
             i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-            return (_difference(rho_word(word), CycloMatrix.identity(DIM))
+            return (_difference(rho_word(word).rows, CycloMatrix.identity(DIM).rows)
                     or f"basis vector {j}, flat coordinate {i}: "
                        f"expected {want[i]}, got {got[i]}")
     return None
 
 
 def _difference(got, want):
-    """The first entry where got differs from want, as text; None if equal."""
+    """The first entry where the rows got differ from the rows want, as
+    text; None if equal."""
     return next((f"({i + 1},{j + 1}): expected {b.to_text()}, got {a.to_text()}"
-                 for i, (row, want_row) in enumerate(zip(got.rows, want.rows))
+                 for i, (row, want_row) in enumerate(zip(got, want))
                  for j, (a, b) in enumerate(zip(row, want_row)) if a != b), None)

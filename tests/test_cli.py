@@ -4,10 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 
 from e6lens import cli, invariant, rep
+from e6lens.cyclotomic import ONE
 from e6lens.report import Check, Report
 
 
@@ -231,6 +233,38 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "welldefined")
     assert code == 1
     assert "FAIL" in out
+
+
+def _corrupt_construction(monkeypatch):
+    """w*rho(S) with one composite entry plus one, behind fresh caches: a
+    cached table or state sum would bypass the self-check."""
+    rows = [list(row) for row in rep._s_numerator().rows]
+    rows[0][6] = rows[0][6] + ONE
+    monkeypatch.setattr(rep, "_s_numerator", lambda: rep.CycloMatrix(rows))
+    for module, name in ((rep, "_construction"), (rep, "_eigenbasis"),
+                         (invariant, "_literal_state_sum")):
+        cached = getattr(module, name)
+        monkeypatch.setattr(module, name, lru_cache(cached.cache_info().maxsize)(cached.__wrapped__))
+
+
+def test_verify_reports_a_failed_self_check(capsys, monkeypatch):
+    # the library raises on a table that failed its self-check; verify
+    # reports each suite that reads one as a failure and exits 1
+    _corrupt_construction(monkeypatch)
+    code, out = run_cli(capsys, "verify", "all", "--format", "json")
+    assert code == 1
+    passed = {}
+    for check in json.loads(out):
+        suite = check["check_name"].split(":")[0]
+        passed[suite] = passed.get(suite, True) and check["pass"]
+    assert passed == {"relations": False, "unitarity": False, "kernel": False,
+                      "welldefined": False, "periodicity": False, "closedform": False,
+                      "corollary": True}
+    code, out = run_cli(capsys, "verify", "kernel")
+    assert code == 1
+    first, last = out.splitlines()
+    assert first.startswith("FAIL  kernel: ") and "self-check of w*rho(S) failed" in first
+    assert last == "kernel: 0/1 checks passed"
 
 
 def test_homotopy_output(capsys):

@@ -23,6 +23,7 @@ from e6lens.cyclotomic import (
     zeta_pow,
 )
 from e6lens.invariant import _closed_form
+from e6lens.rep import rho_s
 
 
 def c(*coeffs):
@@ -386,8 +387,9 @@ def test_equality_across_coefficient_kinds():
     b = Cyclotomic([Fraction(1), Fraction(0)] + [Fraction(0)] * 6)
     assert a == b
     assert hash(a) == hash(b)
-    # _raw keeps what it is given: Fraction(n, 1) in place of n, in any slot,
-    # of a rational and of an irrational value, compares and hashes as n
+    # _raw stores Fraction(n, 1) as n, in any slot, of a rational and of an
+    # irrational value, so it compares and hashes as n
+    raw = []
     for ints in ((5, 0, 0, 0), (2, -3, 0, 7)):
         for slot in range(4):
             fracs = list(ints)
@@ -395,6 +397,13 @@ def test_equality_across_coefficient_kinds():
             x, y = Cyclotomic._raw(ints), Cyclotomic._raw(fracs)
             assert x == y and y == x and not x != y
             assert hash(x) == hash(y)
+            raw.append(y)
+    # every value holds each coefficient as an int, or as a Fraction whose
+    # denominator is above 1, whatever operation built it
+    for value in (ONE / 2 * 2, ONE / 2 + ONE / 2, SQRT3 / 2 - SQRT3 / 2,
+                  (GLOBAL_INDEX / 12) * 12, rho_s().rows[0][0] * GLOBAL_INDEX, *raw):
+        assert all(type(x) is int or type(x) is Fraction and x.denominator > 1
+                   for x in value._c), value._c
     # a float, a bool or a string is no field value: unequal, and no error
     for other in (1.0, True, "1"):
         assert (ONE == other) is False and (other == ONE) is False
@@ -439,7 +448,7 @@ def test_surd_display():
 def rendering_values():
     """Seeded values of every coefficient kind the field holds: zero, small
     ints, 2,000-bit ints, Fractions with denominators 1..60, and _raw values
-    that hold Fraction(n, 1) in place of n."""
+    built from Fraction(n, 1), which _raw stores as n."""
     rng = random.Random(29)
     values = [ZERO, ONE, IMAG, SQRT3, GLOBAL_INDEX, -IMAG, GLOBAL_INDEX.inv()]
     for _ in range(8):
