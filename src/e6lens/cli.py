@@ -1,15 +1,14 @@
 """Command line front end: compute one invariant, sweep a table, run the
 verification suites, or test homotopy equivalence.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error (argparse or bad arguments such as non-coprime p, q, or a --pmax
-outside the library's bounds).
+Exit codes: 0 success / all checks pass, 1 verification failure or a table
+that failed its self-check, 2 usage error (argparse or bad arguments such as
+non-coprime p, q, or a --pmax outside the library's bounds).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -30,6 +29,10 @@ _SUITES = (
 )
 VERIFY_TARGETS = (*dict.fromkeys(target for target, _, _ in _SUITES), "all")
 
+# Every table format by name, in the order of --help; each formatter returns its text.
+_TABLE_FORMATS = {"text": invariant.table_text, "json": invariant.table_json,
+                  "csv": invariant.table_csv}
+
 
 # One parser per process: a build costs far more than a parse, which keeps no state.
 @cache
@@ -48,7 +51,7 @@ def _build_parser():
     t = sub.add_parser("table", help="sweep all coprime (p,q) with p <= pmax")
     t.add_argument("--pmax", type=int, default=12,
                    help=f"sweep bound (1..{invariant.MAX_PMAX}, default 12)")
-    t.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    t.add_argument("--format", choices=_TABLE_FORMATS, default="text")
     t.set_defaults(run=_cmd_table)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -81,14 +84,7 @@ def _cmd_compute(args, out):
 
 
 def _cmd_table(args, out):
-    rows = invariant.sweep_table(args.pmax)
-    if args.format == "csv":
-        out.write(invariant.table_csv(rows))
-    elif args.format == "json":
-        out.write(json.dumps(invariant.table_json_obj(rows), indent=1))
-        out.write("\n")
-    else:
-        out.write(invariant.table_text(rows))
+    out.write(_TABLE_FORMATS[args.format](invariant.sweep_table(args.pmax)))
     return 0
 
 
@@ -135,9 +131,9 @@ def main(argv=None):
     out = sys.stdout
     try:
         return args.run(args, out)
-    except ValueError as exc:  # the library's rejection of an argument
+    except (ValueError, RuntimeError) as exc:  # a rejected argument, or a failed self-check
         print(f"error: {exc}", file=out)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

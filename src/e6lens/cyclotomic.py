@@ -254,9 +254,8 @@ class Cyclotomic:
         (ra, rb, ia, ib), d = self._surd_ints()
         return _eval_surd(ra, rb, d, precision_bits), _eval_surd(ia, ib, d, precision_bits)
 
-    def to_complex(self, precision_bits=64):
-        re, im = self.approx(precision_bits)
-        return complex(float(re), float(im))
+    def to_complex(self):
+        return complex(*map(float, self.approx()))
 
     # -- serialization -------------------------------------------------------
 

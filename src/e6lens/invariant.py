@@ -39,6 +39,7 @@ mod-12 periodicity makes the extension forced.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from functools import cache, lru_cache
@@ -266,16 +267,14 @@ def verify_corollary(p_max=60):
     check_pmax(p_max, "corollary")
     checks = []
     for p, coprime in groupby(_coprime_pairs(p_max), key=itemgetter(0)):
-        spaces = [(q, tuple(_square_class(p, q)), _closed_form(p, q))
-                  for _, q in coprime]
         classes = {}  # square class -> [(q, value)], q ascending
-        for q, key, value in spaces:
-            classes.setdefault(key, []).append((q, value))
+        for _, q in coprime:
+            classes.setdefault(tuple(_square_class(p, q)), []).append((q, _closed_form(p, q)))
         pairs = sum(len(members) * (len(members) + 1) // 2 for members in classes.values())
-        mixed = {key for key, members in classes.items()
-                 if any(value != members[0][1] for _, value in members)}
-        bad = next((f"L({p},{q}) vs L({p},{q2})" for q, key, value in spaces if key in mixed
-                    for q2, value2 in classes[key] if q2 > q and value2 != value), None)
+        # classes come in order of their least q, so the least unequal pair joins
+        # the least q of the first class with two values to its first differing q2
+        bad = next((f"L({p},{members[0][0]}) vs L({p},{q2})" for members in classes.values()
+                    for q2, value in members if value != members[0][1]), None)
         checks.append(Check(f"p={p} ({pairs} equivalent pairs)", bad))
     return Report("corollary", tuple(checks))
 
@@ -323,14 +322,14 @@ def table_csv(rows):
     return "\n".join(["p,q,exact,float_re,float_im,agrees", *lines]) + "\n"
 
 
-def table_json_obj(rows):
-    """One fresh dict per row; rows with equal values share no mutable object."""
+def table_json(rows):
     @cache
     def render(value):
         return (value.to_text(), value.to_json_coeffs(), *map(float, value.approx()))
-    return [{"p": row.p, "q": row.q, "exact": text, "exact_coeffs": [c[:] for c in coeffs],
+    data = [{"p": row.p, "q": row.q, "exact": text, "exact_coeffs": coeffs,
              "float_re": re, "float_im": im, "agrees": row.agrees}
             for row in rows for text, coeffs, re, im in [render(row.state)]]
+    return json.dumps(data, indent=1) + "\n"
 
 
 def table_text(rows):

@@ -118,7 +118,7 @@ def test_criterion_7_numeric_spot_values():
         (LensSpace(0, 1), 6 + 2 * math.sqrt(3)),
     ]
     for space, expected in cases:
-        value = state_sum(space).to_complex(64)
+        value = state_sum(space).to_complex()
         assert abs(value.real - expected) < 1e-9, space
         assert abs(value.imag) < 1e-9, space
     _report(7, "Z(L(2,1)), Z(L(5,1)), Z(L(0,1)) floats within 1e-9")

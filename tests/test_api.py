@@ -43,8 +43,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                  id="SQRT3.approx(64.0)"),
     pytest.param(lambda: e6lens.ONE.approx(64.0), "precision_bits must be an int, not 64.0",
                  id="ONE.approx(64.0)"),
-    pytest.param(lambda: e6lens.SQRT3.to_complex(80.5), "precision_bits must be an int, not 80.5",
-                 id="SQRT3.to_complex(80.5)"),
     pytest.param(lambda: e6lens.zeta_pow(2.0), "k must be an int, not 2.0", id="zeta_pow(2.0)"),
     pytest.param(lambda: e6lens.quantum_integer(3.0), "n must be an int, not 3.0",
                  id="quantum_integer(3.0)"),

@@ -267,6 +267,18 @@ def test_verify_reports_a_failed_self_check(capsys, monkeypatch):
     assert last == "kernel: 0/1 checks passed"
 
 
+def test_compute_and_table_report_a_failed_self_check(capsys, monkeypatch):
+    # every command that reads a table ends in one error line and exit 1
+    _corrupt_construction(monkeypatch)
+    for argv in (("compute", "5", "1"), ("table", "--pmax", "5")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        (line,) = out.splitlines()
+        assert line.startswith("error: self-check of w*rho(S) failed: ")
+    # homotopy reads no table
+    assert run_cli(capsys, "homotopy", "7", "1", "7", "2") == (0, "L(7,1) ~ L(7,2): true\n")
+
+
 def test_homotopy_output(capsys):
     code, out = run_cli(capsys, "homotopy", "7", "1", "7", "2")
     assert code == 0

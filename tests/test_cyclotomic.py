@@ -50,7 +50,7 @@ def test_zeta_pow_identity():
 def test_zeta_pow_10_reduces_by_minimal_polynomial():
     # zeta^10 = zeta^2 * (zeta^4 - 1) = zeta^6 - zeta^2
     assert zeta_pow(10) == c(0, 0, -1, 0, 0, 0, 1, 0)
-    val = zeta_pow(10).to_complex(64)
+    val = zeta_pow(10).to_complex()
     expect = cmath.exp(10j * math.pi / 12)
     assert abs(val - expect) < 1e-14
 
@@ -65,7 +65,7 @@ def test_minimal_polynomial_annihilates():
 
 def test_all_powers_match_float_embedding():
     for k in range(0, 24, 2):
-        val = zeta_pow(k).to_complex(64)
+        val = zeta_pow(k).to_complex()
         expect = cmath.exp(1j * k * math.pi / 12)
         assert abs(val - expect) < 1e-14, k
     for k in range(-23, 24, 2):
@@ -213,7 +213,7 @@ def test_quantum_integer_surd_values():
 
 def test_quantum_integer_five():
     assert quantum_integer(5) == 2 + SQRT3
-    val = quantum_integer(5).to_complex(64)
+    val = quantum_integer(5).to_complex()
     expect = math.sin(5 * math.pi / 12) / math.sin(math.pi / 12)
     assert abs(val - expect) < 1e-12
 
@@ -241,7 +241,7 @@ def test_quantum_integer_identities_exact():
 def test_quantum_integer_float_embedding():
     s1 = math.sin(math.pi / 12)
     for n in range(1, 12, 2):
-        val = quantum_integer(n).to_complex(64)
+        val = quantum_integer(n).to_complex()
         expect = math.sin(n * math.pi / 12) / s1
         assert abs(val.real - expect) < 1e-12
         assert abs(val.imag) < 1e-12
@@ -278,18 +278,18 @@ def test_conjugate_is_ring_homomorphism_and_involution():
 
 
 def test_to_complex_imag_unit():
-    val = IMAG.to_complex(64)
+    val = IMAG.to_complex()
     assert abs(val - 1j) < 1e-15
 
 
 def test_to_complex_quantum_two():
     # [2] is outside the field; its square [2]^2 = 2 + sqrt3 is inside
-    val = (2 + SQRT3).to_complex(64)
+    val = (2 + SQRT3).to_complex()
     assert abs(val - 1.9318516525781366**2) < 1e-12
 
 
 def test_to_complex_global_index():
-    val = GLOBAL_INDEX.to_complex(64)
+    val = GLOBAL_INDEX.to_complex()
     assert abs(val - 9.464101615137754) < 1e-12
 
 

@@ -65,14 +65,14 @@ def test_exact_state_sum_matches_float_oracle_sweep():
         for q in range(max(p, 1)):
             if math.gcd(p, q) != 1:
                 continue
-            exact = state_sum(LensSpace(p, q)).to_complex(64)
+            exact = state_sum(LensSpace(p, q)).to_complex()
             numeric = _state_sum_float(p, q)
             assert abs(exact - numeric) < 1e-8, (p, q)
 
 
 def test_exact_state_sum_matches_float_oracle_edges():
     for p, q in [(0, 1), (-1, 0), (-5, 2), (3, -2), (-12, 7), (25, 18), (7, 100)]:
-        exact = state_sum(LensSpace(p, q)).to_complex(64)
+        exact = state_sum(LensSpace(p, q)).to_complex()
         numeric = _state_sum_float(p, q)
         assert abs(exact - numeric) < 1e-8, (p, q)
 
@@ -87,6 +87,6 @@ def test_exact_state_sum_matches_float_oracle_wide_sample():
             pairs.append((p, q))
     assert any(p < 0 for p, _ in pairs) and any(q < 0 for _, q in pairs)
     for p, q in pairs:
-        exact = state_sum(LensSpace(p, q)).to_complex(64)
+        exact = state_sum(LensSpace(p, q)).to_complex()
         numeric = _state_sum_float(p, q)
         assert abs(exact - numeric) < 1e-8, (p, q)
