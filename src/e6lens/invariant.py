@@ -54,8 +54,8 @@ from .rep import _suffix_memo, w_rho_entry_11
 from .report import Check, Report
 
 # Largest sweep bound that sweep_table and the verification sweeps accept.
-# At 120 on a shared 2-core host (Python 3.11.7), verify_periodicity takes 0.55-0.9 s
-# and verify_closed_form 0.22-0.3 s from a cold cache; every other sweep <= 0.07 s.
+# At 120 on a shared 2-core host (Python 3.11.7), verify_periodicity takes 0.30-0.43 s
+# and verify_closed_form 0.14-0.18 s from a cold cache; every other sweep <= 0.03 s.
 MAX_PMAX = 120
 
 # The least bound of each verification sweep, by suite name: periodicity
@@ -294,9 +294,11 @@ def sweep_table(p_max):
     """Rows (p, q, state-sum value, agreement with the closed form) for
     all coprime pairs 1 <= p <= p_max, 0 <= q < p, in (p, q) order."""
     check_pmax(p_max)
-    rows = []
+    rows, by_residue = [], {}  # state_sum's value of each (p, q) mod 12, in this call
     for p, q in _coprime_pairs(p_max):  # coprime, so no LensSpace checks them again
-        state = _literal_state_sum(*_residue_lift(p, q))  # state_sum's body
+        state = by_residue.get(residues := (p % 12, q % 12))
+        if state is None:
+            state = by_residue[residues] = _literal_state_sum(*_residue_lift(p, q))
         rows.append(TableRow(p, q, state, state == _closed_form(p, q)))
     return rows
 

@@ -25,17 +25,20 @@ rho(T^k) compiled, and checks it; verify_relations and verify_unitary
 report those checks, and _standard aborts on the first that fails.  A
 witness is scaled back to w*rho(S), the matrix as entered.
 
-Words run on one eigenbasis of rho(T) (_BASIS), where 12*rho(S) compiles
-to 282 factors; _eigenbasis derives that basis from the checked one once,
-and checks it exactly.  The state sum runs one column there,
+Words run on one eigenbasis of rho(T) (_BASIS), which _eigenbasis derives
+from the checked basis once, and checks exactly.  There 12*rho(S) compiles
+to 282 factors and each rho(T^k) is diagonal, so _fold multiplies them into
+twelve S steps 12*rho(S) rho(T^k) of at most 282 factors each, and each S
+token runs as one step together with the T^k to its right; only a leading
+T^k runs its own table.  The state sum runs one column there,
 6 e0 = 2v + u + 3b, and the v, u and b coordinates of its image give the
-first entry; its leftmost S step runs only the v, u and b rows (the
-head, derived with the basis).  verify kernel runs each basis vector.
-rho_word and the relation and unitarity checks stay on the standard basis:
-the reference, which runs every token.  One evaluator, _apply, walks every
-word through the tables of one basis; inside a verification suite, and
-only there, it shares the work of common eigenbasis word suffixes through
-a bounded memo (_suffix_memo), keyed with the column.
+first entry; its leftmost S step runs only the v, u and b rows (the head
+of that step).  verify kernel runs each basis vector.  rho_word and the
+relation and unitarity checks stay on the standard basis: the reference,
+one step per token.  One evaluator, _apply, walks every word through the
+tables of one basis; inside a verification suite, and only there, it
+shares the work of common eigenbasis word suffixes through a bounded memo
+(_suffix_memo), keyed with the column.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .cyclotomic import (
@@ -237,12 +240,12 @@ def _abort(what):
 @lru_cache(maxsize=1)
 def _eigenbasis():
     """The eigenbasis _BASIS, derived once from the checked standard basis:
-    (12*rho(S) compiled on it, its twelve rho(T^k), and the state sum's
-    head: that 12*rho(S) with only the rows of v, u and b, so the other
-    coordinates of its image are zero).  Aborts unless each basis vector has
-    a single twist (so it is nonzero), the vectors are pairwise orthogonal
-    and ten (so they span, and each image is the sum of its projections),
-    and 6 e0 = 2v + u + 3b."""
+    (its twelve S steps 12*rho(S) rho(T^k), its twelve rho(T^k) and the
+    heads of those S steps), which _fold builds from 12*rho(S) compiled on
+    it and the rho(T^k).  Aborts unless each basis vector has a single
+    twist (so it is nonzero), the vectors are pairwise orthogonal and ten
+    (so they span, and each image is the sum of its projections), and
+    6 e0 = 2v + u + 3b."""
     basis = [[b.get(i, 0) for i in range(DIM)] for b in _BASIS]
     twists = []
     for k, b in enumerate(basis):
@@ -263,9 +266,29 @@ def _eigenbasis():
         images.append([_entries([sum(x * y[DEGREE * i + r] for i, x in enumerate(c) if x)
                                  for r in range(DEGREE)], sum(x * x for x in c))[0]
                        for c in basis])
-    rows, columns = _compile(list(zip(*images)))
-    head = tuple(tuple(p for p in c if p[0] < 3 * DEGREE) for c in columns)
-    return (rows, columns), _t_tables(twists), (rows, head)
+    s, t = _compile(list(zip(*images))), _t_tables(twists)
+    steps, heads = _fold(s, t)
+    return steps, t, heads
+
+
+def _fold(s, t):
+    """The eigenbasis S steps, from its 12*rho(S) table s and rho(T^k)
+    tables t: for each k, 12*rho(S) rho(T^k) (entry 0 equals s), whose
+    column j sums f times column m of s over the pairs (m, f) of column j
+    of t[k]; and its head, that table with only the rows of v, u and b, so
+    the other coordinates of its image are zero."""
+    rows, columns = s
+
+    @cache  # a column of t[k] recurs in other k: summed once, then shared
+    def column(pairs):
+        sums = {}
+        for m, f in pairs:
+            for i, g in columns[m]:
+                sums[i] = sums.get(i, 0) + g * f
+        return tuple(sorted((i, x) for i, x in sums.items() if x))
+    steps = tuple((rows, tuple(map(column, t_k[1]))) for t_k in t)
+    return steps, tuple((rows, tuple(tuple(p for p in c if p[0] < 3 * DEGREE) for c in step[1]))
+                        for step in steps)
 
 
 # The suffix memo of the running verification suite (None outside one): the
@@ -290,16 +313,20 @@ def _apply(tokens, column, eigen=False, head=False):
     """12^m rho(tokens) x, m the number of S tokens and x the vector with
     integer coordinates column on the eigenbasis (the standard basis if not
     eigen), as a flat integral column on that basis; with head (eigenbasis
-    only) exact on v, u and b alone.  The tokens act right to left, each
-    through a compiled table of the basis: 12*rho(S) for S, rho(T^(k % 12))
-    for T^k.  With head the eigenbasis head runs the leftmost S step, only
-    the v, u and b rows; the zeros it leaves cost the T tokens left of it
-    nothing.  Inside a suite (_suffix_memo) an eigenbasis word starts after
-    its longest memoized suffix, and the column of every suffix that starts
-    at an S but the leftmost is stored; a standard-basis word runs every
-    token."""
-    s, t = (_eigenbasis() if eigen else _standard())[:2]
-    top = _eigenbasis()[2] if head else s
+    only) exact on v, u and b alone.  The tokens act right to left through
+    the compiled tables of the basis: on the standard basis one step per
+    token, 12*rho(S) or rho(T^(k % 12)); on the eigenbasis one S step per
+    S, taking the T^k to its right unless that is already applied, and a
+    step of its own for a leading T^k.  With head the leftmost S runs the
+    head of its S step; the zeros it leaves cost a leading T nothing.
+    Inside a suite (_suffix_memo) an eigenbasis word starts after its
+    longest memoized suffix, and the column of every suffix that starts at
+    an S but the leftmost is stored."""
+    if eigen:
+        steps, t, heads = _eigenbasis()
+    else:
+        s, t = _standard()
+        steps = heads = (s,)
     starts = [i for i, token in enumerate(tokens) if token == "S"]
     first = starts[0] if starts else len(tokens)
     memo, end = _suffixes.get() if eigen else None, len(tokens)
@@ -309,9 +336,16 @@ def _apply(tokens, column, eigen=False, head=False):
         v = memo[tokens[end:], column] = memo.pop((tokens[end:], column))
     else:
         v = _flat(column)
-    for i, token in reversed([*enumerate(tokens[:end])]):
-        v = _run(top if i == first else s if token == "S" else t[token % 12], v)
-        if memo is not None and i > first and token == "S":
+    i = end
+    while i:
+        i, token, k = i - 1, tokens[i - 1], 0
+        if eigen and token != "S" and i and tokens[i - 1] == "S":
+            i, token, k = i - 1, "S", token % 12  # T^k folds into the S to its left
+        if token != "S":
+            v = _run(t[token % 12], v)
+            continue
+        v = _run((heads if head and i == first else steps)[k], v)
+        if memo is not None and i > first:
             memo[tokens[i:], column] = tuple(v)
             if len(memo) > _SUFFIX_MEMO:
                 del memo[next(iter(memo))]

@@ -307,6 +307,19 @@ def test_corrupt_served_entry_shows_in_the_table_only(monkeypatch):
     assert verify_closed_form(24).passed
 
 
+def test_sweep_table_lifts_each_residue_class_once_per_call(monkeypatch):
+    # the rows of one call share the value of each (p, q) mod 12: the lift
+    # runs once per residue class, and again in the next call, whose rows
+    # share nothing with the last call's
+    lifts, real = [], invariant._residue_lift
+    monkeypatch.setattr(invariant, "_residue_lift",
+                        lambda p, q: lifts.append((p % 12, q % 12)) or real(p, q))
+    classes = {(row.p % 12, row.q % 12) for row in sweep_table(120)}
+    assert sorted(lifts) == sorted(classes) and len(classes) == 96
+    sweep_table(120)
+    assert sorted(lifts) == sorted([*classes] * 2)
+
+
 def test_corrupt_closed_form_shows_in_its_row_only(monkeypatch):
     # every row reads its own closed form: (97, 5) shares its residues mod 12
     # with (13, 5), (25, 5), ..., (109, 5), and none of them may follow it

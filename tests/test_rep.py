@@ -463,12 +463,12 @@ def test_entry_11_fast_path_matches_full_matrix():
 
 def _with_eigenbasis(monkeypatch, table=None, t=None):
     """Evaluation on the eigenbasis with this 12*rho(S) table or these
-    rho(T^k) tables, and with the head of that table: its v, u and b rows."""
-    real_table, real_t, _ = rep._eigenbasis()
-    rows, columns = table or real_table
-    head = tuple(tuple((i, f) for i, f in column if i < 12) for column in columns)
-    eigenbasis = (rows, columns), t or real_t, (rows, head)
-    monkeypatch.setattr(rep, "_eigenbasis", lambda: eigenbasis)
+    rho(T^k) tables, and with the S steps 12*rho(S) rho(T^k) and their
+    heads that the derivation's own fold builds from them."""
+    real_steps, real_t, _ = rep._eigenbasis()
+    t = t or real_t
+    steps, heads = rep._fold(table or real_steps[0], t)
+    monkeypatch.setattr(rep, "_eigenbasis", lambda: (steps, t, heads))
 
 
 def _corrupt_factor(table, row):
@@ -517,14 +517,19 @@ def test_well_defined_fails_on_wrong_t_exponent(monkeypatch):
 def test_compiled_blocks_multiply_the_basis_vectors():
     # every 4x4 block of every compiled table is the product with e_0..e_3;
     # a column holds its (row, factor) pairs in increasing row, zeros
-    # dropped.  The eigenbasis head is the S table's v, u and b rows on every
-    # column, and zero below them.  Each basis holds twelve T tables, the
-    # one of rho(T^k) at index k
-    (s, standard_t), (table, eigen_t, head) = rep._standard(), rep._eigenbasis()
-    assert [column[:len(h)] for h, column in zip(head[1], table[1])] == list(head[1])
-    tables = [(s, _twelve_s()), (table, _basis_matrix()),
-              (head, _basis_matrix()[:3] + [[ZERO] * DIM] * (DIM - 3))]
-    assert len(standard_t) == len(eigen_t) == 12
+    # dropped.  Each basis holds twelve T tables, the one of rho(T^k) at
+    # index k.  The eigenbasis S step at index k is 12*rho(S) rho(T^k), the
+    # entrywise product of 12*rho(S) there with the k-th twist diagonal;
+    # step 0 is the S table itself.  Each head is its step's v, u and b rows
+    # on every column, and zero below them
+    (s, standard_t), (steps, eigen_t, heads) = rep._standard(), rep._eigenbasis()
+    assert len(standard_t) == len(eigen_t) == len(steps) == len(heads) == 12
+    assert steps[0] == rep._compile(_basis_matrix())
+    tables = [(s, _twelve_s())]
+    for step, head, powers in zip(steps, heads, _t_powers(_t_diagonals()[1])):
+        assert [column[:len(h)] for h, column in zip(head[1], step[1])] == list(head[1])
+        product = [[e * powers[j][j] for j, e in enumerate(row)] for row in _basis_matrix()]
+        tables += [(step, product), (head, product[:3] + [[ZERO] * DIM] * (DIM - 3))]
     for t, diagonal in zip((standard_t, eigen_t), _t_diagonals()):
         tables += zip(t, _t_powers(diagonal))
     basis = [tuple(int(r == j) for r in range(4)) for j in range(4)]
@@ -570,7 +575,7 @@ def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
     # the suites evaluate the literal words through the kernel, so one wrong
     # factor in the eigenbasis 12*rho(S) shows as a failure that names p
     # (row 0 reads v, row 21 a coefficient of e2 - e9 in the 6-block)
-    _with_eigenbasis(monkeypatch, table=_corrupt_factor(rep._eigenbasis()[0], row))
+    _with_eigenbasis(monkeypatch, table=_corrupt_factor(rep._eigenbasis()[0][0], row))
     invariant._literal_state_sum.cache_clear()
     try:
         report = verify_closed_form(12)
@@ -579,6 +584,21 @@ def test_corrupt_kernel_factor_fails_closed_form(monkeypatch, row):
     assert not report.passed
     assert all(re.fullmatch(r"state sum = closed form, p=\d+ \(\d+ pairs\)", check.name)
                for check in report.failures())
+
+
+def test_corrupt_folded_s_step_fails_closed_form(monkeypatch):
+    # one wrong factor in the eigenbasis S step 12*rho(S) rho(T^5) alone,
+    # with the S table, the T tables, the other steps and every head sound:
+    # a word that runs T^5 (mod 12) right of an S other than its leftmost
+    # reads that step, so the sweep fails and names p
+    steps, t, heads = rep._eigenbasis()
+    steps = steps[:5] + (_corrupt_factor(steps[5], 0),) + steps[6:]
+    monkeypatch.setattr(rep, "_eigenbasis", lambda: (steps, t, heads))
+    monkeypatch.setattr(invariant, "_literal_state_sum",
+                        lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
+    report = verify_closed_form(12)
+    assert [check.name for check in report.failures()] == [
+        "state sum = closed form, p=11 (10 pairs)"]
 
 
 # -- suffix memo ---------------------------------------------------------------------
@@ -620,13 +640,15 @@ def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
 
 
 def test_outside_a_suite_every_s_step_runs(monkeypatch):
-    # with no memo, a word evaluated again runs all its steps again, one
-    # kernel step per token, of which one T table step per T token (so one
-    # S table step per S token); inside _suffix_memo the repeat starts
-    # after its longest stored suffix
+    # with no memo, a word evaluated again runs all its steps again: one
+    # kernel step per S token, which runs the T token to its right with it,
+    # and one T table step for a leading T token, the only T token that no
+    # S step takes; inside _suffix_memo the repeat starts after its longest
+    # stored suffix
     words = list(_gluing_words(24).values())
-    steps = sum(len(word.tokens) for word in words)
-    t_steps = steps - sum(word.s_count() for word in words)
+    t_steps = sum(word.tokens[0] != "S" for word in words if word.tokens)
+    steps = sum(word.s_count() for word in words) + t_steps
+    assert (steps, t_steps) == (812, 89)
     memos, t_memos = [], []
     real_run = rep._run
     t_tables = rep._standard()[1] + rep._eigenbasis()[1]  # built before the spy counts steps
@@ -744,7 +766,7 @@ def test_run_rejects_a_column_of_the_wrong_length(size):
     # a column with one coordinate too few or too many is an error, not a
     # truncated product
     with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (longer|shorter)"):
-        rep._run(rep._eigenbasis()[0], [1] * size)
+        rep._run(rep._eigenbasis()[0][0], [1] * size)
 
 
 def test_kernel_matches_naive_cyclotomic_products():
@@ -817,10 +839,14 @@ def test_block_kernel_check_agrees_with_the_full_matrix():
 def test_eigenbasis_table_splits_into_blocks():
     # 12*rho(S) on the eigenbasis is sparse: its factors link the ten basis
     # vectors only within v, {u, e2+e9}, the 6-block and the line e1 - e5,
-    # where S acts as i (columns 36-39 multiply by 12i)
-    columns = rep._eigenbasis()[0][1]
-    assert sum(len(column) for column in columns) == 282
-    links = {(i // 4, j // 4) for j, column in enumerate(columns) for i, _ in column}
+    # where S acts as i (columns 36-39 multiply by 12i).  rho(T^k) is
+    # diagonal there, so each S step 12*rho(S) rho(T^k) links the same
+    # blocks and holds no more factors
+    steps = rep._eigenbasis()[0]
+    columns = steps[0][1]
+    assert [sum(map(len, step[1])) for step in steps] == [282, 282, 281, 280, 281, 282] * 2
+    links = {(i // 4, j // 4) for step in steps for j, column in enumerate(step[1])
+             for i, _ in column}
     blocks = []  # the connected components of the links
     for k in range(DIM):
         linked = [block for block in blocks if any({(k, i), (i, k)} & links for i in block)]
@@ -855,7 +881,7 @@ def test_corrupt_line_factor_fails_kernel(monkeypatch):
     # eigenbasis table: one wrong factor in its rows fails the suite, though
     # the standard basis is sound; each witness names the vector and the
     # first flat coordinate that is not 12^m times its own
-    _with_eigenbasis(monkeypatch, table=_corrupt_factor(rep._eigenbasis()[0], 36))
+    _with_eigenbasis(monkeypatch, table=_corrupt_factor(rep._eigenbasis()[0][0], 36))
     report = verify_kernel_generators()
     assert not report.passed
     for check in report.failures():
