@@ -50,12 +50,12 @@ from typing import NamedTuple
 from .cyclotomic import (IMAG, ONE, SQRT3, ZERO, Cyclotomic, _require_int, _value_type,
                          quantum_integer, zeta_pow)
 from .modular import cofactors, decompose, lens_matrix
-from .rep import _suffix_memo, w_rho_entry_11
+from .rep import _step_memo, w_rho_entry_11
 from .report import Check, Report
 
 # Largest sweep bound that sweep_table and the verification sweeps accept.
-# At 120 on a shared 2-core host (Python 3.11.7), verify_periodicity takes 0.30-0.43 s
-# and verify_closed_form 0.14-0.18 s from a cold cache; every other sweep <= 0.03 s.
+# At 120 on a shared 2-core host (Python 3.11.7), verify_periodicity takes 0.19-0.35 s
+# and verify_closed_form 0.07-0.12 s from a cold cache; every other sweep <= 0.02 s.
 MAX_PMAX = 120
 
 # The least bound of each verification sweep, by suite name: periodicity
@@ -199,7 +199,7 @@ def _coprime_pairs(p_max):
                 yield p, q
 
 
-@_suffix_memo()
+@_step_memo()
 def verify_closed_form(p_max=48):
     """Exact agreement of the literal state sum with the closed form on all
     coprime pairs up to p_max, one check per p."""
@@ -221,7 +221,7 @@ _SAMPLE = 100
 _SEED = 7
 
 
-@_suffix_memo()
+@_step_memo()
 def verify_well_defined(p_max=48):
     """The state sum is unchanged when (a, b) is replaced by (a+kp, b+kq),
     on a deterministic sample of the coprime pairs up to p_max, one check
@@ -241,7 +241,7 @@ def verify_well_defined(p_max=48):
     return Report("welldefined", tuple(checks))
 
 
-@_suffix_memo()
+@_step_memo()
 def verify_periodicity(p_max=48):
     """Z(L(p,q)) = Z(L(p+12s, q+12t)) for every swept coprime pair and every
     nonnegative shift that stays in range (p+12s <= p_max, q+12t < p_max)."""

@@ -36,9 +36,9 @@ first entry; its leftmost S step runs only the v, u and b rows (the head
 of that step).  verify kernel runs each basis vector.  rho_word and the
 relation and unitarity checks stay on the standard basis: the reference,
 one step per token.  One evaluator, _apply, walks every word through the
-tables of one basis; inside a verification suite, and only there, it
-shares the work of common eigenbasis word suffixes through a bounded memo
-(_suffix_memo), keyed with the column.
+tables of one basis; inside a verification suite, and only there, it runs
+each eigenbasis step once per input column through a bounded memo
+(_step_memo) of the columns met and the step images between them.
 """
 
 from __future__ import annotations
@@ -291,22 +291,36 @@ def _fold(s, t):
                         for step in steps)
 
 
-# The suffix memo of the running verification suite (None outside one): the
-# 12-scaled flat eigenbasis column of each token suffix that starts at an S,
-# keyed with the column it was applied to, least recently used first.
-_SUFFIX_MEMO = 256
-_suffixes = ContextVar("_suffixes", default=None)
+# The step memo of the running verification suite (None outside one):
+# (ids, columns, transitions, firsts).  columns holds each flat eigenbasis
+# column met at its int id, which ids gives for it and for each start
+# column; transitions maps (code, id) to the id of a kernel step's image,
+# code k < 12 the S step of T^k, 12 + k its head and 24 + k a leading T^k;
+# firsts maps (id, m, x) to what _first_entry reads there.
+_MEMO_COLUMNS = 1024
+_memo = ContextVar("_memo", default=None)
 
 
 @contextmanager
-def _suffix_memo():
-    """Share word suffixes between the evaluations inside the block (or the
-    decorated suite) through a fresh memo of at most _SUFFIX_MEMO columns."""
-    token = _suffixes.set({})
+def _step_memo():
+    """Run each eigenbasis step and read each first entry once per input in
+    the block (or the decorated suite), in a fresh memo, cleared before an
+    evaluation once it holds _MEMO_COLUMNS columns."""
+    token = _memo.set(({}, [], {}, {}))
     try:
         yield
     finally:
-        _suffixes.reset(token)
+        _memo.reset(token)
+
+
+def _intern(memo, v):
+    """The id of the flat column v in memo, a new one if v is new."""
+    ids, columns = memo[:2]
+    v = tuple(v)
+    if v not in ids:
+        ids[v] = len(columns)
+        columns.append(v)
+    return ids[v]
 
 
 def _apply(tokens, column, eigen=False, head=False):
@@ -319,36 +333,48 @@ def _apply(tokens, column, eigen=False, head=False):
     S, taking the T^k to its right unless that is already applied, and a
     step of its own for a leading T^k.  With head the leftmost S runs the
     head of its S step; the zeros it leaves cost a leading T nothing.
-    Inside a suite (_suffix_memo) an eigenbasis word starts after its
-    longest memoized suffix, and the column of every suffix that starts at
-    an S but the leftmost is stored."""
+    Inside a suite (_step_memo) an eigenbasis step already run on the same
+    column is looked up."""
+    memo = _memo.get() if eigen else None
+    v = _walk(tokens, column, eigen, head, memo)
+    return v if memo is None else list(memo[1][v])
+
+
+def _walk(tokens, column, eigen, head, memo):
+    """_apply's walk; with a memo, on column ids: the id of the image."""
     if eigen:
         steps, t, heads = _eigenbasis()
+        tables = steps + heads + t
     else:
         s, t = _standard()
-        steps = heads = (s,)
-    starts = [i for i, token in enumerate(tokens) if token == "S"]
-    first = starts[0] if starts else len(tokens)
-    memo, end = _suffixes.get() if eigen else None, len(tokens)
-    if memo is not None:
-        end = next((i for i in starts[1:] if (tokens[i:], column) in memo), end)
-    if end < len(tokens):  # a hit, now the most recently used
-        v = memo[tokens[end:], column] = memo.pop((tokens[end:], column))
-    else:
+        tables = (s,) * 24 + t
+    if memo is None:
         v = _flat(column)
-    i = end
+    else:
+        if len(memo[1]) >= _MEMO_COLUMNS:
+            for part in memo:
+                part.clear()
+        ids, columns, transitions = memo[:3]
+        if column not in ids:
+            ids[column] = _intern(memo, _flat(column))
+        v = ids[column]
+    first = tokens.index("S") if "S" in tokens else None
+    i = len(tokens)
     while i:
-        i, token, k = i - 1, tokens[i - 1], 0
+        i, token, code = i - 1, tokens[i - 1], 0
         if eigen and token != "S" and i and tokens[i - 1] == "S":
-            i, token, k = i - 1, "S", token % 12  # T^k folds into the S to its left
+            i, token, code = i - 1, "S", token % 12  # T^k folds into the S to its left
         if token != "S":
-            v = _run(t[token % 12], v)
-            continue
-        v = _run((heads if head and i == first else steps)[k], v)
-        if memo is not None and i > first:
-            memo[tokens[i:], column] = tuple(v)
-            if len(memo) > _SUFFIX_MEMO:
-                del memo[next(iter(memo))]
+            code = 24 + token % 12
+        elif head and i == first:
+            code += 12
+        if memo is None:
+            v = _run(tables[code], v)
+        else:
+            step = code, v
+            if step not in transitions:
+                transitions[step] = _intern(memo, _run(tables[code], columns[v]))
+            v = transitions[step]
     return v
 
 
@@ -373,10 +399,18 @@ def _first_entry(word, x):
     """x times the first entry of rho(word).  6*12^m rho(word) e0 runs
     on the eigenbasis, only the v, u and b rows in its leftmost S step;
     <e0, .> reads x_v + x_u + x_b, as v, u and b each hold e0 once.  Then
-    one product with x and one division."""
-    v = _apply(word.tokens, _SIX_E0, eigen=True, head=True)
-    total = [sum(v[r:3 * DEGREE:DEGREE]) for r in range(DEGREE)]
-    return _entries(_mul_coeffs(total, x._c), 6 * 12 ** word.s_count())[0]
+    one product with x and one division.  Inside a suite (_step_memo) the
+    result is kept by the id of that column, m and x."""
+    m, memo = word.s_count(), _memo.get()
+    if memo is None:  # outside a suite: a memo for this call alone
+        key, firsts, v = None, {}, _apply(word.tokens, _SIX_E0, eigen=True, head=True)
+    else:
+        key = _walk(word.tokens, _SIX_E0, True, True, memo), m, x
+        firsts, v = memo[3], memo[1][key[0]]
+    if key not in firsts:
+        total = [sum(v[r:3 * DEGREE:DEGREE]) for r in range(DEGREE)]
+        firsts[key] = _entries(_mul_coeffs(total, x._c), 6 * 12 ** m)[0]
+    return firsts[key]
 
 
 def rho_entry_11(word):
@@ -399,7 +433,7 @@ def verify_unitary():
     return _construction()[2]
 
 
-@_suffix_memo()
+@_step_memo()
 def verify_kernel_generators():
     """Report that rho kills all 19 published generators of Gamma(12).
 

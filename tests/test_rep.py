@@ -601,7 +601,7 @@ def test_corrupt_folded_s_step_fails_closed_form(monkeypatch):
         "state sum = closed form, p=11 (10 pairs)"]
 
 
-# -- suffix memo ---------------------------------------------------------------------
+# -- step memo -----------------------------------------------------------------------
 
 
 def _gluing_words(p_max):
@@ -609,42 +609,125 @@ def _gluing_words(p_max):
             for p in range(1, p_max + 1) for q in range(p) if math.gcd(p, q) == 1}
 
 
-def test_suffix_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
-    # each suite that evaluates words fills its own memo up to the bound and
-    # never past it, at the largest periodicity sweep too; none outlives it.
-    # Every step on either basis runs the kernel, which the spy watches
-    seen = []  # [memo, largest size a kernel step saw]
-    real = rep._run
+def _fresh_state_sums(monkeypatch):
+    """An empty state-sum cache, so that a suite evaluates its words."""
+    monkeypatch.setattr(invariant, "_literal_state_sum",
+                        lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
+
+
+def _memos_seen(monkeypatch):
+    """[memo, most columns it held at a kernel step], one per memo in the
+    order the kernel steps met them, from a spy on rep._run."""
+    seen, real = [], rep._run
 
     def spy(table, v):
-        memo = rep._suffixes.get()
+        memo = rep._memo.get()
         if not seen or seen[-1][0] is not memo:
             seen.append([memo, 0])
-        seen[-1][1] = max(seen[-1][1], len(memo))
+        seen[-1][1] = max(seen[-1][1], len(memo[1]))
         return real(table, v)
 
     rep._eigenbasis()  # derived once, outside the suites
     monkeypatch.setattr(rep, "_run", spy)
-    monkeypatch.setattr(invariant, "_literal_state_sum",
-                        lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
-    assert verify_kernel_generators().passed
-    assert verify_well_defined().passed
-    assert verify_periodicity(MAX_PMAX).passed
-    assert len(seen) == 3
-    assert all(len(memo) <= largest == rep._SUFFIX_MEMO for memo, largest in seen)
-    # a key is a suffix and the eigenbasis column it ran on; the state sum
-    # runs one column
-    assert {key[1] for key in seen[1][0]} == {rep._SIX_E0}
-    assert {len(key) for memo, _ in seen for key in memo} == {2}
-    assert rep._suffixes.get() is None
+    return seen
+
+
+_SUITES = (verify_kernel_generators, verify_well_defined, verify_periodicity, verify_closed_form)
+
+
+def test_step_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
+    # each suite that evaluates words gets a fresh memo, and none outlives
+    # it.  With the cap at 8, an evaluation starts with fewer than 8 columns
+    # and adds its start column and one per kernel step, so the memo is
+    # cleared again and again and holds no more than that
+    cap, steps, real_walk = 8, [], rep._walk
+    seen = _memos_seen(monkeypatch)
+    spy = rep._run
+
+    def walk(*args):
+        steps.append(0)  # kernel steps of this evaluation so far
+        return real_walk(*args)
+
+    def run(table, v):
+        steps[-1] += 1
+        assert len(rep._memo.get()[1]) <= cap + steps[-1] - 1
+        return spy(table, v)
+
+    monkeypatch.setattr(rep, "_MEMO_COLUMNS", cap)
+    monkeypatch.setattr(rep, "_walk", walk)
+    monkeypatch.setattr(rep, "_run", run)
+    for suite in _SUITES:
+        _fresh_state_sums(monkeypatch)
+        assert suite().passed
+    memos = [memo for memo, _ in seen]
+    assert len(memos) == 4 and None not in memos
+    assert len(set(map(id, memos))) == 4  # each alive in this list, so each a new one
+    assert max(steps) > cap  # one evaluation alone passes the cap
+    # a step is keyed with a table code and the id of a column
+    assert all(0 <= code < 36 and 0 <= c < len(memo[1]) for memo in memos for code, c in memo[2])
+    assert rep._memo.get() is None
+
+
+def test_memo_cap_holds_every_suite_and_a_small_cap_keeps_every_report(monkeypatch):
+    # at MAX_PMAX no suite fills its memo, so none clears it; the kernel
+    # suite holds the most columns.  Clearing costs only work: with a cap of
+    # 8, each report is the uncapped one
+    seen = _memos_seen(monkeypatch)
+    for suite in _SUITES:
+        _fresh_state_sums(monkeypatch)
+        assert (suite() if suite is verify_kernel_generators else suite(MAX_PMAX)).passed
+    sizes = [size for _, size in seen]
+    assert len(sizes) == 4 and max(sizes) == sizes[0] < rep._MEMO_COLUMNS <= 3 * sizes[0]
+
+    def reports():
+        for suite in _SUITES[:3]:
+            _fresh_state_sums(monkeypatch)
+            yield suite() if suite is verify_kernel_generators else suite(48)
+
+    uncapped = list(reports())
+    monkeypatch.setattr(rep, "_MEMO_COLUMNS", 8)
+    assert list(reports()) == uncapped
+
+
+def test_no_kernel_step_runs_twice_in_a_suite(monkeypatch, capsys):
+    # inside each suite of verify all a (table, input column) pair reaches
+    # the kernel once: rho(T^k) fixes e0, and rho has level 12, so the words
+    # of a suite meet the same columns again and again.  closedform finds
+    # every value in the cache that periodicity filled, and runs no step
+    rep.rho_s()
+    suites, real = [], rep._run  # [(memo, [(table, column) run])], in order
+
+    def spy(table, v):
+        memo = rep._memo.get()
+        if not suites or suites[-1][0] is not memo:
+            suites.append((memo, []))
+        suites[-1][1].append((id(table), tuple(v)))
+        return real(table, v)
+
+    monkeypatch.setattr(rep, "_run", spy)
+    _fresh_state_sums(monkeypatch)
+    assert cli.main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert len(suites) == 3 and all(memo is not None for memo, _ in suites)
+    assert all(len(set(runs)) == len(runs) for _, runs in suites)
+
+
+def test_first_entry_memo_is_keyed_with_the_factor():
+    # w_rho_entry_11 and rho_entry_11 read one column of each word; inside
+    # one memo, in either order, each keeps its own factor
+    words = list(_gluing_words(24).values())
+    for order in ((rep.w_rho_entry_11, rho_entry_11), (rho_entry_11, rep.w_rho_entry_11)):
+        with rep._step_memo():
+            for word in words:
+                value = {entry: entry(word) for entry in order}
+                assert value[rep.w_rho_entry_11] == GLOBAL_INDEX * value[rho_entry_11], word
 
 
 def test_outside_a_suite_every_s_step_runs(monkeypatch):
     # with no memo, a word evaluated again runs all its steps again: one
     # kernel step per S token, which runs the T token to its right with it,
     # and one T table step for a leading T token, the only T token that no
-    # S step takes; inside _suffix_memo the repeat starts after its longest
-    # stored suffix
+    # S step takes; inside _step_memo the repeat runs no kernel step
     words = list(_gluing_words(24).values())
     t_steps = sum(word.tokens[0] != "S" for word in words if word.tokens)
     steps = sum(word.s_count() for word in words) + t_steps
@@ -654,7 +737,7 @@ def test_outside_a_suite_every_s_step_runs(monkeypatch):
     t_tables = rep._standard()[1] + rep._eigenbasis()[1]  # built before the spy counts steps
 
     def spy(table, v):
-        memos.append(rep._suffixes.get())
+        memos.append(rep._memo.get())
         if any(table is t for t in t_tables):
             t_memos.append(memos[-1])
         return real_run(table, v)
@@ -670,10 +753,11 @@ def test_outside_a_suite_every_s_step_runs(monkeypatch):
     rho_word(words[-1])
     assert memos == [None] * len(memos) and t_memos == [None] * len(t_memos)
     del memos[:]
-    with rep._suffix_memo():
+    with rep._step_memo():
         assert [rho_entry_11(word) for word in words] == values
+        first = len(memos)
         assert [rho_entry_11(word) for word in words] == values
-    assert 0 < len(memos) < steps
+    assert 0 < first < steps and len(memos) == first
 
 
 def test_the_standard_basis_reference_takes_no_shortcut(monkeypatch):
@@ -684,31 +768,35 @@ def test_the_standard_basis_reference_takes_no_shortcut(monkeypatch):
     want = rho_word(word)  # construction, before the spy counts steps
     steps, real = [], rep._run
     monkeypatch.setattr(rep, "_run", lambda table, v: steps.append(table) or real(table, v))
-    with rep._suffix_memo():
+    with rep._step_memo():
         for _ in range(2):
             del steps[:]
             assert rho_word(word) == want
             assert len(steps) == DIM * len(word)
-        assert rep._suffixes.get() == {}
+        assert rep._memo.get() == ({}, [], {}, {})
 
 
-def test_corrupt_memo_entry_fails_exactly_the_words_that_end_in_it():
-    # a memoized suffix is shared, not assumed: one wrong column makes
-    # exactly the pairs whose words end in that suffix (at an S other than
-    # their leftmost, which is never stored) disagree with the closed form
+def test_corrupt_memo_step_fails_exactly_the_words_that_cross_it():
+    # a memoized step is shared, not assumed: one wrong image makes exactly
+    # the pairs whose walk crosses that step disagree with the closed form.
+    # The step is S T2 after a first S; the head, not the step, runs at the
+    # leftmost S, and a T^k right of the last S leaves 6 e0 as it is
     words = _gluing_words(24)
-    suffix = ("S", 2, "S")
     ends = {pair for pair, word in words.items()
-            if word.tokens[-3:] == suffix and word.s_count() > 2}
+            if word.tokens[:len(word) - (word.tokens[-1] != "S")][-3:] == ("S", 2, "S")
+            and word.s_count() > 2}
     assert len(ends) == 18 and (2, 1) not in ends  # L(2,1) is the word S T2 S itself
-    key = suffix, rep._SIX_E0
-    column = list(rep._apply(*key, True))
-    column[0] += 1
-    with rep._suffix_memo():
-        rep._suffixes.get()[key] = tuple(column)
+    with rep._step_memo():
+        memo = rep._memo.get()
+        ids, columns, transitions, _ = memo
+        after_s = ids[tuple(rep._apply(("S",), rep._SIX_E0, True))]
+        column = rep._apply(("S", 2, "S"), rep._SIX_E0, True)
+        assert transitions[2, after_s] == ids[tuple(column)]
+        column[0] += 1
+        transitions[2, after_s] = rep._intern(memo, column)
         wrong = {(p, q) for p, q in words
                  if invariant._literal_state_sum.__wrapped__(p, q) != closed_form(LensSpace(p, q))}
-        assert len(rep._suffixes.get()) < rep._SUFFIX_MEMO  # nothing was evicted
+        assert len(columns) < rep._MEMO_COLUMNS  # nothing was cleared
     assert wrong == ends
 
 
