@@ -413,6 +413,58 @@ def test_verify_periodicity_names_first_shift_in_order(monkeypatch):
     )
 
 
+def _periodicity_scan(p_max, value):
+    """The report of the quadratic scan that verify_periodicity replaced:
+    each swept pair compared with each of its in-range shifts, in order."""
+    checks = []
+    for p in range(1, p_max - 11):
+        for q in range(p):
+            if math.gcd(p, q) != 1:
+                continue
+            shifted = ((p + 12 * s, q + 12 * t) for s in range((p_max - p) // 12 + 1)
+                       for t in range((p_max - 1 - q) // 12 + 1) if s or t)
+            bad = next((f"differs at L({p2},{q2})" for p2, q2 in shifted
+                        if math.gcd(p2, q2) == 1 and value(p2, q2) != value(p, q)), None)
+            checks.append(Check(f"L({p},{q}) mod-12 shifts", bad))
+    return tuple(checks)
+
+
+def test_verify_periodicity_evaluates_the_same_pairs_in_linear_comparisons(monkeypatch):
+    # the suite evaluates the literal word of every swept pair and of every
+    # in-range shift, and no other pair; with one value per class it
+    # compares each pair once, where the scan compared each pair with each
+    # of its shifts (113,250 comparisons at MAX_PMAX)
+    reach = {(p + 12 * s, q + 12 * t)
+             for p in range(1, MAX_PMAX - 11) for q in range(p) if math.gcd(p, q) == 1
+             for s in range((MAX_PMAX - p) // 12 + 1)
+             for t in range((MAX_PMAX - 1 - q) // 12 + 1)
+             if math.gcd(p + 12 * s, q + 12 * t) == 1}
+    assert len(reach) == 8239
+    verify_periodicity(MAX_PMAX)  # every value in the cache, so no evaluation compares
+    seen, comparisons, real, eq = [], [], invariant._literal_state_sum, Cyclotomic.__eq__
+    monkeypatch.setattr(invariant, "_literal_state_sum",
+                        lambda p, q: seen.append((p, q)) or real(p, q))
+    monkeypatch.setattr(Cyclotomic, "__eq__", lambda a, b: comparisons.append(a) or eq(a, b))
+    assert verify_periodicity(MAX_PMAX).passed
+    assert set(seen) == reach
+    assert len(comparisons) <= len(reach)
+
+
+@pytest.mark.parametrize("pair", [(5, 2), (17, 14), (41, 26), (47, 46)])
+def test_verify_periodicity_reports_what_the_scan_reports(monkeypatch, pair):
+    # one wrong value, at a swept pair or at a shift only: the suite names
+    # the same checks and witnesses as the quadratic scan on the same values
+    real = invariant._literal_state_sum
+
+    def value(p, q):
+        return ZERO if (p, q) == pair else real(p, q)
+
+    monkeypatch.setattr(invariant, "_literal_state_sum", value)
+    report = verify_periodicity(48)
+    assert not report.passed
+    assert report.checks == _periodicity_scan(48, value)
+
+
 def test_state_sum_cache_is_bounded_and_holds_the_largest_sweeps():
     # the pairs that verify_periodicity(MAX_PMAX) and then
     # verify_closed_form(MAX_PMAX) evaluate: none is evicted while they run

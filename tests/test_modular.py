@@ -1,24 +1,31 @@
 """SL(2,Z) arithmetic, generator words, Euclidean decomposition, cofactors,
-level-12 congruence membership and the published generating set."""
+level-12 congruence membership, the two normal generators of Gamma(12) and
+the coset enumeration that shows they suffice."""
 
 import math
 import random
 
 import pytest
 
+from e6lens import modular, rep
 from e6lens.invariant import LensSpace
 from e6lens.modular import (
     IDENTITY,
+    MAX_COSETS,
     S,
     SL2Z,
+    SL2Z_RELATORS,
     T,
     Word,
     cofactors,
+    coset_count,
     decompose,
     gamma12_generators,
     in_gamma12,
     lens_matrix,
 )
+
+from gap_gamma12 import GAP_GAMMA12
 
 
 def mod12(m):
@@ -244,35 +251,112 @@ def test_in_gamma12_reduces_published_entries():
 
 
 def test_generator_table_has_19_self_checked_entries():
-    table = gamma12_generators()
-    assert len(table) == 19
-    names = [g.name for g in table]
-    assert names[0] == "P1+" and names[1] == "P1-" and names[-1] == "P18"
-    for gen in table:
-        assert gen.word.to_matrix() == gen.matrix
-        assert in_gamma12(gen.matrix)
+    # the GAP list: each word evaluates to its matrix, which is I mod 12,
+    # and rho sends it to I on every eigenbasis vector.  The library's two
+    # entries are rows of it
+    assert len(GAP_GAMMA12) == 19
+    with rep._step_memo():
+        for name, entries, text in GAP_GAMMA12:
+            word = Word.parse(text)
+            assert word.to_matrix() == SL2Z(*entries), name
+            assert in_gamma12(word.to_matrix()), name
+            assert rep._kernel_witness(word) is None, name
+    assert {(g.name, tuple(g.matrix), g.word.compact()) for g in gamma12_generators()} <= set(
+        GAP_GAMMA12)
 
 
 def test_generator_table_spot_entries():
-    by_name = {g.name: g for g in gamma12_generators()}
-    p2 = by_name["P2"]
-    assert p2.matrix == SL2Z(-143, 12, -12, 1)
-    assert p2.word == Word.parse("SST12ST12S")
-    assert by_name["P9"].matrix == SL2Z(937, -396, 168, -71)
-    assert by_name["P9"].word == Word.parse("T5ST-2ST-4ST-4ST-3ST2S")
-    assert by_name["P18"].matrix == SL2Z(649, -384, 120, -71)
-    assert by_name["P18"].word == Word.parse("T5ST-2ST2ST-4ST3ST2S")
+    table = gamma12_generators()
+    assert [g.name for g in table] == ["P1+", "P6"]
+    assert table[0].matrix == SL2Z(1, 12, 0, 1) and table[0].word == Word([12])
+    assert table[1].matrix == SL2Z(-467, 360, -48, 37)
+    assert table[1].word == Word.parse("T10ST4ST3ST-3ST1S")
+
+
+# -- coset enumeration -------------------------------------------------------------------
+
+KERNEL_RELATORS = (*SL2Z_RELATORS, Word([12]), Word.parse("T10ST4ST3ST-3ST1S"))
+
+
+def _order_mod(n):
+    """The order of the group that S and T generate mod n, by BFS over residues."""
+    gens = [tuple(x % n for x in m) for m in (S, T)]
+    seen, frontier = {(1 % n, 0, 0, 1 % n)}, [(1 % n, 0, 0, 1 % n)]
+    while frontier:
+        nxt = []
+        for a, b, c, d in frontier:
+            for e, f, g, h in gens:
+                m = ((a * e + b * g) % n, (a * f + b * h) % n,
+                     (c * e + d * g) % n, (c * f + d * h) % n)
+                if m not in seen:
+                    seen.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return len(seen)
+
+
+def test_s_and_t_generate_sl2_mod_12_of_order_1152():
+    # every determinant-one residue matrix mod 12 is reached: 1152 of them
+    det_one = sum((a * d - b * c) % 12 == 1 for a in range(12) for b in range(12)
+                  for c in range(12) for d in range(12))
+    assert _order_mod(12) == det_one == 1152
+
+
+def test_relators_hold_in_sl2z_and_mod_12():
+    assert all(word.to_matrix() == IDENTITY for word in SL2Z_RELATORS)
+    assert all(in_gamma12(word.to_matrix()) for word in KERNEL_RELATORS)
+
+
+def test_coset_count_closes_at_96_on_the_kernel_relators():
+    # 96 cosets of <T>, of order 12 in the quotient: 1152 elements at most,
+    # which SL(2, Z/12) needs
+    assert coset_count(KERNEL_RELATORS) == 96 == _order_mod(12) // 12
+
+
+@pytest.mark.parametrize("n, index", [(2, 3), (3, 8), (4, 12), (5, 24)])
+def test_coset_count_of_t_n_is_the_order_of_sl2_mod_n_over_n(n, index):
+    # Gamma(n) is the normal closure of T^n for n <= 5
+    assert coset_count((*SL2Z_RELATORS, Word([n]))) == index == _order_mod(n) // n
+
+
+def test_coset_count_is_one_when_a_relator_puts_s_in_t():
+    # given T^3 and S^4, S^2 T^6 S T^2 S^2 = 1 reads S^-1 = T^2, so <T> is the
+    # whole group.  Its coincidences chain deep enough that a find which
+    # cuts a link counts two
+    words = ("SSSS", "ST1ST1ST1SS", "T3", "SST6ST2SS")
+    assert coset_count(tuple(map(Word.parse, words))) == 1
+
+
+def test_coset_count_falls_to_24_with_t6_which_is_not_i_mod_12():
+    assert coset_count((*KERNEL_RELATORS, Word([6]))) == 24
+    assert not in_gamma12(Word([6]).to_matrix())
+
+
+def test_coset_count_without_p6_gives_up_at_the_bound(monkeypatch):
+    # <S, T | S^4, (ST)^3 S^2, T^12> is infinite: the enumeration stops
+    assert coset_count(KERNEL_RELATORS[:3]) is None
+    monkeypatch.setattr(modular, "MAX_COSETS", 50)
+    assert coset_count(KERNEL_RELATORS[:3]) is None
+
+
+def test_max_cosets_is_bounded_by_the_kernel_enumeration(monkeypatch):
+    # the enumeration for verify kernel defines exactly 582 cosets before it
+    # closes; the bound leaves it room, but less than twice that
+    assert 582 <= MAX_COSETS < 2 * 582
+    monkeypatch.setattr(modular, "MAX_COSETS", 582)
+    assert coset_count(KERNEL_RELATORS) == 96
+    monkeypatch.setattr(modular, "MAX_COSETS", 581)
+    assert coset_count(KERNEL_RELATORS) is None
 
 
 def test_normal_closure_smoke():
-    # conjugates of table entries by random short words stay in Gamma(12):
-    # u g u^-1 = I mod 12 exactly when u g = u mod 12
+    # conjugates of the GAP list's entries by random short words stay in
+    # Gamma(12): u g u^-1 = I mod 12 exactly when u g = u mod 12
     rng = random.Random(31)
-    table = gamma12_generators()
     for _ in range(40):
-        gen = rng.choice(table)
+        _, entries, _ = rng.choice(GAP_GAMMA12)
         u = rand_word(rng, 6).to_matrix()
-        assert mod12(u * gen.matrix) == mod12(u)
+        assert mod12(u * SL2Z(*entries)) == mod12(u)
 
 
 # -- congruent gluing matrices ---------------------------------------------------------

@@ -31,6 +31,8 @@ from e6lens.rep import (
 )
 from e6lens.report import Check, Report
 
+from gap_gamma12 import GAP_GAMMA12
+
 I10 = CycloMatrix.identity(DIM)
 
 
@@ -315,20 +317,40 @@ def test_suites_report_construction_checks_without_running_them_again(monkeypatc
 # -- kernel -----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("word, route", [(Word([1]), "via word"), (Word(), "via matrix")])
-def test_kernel_failure_names_route_and_entry(monkeypatch, word, route):
-    # a fake generator T: its word is T1 (fails via word) or empty (passes
-    # via word, fails via matrix); rho(T) has -zeta^2 at (2,2)
-    fake = GammaGenerator("fake", T, word)
-    monkeypatch.setattr(rep, "gamma12_generators", lambda: (fake,))
+_RELATOR_CHECKS = ("ST1ST1ST1SS", "SSSS")
+
+
+@pytest.mark.parametrize("mod_12, witness", [
+    (False, "[[1, 1], [0, 1]] is not I mod 12"),
+    (True, f"(2,2): expected {ONE.to_text()}, got {zeta_pow(14).to_text()}"),
+], ids=["not I mod 12", "rho not I"])
+def test_kernel_failure_names_word_and_entry(monkeypatch, mod_12, witness):
+    # a fake generator T, which is not I mod 12; with the mod-12 test made to
+    # pass, rho(T) fails it instead, with -zeta^2 at (2,2).  T kills <T>, so
+    # <T> has one coset
+    monkeypatch.setattr(rep, "gamma12_generators", lambda: (GammaGenerator("fake", T, Word([1])),))
+    if mod_12:
+        monkeypatch.setattr(rep, "in_gamma12", lambda m: True)
     report = verify_kernel_generators()
-    witness = f"{route} (2,2): expected {ONE.to_text()}, got {zeta_pow(14).to_text()}"
-    assert report.checks == (Check("fake", witness),)
+    assert report.checks == (
+        Check("96 cosets of <T> in <S, T | ST1ST1ST1SS, SSSS, T1>", "1 cosets"),
+        *(Check(f"{text} = I mod 12 and rho({text}) = I") for text in _RELATOR_CHECKS),
+        Check("T1 = I mod 12 and rho(T1) = I", witness),
+    )
+
+
+def test_kernel_fails_and_stops_without_p6(monkeypatch):
+    # T^12 alone is not enough: the enumeration gives up at its bound, and
+    # the words it ran still pass
+    monkeypatch.setattr(rep, "gamma12_generators", lambda: gamma12_generators()[:1])
+    report = verify_kernel_generators()
+    assert [check.witness for check in report.checks] == [
+        f"not closed within {rep.MAX_COSETS} cosets", None, None, None]
 
 
 def test_kernel_evaluates_each_distinct_word_once(monkeypatch):
-    # 8 of the 19 generators decompose to their published word: 30 words, not
-    # 38, each on its ten columns; a passing word is never divided by w^m
+    # the two relators of SL(2,Z), T^12 and P6: four words, each on its ten
+    # columns; a passing word is never divided by w^m
     rho_s()  # construction evaluates rho(T) before the spies are in place
     calls, divided = [], []
     real_apply, real_word = rep._apply, rep.rho_word
@@ -336,9 +358,9 @@ def test_kernel_evaluates_each_distinct_word_once(monkeypatch):
                         lambda tokens, *args: calls.append(tokens) or real_apply(tokens, *args))
     monkeypatch.setattr(rep, "rho_word", lambda word: divided.append(word) or real_word(word))
     assert verify_kernel_generators().passed
-    assert len(calls) == 300 and divided == []
-    assert len(set(calls)) == 30
-    assert len(set(calls)) == sum(len({g.word, decompose(g.matrix)}) for g in gamma12_generators())
+    assert len(calls) == 40 and divided == []
+    assert set(calls) == {Word.parse(text).tokens
+                          for text in (*_RELATOR_CHECKS, "T12", "T10ST4ST3ST-3ST1S")}
 
 
 # -- word evaluation ------------------------------------------------------------------
@@ -637,10 +659,10 @@ _SUITES = (verify_kernel_generators, verify_well_defined, verify_periodicity, ve
 
 def test_step_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
     # each suite that evaluates words gets a fresh memo, and none outlives
-    # it.  With the cap at 8, an evaluation starts with fewer than 8 columns
+    # it.  With the cap at 4, an evaluation starts with fewer than 4 columns
     # and adds its start column and one per kernel step, so the memo is
     # cleared again and again and holds no more than that
-    cap, steps, real_walk = 8, [], rep._walk
+    cap, steps, real_walk = 4, [], rep._walk
     seen = _memos_seen(monkeypatch)
     spy = rep._run
 
@@ -669,15 +691,15 @@ def test_step_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
 
 
 def test_memo_cap_holds_every_suite_and_a_small_cap_keeps_every_report(monkeypatch):
-    # at MAX_PMAX no suite fills its memo, so none clears it; the kernel
-    # suite holds the most columns.  Clearing costs only work: with a cap of
-    # 8, each report is the uncapped one
+    # at MAX_PMAX no suite fills its memo, so none clears it; periodicity
+    # and closedform hold the most columns.  Clearing costs only work: with a
+    # cap of 8, each report is the uncapped one
     seen = _memos_seen(monkeypatch)
     for suite in _SUITES:
         _fresh_state_sums(monkeypatch)
         assert (suite() if suite is verify_kernel_generators else suite(MAX_PMAX)).passed
     sizes = [size for _, size in seen]
-    assert len(sizes) == 4 and max(sizes) == sizes[0] < rep._MEMO_COLUMNS <= 3 * sizes[0]
+    assert len(sizes) == 4 and max(sizes) < rep._MEMO_COLUMNS <= 3 * max(sizes)
 
     def reports():
         for suite in _SUITES[:3]:
@@ -889,22 +911,27 @@ def test_rho_word_matches_public_matrix_products():
 
 def test_verify_kernel_generators_all_pass():
     report = verify_kernel_generators()
-    assert len(report.checks) == 19
+    assert len(report.checks) == 5
     assert report.passed, report.to_json()
 
 
 def test_kernel_spot_checks():
-    by_name = {g.name: g for g in gamma12_generators()}
-    assert rho_word(by_name["P1+"].word) == I10
-    assert rho_word(by_name["P12"].word) == I10
-    assert rho_word(by_name["P17"].word) == I10
+    # the standard basis agrees: the four words of the suite, and P12 and
+    # P17 of the GAP list, map to I
+    gap = {name: text for name, _, text in GAP_GAMMA12}
+    texts = (*_RELATOR_CHECKS, *(gap[name] for name in ("P1+", "P6", "P12", "P17")))
+    assert all(rho_word(Word.parse(text)) == I10 for text in texts)
 
 
 # -- blocks ----------------------------------------------------------------------------
 
 
 def _generator_words():
-    return {word for g in gamma12_generators() for word in (g.word, decompose(g.matrix))}
+    # the 19 words of the GAP list and the decompositions of their matrices
+    words = {word for _, entries, text in GAP_GAMMA12
+             for word in (Word.parse(text), decompose(SL2Z(*entries)))}
+    assert len(words) == 30
+    return words
 
 
 def test_block_state_sum_equals_the_full_first_entry():
@@ -974,7 +1001,7 @@ def test_corrupt_line_factor_fails_kernel(monkeypatch):
     assert not report.passed
     for check in report.failures():
         assert "None" not in check.witness
-        match = re.fullmatch(r"via (word|matrix) basis vector 9, flat coordinate 3[6-9]: "
+        match = re.fullmatch(r"basis vector 9, flat coordinate (3[6-9]): "
                              r"expected (\d+), got (-?\d+)", check.witness)
         assert match, check.witness
         want, got = int(match[2]), int(match[3])
