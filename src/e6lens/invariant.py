@@ -53,8 +53,8 @@ from .rep import _step_memo, w_rho_entry_11
 from .report import Check, Report
 
 # Largest sweep bound that sweep_table and the verification sweeps accept.
-# At 120 on a shared 2-core host (Python 3.11.7), verify_periodicity takes 0.11-0.15 s
-# and verify_closed_form 0.06-0.08 s from a cold cache; every other sweep <= 0.02 s.
+# At 120 on a shared 2-core host (Python 3.11.7), verify_periodicity takes 0.08-0.15 s
+# and verify_closed_form 0.05-0.08 s from a cold cache; every other sweep <= 0.02 s.
 MAX_PMAX = 120
 
 # The least bound of each verification sweep, by suite name: periodicity

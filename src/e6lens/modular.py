@@ -19,7 +19,8 @@ class SL2Z(_value_type("SL2Z", "a b c d")):
     __slots__ = ()
 
     def __new__(cls, a, b, c, d):
-        _require_int(a=a, b=b, c=c, d=d)
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            _require_int(a=a, b=b, c=c, d=d)
         if a * d - b * c != 1:
             raise ValueError(f"determinant must be 1: {(a, b, c, d)}")
         return super().__new__(cls, a, b, c, d)
@@ -55,21 +56,24 @@ class Word(_value_type("Word", "tokens")):
 
     __slots__ = ()
 
+    @classmethod
+    def _raw(cls, tokens):  # the one constructor, of a tuple of tokens already canonical
+        return tuple.__new__(cls, (tokens,))
+
     def __new__(cls, tokens=()):
         merged = []
         for tok in tokens:
             if tok == "S":
                 merged.append("S")
-            elif isinstance(tok, int) and not isinstance(tok, bool):
-                if merged and merged[-1] != "S":
-                    merged[-1] += tok
-                    if merged[-1] == 0:
-                        merged.pop()
-                elif tok != 0:
-                    merged.append(tok)
-            else:
+            elif type(tok) is not int:
                 raise ValueError(f"bad token {tok!r}: expected 'S' or nonzero int")
-        return super().__new__(cls, tuple(merged))
+            elif merged and merged[-1] != "S":
+                merged[-1] += tok
+                if merged[-1] == 0:
+                    merged.pop()
+            elif tok != 0:
+                merged.append(tok)
+        return cls._raw(tuple(merged))
 
     def __len__(self):
         return len(self.tokens)
@@ -80,7 +84,7 @@ class Word(_value_type("Word", "tokens")):
         return Word(self.tokens + other.tokens)
 
     def s_count(self):
-        return sum(1 for t in self.tokens if t == "S")
+        return self.tokens.count("S")
 
     def to_matrix(self):
         """Left-to-right product of the token matrices; empty word -> I."""
@@ -109,35 +113,30 @@ class Word(_value_type("Word", "tokens")):
         return f"Word({self.compact()!r})"
 
 
-def _nearest_div(n, d):
-    # floor(n/d + 1/2); d normalized positive
-    if d < 0:
-        n, d = -n, -d
-    return (2 * n + d) // (2 * d)
-
-
 def decompose(m):
     """Write m as a word in S and T, by Euclidean descent on the first column.
 
     Repeatedly peels m = T^k * S * m' (driving the lower-left entry down by
     nearest-integer division), then clears the remaining +-(1, n; 0, 1) with
     a T power and S^2 = -I for the sign.  The result evaluates back to m
-    exactly; its length is O(log max|entry|).
+    exactly in O(log max|entry|) tokens, canonical as built: no T token is
+    0 and no two T tokens are adjacent.
     """
     tokens = []
     a, b, c, d = m
     while c:
-        k = _nearest_div(a, c)
-        a -= k * c
-        b -= k * d
-        tokens += [k, "S"]  # Word drops a T token k = 0
-        # apply S^-1 on the left: rows (r1, r2) -> (r2, -r1)
-        a, b, c, d = c, d, -a, -b
+        k = (2 * a + c) // (2 * c)  # floor(a/c + 1/2), for either sign of c
+        if k:
+            tokens.append(k)
+        tokens.append("S")
+        # apply T^-k, then S^-1, on the left: rows (r1, r2) -> (r2, k r2 - r1)
+        a, b, c, d = c, d, k * c - a, k * d - b
     if a != 1:  # a = -1: what is left is S^2 (1, -b; 0, 1)
         tokens += ["S", "S"]
         b = -b
-    tokens.append(b)
-    return Word(tokens)
+    if b:
+        tokens.append(b)
+    return Word._raw(tuple(tokens))
 
 
 def cofactors(p, q):
@@ -146,7 +145,8 @@ def cofactors(p, q):
     For p != 0 this is the unique pair with 0 <= a < |p| (so (0, -p) at
     |p| = 1); for p = 0 it is (q, 0).  Raises if gcd(p, q) != 1.
     """
-    _require_int(p=p, q=q)
+    if not type(p) is type(q) is int:
+        _require_int(p=p, q=q)
     g = math.gcd(p, q)
     if g != 1:
         raise ValueError(f"gcd({p},{q})={g}; p and q must be coprime")

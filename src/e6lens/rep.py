@@ -296,7 +296,7 @@ def _fold(s, t):
 # column met at its int id, which ids gives for it and for each start
 # column; transitions maps (code, id) to the id of a kernel step's image,
 # code k < 12 the S step of T^k, 12 + k its head and 24 + k a leading T^k;
-# firsts maps (id, m, x) to what _first_entry reads there.
+# firsts maps (id, m, x._c) to what _first_entry reads there.
 _MEMO_COLUMNS = 512
 _memo = ContextVar("_memo", default=None)
 
@@ -400,12 +400,12 @@ def _first_entry(word, x):
     on the eigenbasis, only the v, u and b rows in its leftmost S step;
     <e0, .> reads x_v + x_u + x_b, as v, u and b each hold e0 once.  Then
     one product with x and one division.  Inside a suite (_step_memo) the
-    result is kept by the id of that column, m and x."""
+    result is kept by the id of that column, m and the coefficients of x."""
     m, memo = word.s_count(), _memo.get()
     if memo is None:  # outside a suite: a memo for this call alone
         key, firsts, v = None, {}, _apply(word.tokens, _SIX_E0, eigen=True, head=True)
     else:
-        key = _walk(word.tokens, _SIX_E0, True, True, memo), m, x
+        key = _walk(word.tokens, _SIX_E0, True, True, memo), m, x._c
         firsts, v = memo[3], memo[1][key[0]]
     if key not in firsts:
         total = [sum(v[r:3 * DEGREE:DEGREE]) for r in range(DEGREE)]

@@ -54,6 +54,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                  id="cofactors(True, 0)"),
     pytest.param(lambda: e6lens.cofactors(5, False), "q must be an int, not False",
                  id="cofactors(5, False)"),
+    pytest.param(lambda: e6lens.cofactors(5, True), "q must be an int, not True",
+                 id="cofactors(5, True)"),
+    pytest.param(lambda: e6lens.SL2Z(1, 0, 0, True), "d must be an int, not True",
+                 id="SL2Z(1, 0, 0, True)"),
+    pytest.param(lambda: e6lens.lens_matrix(5, 1, 1, 0.0), "b must be an int, not 0.0",
+                 id="lens_matrix(5, 1, 1, 0.0)"),
     pytest.param(lambda: e6lens.SQRT3 ** True, "n must be an int, not True", id="SQRT3 ** True"),
     pytest.param(lambda: e6lens.SQRT3 ** 2.0, "n must be an int, not 2.0", id="SQRT3 ** 2.0"),
 ])

@@ -8,10 +8,11 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from e6lens import invariant
+from e6lens import invariant, modular
 from e6lens.cyclotomic import (
     GLOBAL_INDEX,
     IMAG,
@@ -41,7 +42,7 @@ from e6lens.invariant import (
     verify_periodicity,
     verify_well_defined,
 )
-from e6lens.modular import cofactors
+from e6lens.modular import Word, cofactors
 from e6lens.report import Check
 
 X = 3 + SQRT3  # [4][3]/[2]
@@ -463,6 +464,27 @@ def test_verify_periodicity_reports_what_the_scan_reports(monkeypatch, pair):
     report = verify_periodicity(48)
     assert not report.passed
     assert report.checks == _periodicity_scan(48, value)
+
+
+def test_literal_words_skip_the_merge_and_the_int_checks(monkeypatch):
+    # on the value path decompose builds its canonical Word directly, and
+    # cofactors and SL2Z accept ints by one chained type test: while the two
+    # suites that evaluate new literal words run, Word's merging constructor
+    # never runs and modular calls _require_int only to raise, so never
+    merges, int_checks = [], []
+    new, require_int = Word.__new__, modular._require_int
+    monkeypatch.setattr(Word, "__new__", lambda cls, tokens=(): merges.append(cls) or new(cls, tokens))
+    monkeypatch.setattr(modular, "_require_int",
+                        lambda **values: int_checks.append(values) or require_int(**values))
+    monkeypatch.setattr(invariant, "_literal_state_sum",
+                        lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
+    assert verify_well_defined(48).passed and verify_periodicity(48).passed
+    assert invariant._literal_state_sum.cache_info().currsize == 1211
+    assert merges == [] and int_checks == []
+    with pytest.raises(ValueError, match="q must be an int, not True"):
+        modular.cofactors(5, True)
+    Word(["S"])
+    assert int_checks == [{"p": 5, "q": True}] and merges == [Word]  # the spies see calls
 
 
 def test_state_sum_cache_is_bounded_and_holds_the_largest_sweeps():

@@ -237,6 +237,35 @@ def test_decompose_word_length_logarithmic():
     assert len(word) <= 3 * bits + 5
 
 
+def _gluing_matrices(rng, count):
+    """+-I, -T^n, and gluing matrices (-q, b + kq; p, -a - kp) of L(p, q) with
+    the canonical cofactors (a, b) and the welldefined shifts k = -3..3, for
+    p and q of either sign, up to 64 bits."""
+    yield IDENTITY
+    yield SL2Z(-1, 0, 0, -1)
+    for n in range(-24, 25):
+        yield SL2Z(-1, -n, 0, -1)
+    while count:
+        bound = 2 ** rng.choice((4, 8, 64))
+        p, q = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if math.gcd(p, q) == 1:
+            a, b = cofactors(p, q)
+            k, count = rng.randint(-3, 3), count - 1
+            yield lens_matrix(p, q, a + k * p, b + k * q)
+
+
+def test_decompose_builds_canonical_words():
+    # decompose makes its Word without Word's merge: its tokens must be the
+    # ones the merge would keep, with no T token 0 and no two T tokens adjacent
+    for m in _gluing_matrices(random.Random(37), 2000):
+        word = decompose(m)
+        tokens = word.tokens
+        assert type(word) is Word and Word(tokens) == word, m
+        assert 0 not in tokens, m
+        assert all("S" in pair for pair in zip(tokens, tokens[1:])), m
+        assert word.to_matrix() == m
+
+
 # -- congruence subgroup --------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 import pytest
@@ -312,6 +313,44 @@ def test_suites_report_construction_checks_without_running_them_again(monkeypatc
     assert rep._construction.__wrapped__()[1:] == reports
     assert {"_compile", "_run"} <= set(calls)
     assert all(report.passed for report in reports)
+
+
+def _orbit(j):
+    """The orbit of standard basis vector j under rho(S) and rho(T), as flat
+    columns with Fraction coordinates: 12*rho(S) compiled, divided by 12,
+    and rho(T) compiled, from the standard basis that construction checked."""
+    s, t = rep._standard()
+    start = tuple(rep._flat(rep._unit(j)))
+    seen, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        for image in ([Fraction(x, 12) for x in rep._run(s, v)], rep._run(t[1], v)):
+            if (image := tuple(image)) not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def test_e6_carries_no_irrational_coefficient_into_a_t_step():
+    # every column that a word feeds a standard-basis T step (rho_word and
+    # construction's checks start at basis vectors) is a power of 12 times a
+    # vector of these orbits, and rho has finite image, so they close.  None
+    # holds a zeta^2, zeta^4 or zeta^6 coefficient of e6 (flat coordinates
+    # 25-27), so each of the six corruptions of the standard rho(T) table
+    # that changes the factor 1 there to 2 or -1 acts as the intact table on
+    # every such column: an equivalent mutation, which no check can catch
+    orbits = [_orbit(j) for j in range(DIM)]
+    assert [len(orbit) for orbit in orbits] == [48, 288, 96, 48, 48, 288, 3, 144, 144, 96]
+    assert sum(map(len, orbits)) == 1203
+    fed = set().union(*orbits)
+    assert all(v[25] == v[26] == v[27] == 0 for v in fed)
+    rows, columns = t = rep._standard()[1][1]
+    images = [rep._run(t, v) for v in fed]
+    for i in (25, 26, 27):
+        assert columns[i] == ((i, 1),)
+        for f in (2, -1):
+            corrupt = rows, columns[:i] + (((i, f),),) + columns[i + 1:]
+            assert [rep._run(corrupt, v) for v in fed] == images
 
 
 # -- kernel -----------------------------------------------------------------------------
@@ -736,13 +775,16 @@ def test_no_kernel_step_runs_twice_in_a_suite(monkeypatch, capsys):
 
 def test_first_entry_memo_is_keyed_with_the_factor():
     # w_rho_entry_11 and rho_entry_11 read one column of each word; inside
-    # one memo, in either order, each keeps its own factor
+    # one memo, in either order, each keeps its own factor and gives the
+    # value that a call outside a suite computes
     words = list(_gluing_words(24).values())
+    outside = {word: rep.w_rho_entry_11(word) for word in words}
     for order in ((rep.w_rho_entry_11, rho_entry_11), (rho_entry_11, rep.w_rho_entry_11)):
         with rep._step_memo():
             for word in words:
                 value = {entry: entry(word) for entry in order}
                 assert value[rep.w_rho_entry_11] == GLOBAL_INDEX * value[rho_entry_11], word
+                assert value[rep.w_rho_entry_11] == outside[word], word
 
 
 def test_outside_a_suite_every_s_step_runs(monkeypatch):
