@@ -299,15 +299,17 @@ class TableRow(NamedTuple):
     agrees: bool
 
 
+@_step_memo()
 def sweep_table(p_max):
     """Rows (p, q, state-sum value, agreement with the closed form) for
     all coprime pairs 1 <= p <= p_max, 0 <= q < p, in (p, q) order."""
     check_pmax(p_max)
-    rows, by_residue = [], {}  # state_sum's value of each (p, q) mod 12, in this call
+    rows, by_residue, by_value = [], {}, {}  # this call's values by (p, q) mod 12 and by value
     for p, q in _coprime_pairs(p_max):  # coprime, so no LensSpace checks them again
         state = by_residue.get(residues := (p % 12, q % 12))
         if state is None:
-            state = by_residue[residues] = _literal_state_sum(*_residue_lift(p, q))
+            state = _literal_state_sum(*_residue_lift(p, q))
+            state = by_residue[residues] = by_value.setdefault(state, state)
         rows.append(TableRow(p, q, state, state == _closed_form(p, q)))
     return rows
 
@@ -329,24 +331,27 @@ def table_csv(rows):
     @cache
     def render(value):
         return ",".join([value.to_text(), *map(_format_float, value.approx())])
-    lines = [f"{row.p},{row.q},{render(row.state)},{str(row.agrees).lower()}" for row in rows]
+    lines = [f"{p},{q},{render(state)},{'true' if agrees else 'false'}"
+             for p, q, state, agrees in rows]
     return "\n".join(["p,q,exact,float_re,float_im,agrees", *lines]) + "\n"
 
 
 def table_json(rows):
+    """json.dumps(list of row dicts, indent=1), with each value's keys dumped once."""
     @cache
     def render(value):
-        return (value.to_text(), value.to_json_coeffs(), *map(float, value.approx()))
-    data = [{"p": row.p, "q": row.q, "exact": text, "exact_coeffs": coeffs,
-             "float_re": re, "float_im": im, "agrees": row.agrees}
-            for row in rows for text, coeffs, re, im in [render(row.state)]]
-    return json.dumps(data, indent=1) + "\n"
+        re, im = map(float, value.approx())
+        return json.dumps({"exact": value.to_text(), "exact_coeffs": value.to_json_coeffs(),
+                           "float_re": re, "float_im": im}, indent=1)[2:-2].replace("\n", "\n ")
+    body = ",\n".join(f' {{\n  "p": {p},\n  "q": {q},\n {render(state)},\n  "agrees": '
+                      f'{"true" if agrees else "false"}\n }}' for p, q, state, agrees in rows)
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def table_text(rows):
     @cache
     def render(value):
         return f"{value.surd_str():<28} {format_complex(*value.approx()):<28}"
-    lines = [f"{row.p:>4} {row.q:>4}  {render(row.state)} {'yes' if row.agrees else 'NO'}"
-             for row in rows]
+    lines = [f"{p:>4} {q:>4}  {render(state)} {'yes' if agrees else 'NO'}"
+             for p, q, state, agrees in rows]
     return "\n".join([f"{'p':>4} {'q':>4}  {'value':<28} {'float':<28} agrees", *lines]) + "\n"

@@ -36,9 +36,9 @@ first entry; its leftmost S step runs only the v, u and b rows (the head
 of that step).  verify kernel runs each basis vector.  rho_word and the
 relation and unitarity checks stay on the standard basis: the reference,
 one step per token.  One evaluator, _apply, walks every word through the
-tables of one basis; inside a verification suite, and only there, it runs
-each eigenbasis step once per input column through a bounded memo
-(_step_memo) of the columns met and the step images between them.
+tables of one basis; inside one verification suite or one sweep_table
+call, and only there, it runs each eigenbasis step once per input column
+through a bounded memo (_step_memo) of the columns and step images met.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def _fold(s, t):
                         for step in steps)
 
 
-# The step memo of the running verification suite (None outside one):
+# The step memo of the running suite or sweep_table call (None outside one):
 # (ids, columns, transitions, firsts).  columns holds each flat eigenbasis
 # column met at its int id, which ids gives for it and for each start
 # column; transitions maps (code, id) to the id of a kernel step's image,
@@ -304,8 +304,8 @@ _memo = ContextVar("_memo", default=None)
 @contextmanager
 def _step_memo():
     """Run each eigenbasis step and read each first entry once per input in
-    the block (or the decorated suite), in a fresh memo, cleared before an
-    evaluation once it holds _MEMO_COLUMNS columns."""
+    one verification suite or one sweep_table call, and only there: a fresh
+    memo, cleared before an evaluation once it holds _MEMO_COLUMNS columns."""
     token = _memo.set(({}, [], {}, {}))
     try:
         yield
@@ -333,7 +333,7 @@ def _apply(tokens, column, eigen=False, head=False):
     S, taking the T^k to its right unless that is already applied, and a
     step of its own for a leading T^k.  With head the leftmost S runs the
     head of its S step; the zeros it leaves cost a leading T nothing.
-    Inside a suite (_step_memo) an eigenbasis step already run on the same
+    Under a step memo (_step_memo) an eigenbasis step already run on the same
     column is looked up."""
     memo = _memo.get() if eigen else None
     v = _walk(tokens, column, eigen, head, memo)
@@ -399,10 +399,10 @@ def _first_entry(word, x):
     """x times the first entry of rho(word).  6*12^m rho(word) e0 runs
     on the eigenbasis, only the v, u and b rows in its leftmost S step;
     <e0, .> reads x_v + x_u + x_b, as v, u and b each hold e0 once.  Then
-    one product with x and one division.  Inside a suite (_step_memo) the
-    result is kept by the id of that column, m and the coefficients of x."""
+    one product with x and one division.  Under a step memo (_step_memo)
+    the result is kept by the id of that column, m and the coefficients of x."""
     m, memo = word.s_count(), _memo.get()
-    if memo is None:  # outside a suite: a memo for this call alone
+    if memo is None:  # no step memo: a first-entry memo for this call alone
         key, firsts, v = None, {}, _apply(word.tokens, _SIX_E0, eigen=True, head=True)
     else:
         key = _walk(word.tokens, _SIX_E0, True, True, memo), m, x._c

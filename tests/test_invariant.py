@@ -321,6 +321,13 @@ def test_sweep_table_lifts_each_residue_class_once_per_call(monkeypatch):
     assert sorted(lifts) == sorted([*classes] * 2)
 
 
+def test_sweep_table_rows_share_one_object_per_value():
+    # the 96 residue classes of a call hold 9 values, and equal values are
+    # one object, so a formatter's cache finds each row's value by identity
+    rows = sweep_table(120)
+    assert len({id(row.state) for row in rows}) == len({row.state for row in rows}) == 9
+
+
 def test_corrupt_closed_form_shows_in_its_row_only(monkeypatch):
     # every row reads its own closed form: (97, 5) shares its residues mod 12
     # with (13, 5), (25, 5), ..., (109, 5), and none of them may follow it
@@ -704,6 +711,47 @@ def test_table_formats_deterministic():
     assert table_json(rows) == table_json(rows)
     data = json.loads(table_json(rows))
     assert data[0]["p"] == 1 and data[0]["agrees"] is True
+
+
+def _json_reference(rows):
+    """table_json as json.dumps lays out the whole list of row dicts."""
+    return json.dumps([{"p": row.p, "q": row.q, "exact": row.state.to_text(),
+                        "exact_coeffs": row.state.to_json_coeffs(),
+                        "float_re": float(row.state.approx()[0]),
+                        "float_im": float(row.state.approx()[1]), "agrees": row.agrees}
+                       for row in rows], indent=1) + "\n"
+
+
+_ODD_ROWS = [TableRow(5, 2, Cyclotomic._raw((Fraction(1, 3), -2, 0, Fraction(-5, 7))), True),
+             TableRow(7, 3, Cyclotomic._raw((-4, 0, -1, 3)), False),
+             TableRow(2**70 + 1, 2, -ONE, False), TableRow(1, 0, ZERO, True)]
+
+
+@pytest.mark.parametrize("p_max", [48, None])
+def test_table_json_is_the_dumps_layout(p_max):
+    # byte for byte the layout of json.dumps(indent=1) on the row dicts: on
+    # a sweep, and on Fraction and negative coefficients, a p past 64 bits
+    # and both agrees values
+    rows = sweep_table(p_max) if p_max else _ODD_ROWS
+    assert table_json(rows) == _json_reference(rows)
+
+
+def test_table_json_dumps_each_value_not_the_rows(monkeypatch):
+    # one json.dumps call per distinct value, each on that value's keys;
+    # no call lays out the list of rows
+    rows, calls, real = sweep_table(48), [], json.dumps
+    monkeypatch.setattr(invariant.json, "dumps",
+                        lambda obj, **kw: calls.append(obj) or real(obj, **kw))
+    table_json(rows)
+    assert len(calls) == len({row.state for row in rows}) == 9
+    assert all(sorted(obj) == ["exact", "exact_coeffs", "float_im", "float_re"] for obj in calls)
+
+
+def test_empty_tables():
+    assert table_csv([]) == "p,q,exact,float_re,float_im,agrees\n"
+    assert table_json([]) == json.dumps([], indent=1) + "\n" == "[]\n"
+    header = "   p    q  value                        float                        agrees\n"
+    assert table_text([]) == header
 
 
 def _spy_formatting(monkeypatch):

@@ -773,6 +773,48 @@ def test_no_kernel_step_runs_twice_in_a_suite(monkeypatch, capsys):
     assert all(len(set(runs)) == len(runs) for _, runs in suites)
 
 
+def test_no_kernel_step_runs_twice_in_a_table(monkeypatch, capsys):
+    # one table call lifts its 96 residue classes under one memo, so a
+    # (table, input column) pair reaches the kernel once: 158 steps, where
+    # the 96 words run 442 apart
+    rep._eigenbasis()
+    runs, memos, real = [], set(), rep._run
+
+    def spy(table, v):
+        memos.add(id(rep._memo.get()))
+        runs.append((id(table), tuple(v)))
+        return real(table, v)
+
+    monkeypatch.setattr(rep, "_run", spy)
+    _fresh_state_sums(monkeypatch)
+    assert cli.main(["table", "--pmax", "120", "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert len(memos) == 1 and id(None) not in memos
+    assert len(set(runs)) == len(runs) == 158
+
+
+def test_a_small_memo_cap_keeps_every_table(monkeypatch, capsys):
+    # with a cap of 8 columns the memo is cleared again and again during a
+    # table call, and each format prints the uncapped table byte for byte
+    def tables():
+        for fmt in ("csv", "json", "text"):
+            _fresh_state_sums(monkeypatch)
+            assert cli.main(["table", "--pmax", "48", "--format", fmt]) == 0
+            yield capsys.readouterr().out
+
+    uncapped = list(tables())
+    sizes, real = [], rep._run
+
+    def spy(table, v):
+        sizes.append(len(rep._memo.get()[1]))
+        return real(table, v)
+
+    monkeypatch.setattr(rep, "_MEMO_COLUMNS", 8)
+    monkeypatch.setattr(rep, "_run", spy)
+    assert list(tables()) == uncapped
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the memo was cleared
+
+
 def test_first_entry_memo_is_keyed_with_the_factor():
     # w_rho_entry_11 and rho_entry_11 read one column of each word; inside
     # one memo, in either order, each keeps its own factor and gives the
@@ -811,11 +853,20 @@ def test_outside_a_suite_every_s_step_runs(monkeypatch):
     assert [rho_entry_11(word) for word in words] == values
     assert len(memos) == 2 * steps and memos == [None] * len(memos)
     assert len(t_memos) == 2 * t_steps and t_memos == [None] * len(t_memos)
-    monkeypatch.setattr(invariant, "_literal_state_sum",
-                        lru_cache(maxsize=None)(invariant._literal_state_sum.__wrapped__))
-    invariant.sweep_table(24)
+    # sweep_table runs under a memo of its own: one memo for all the steps
+    # of a call, a new one for each call, and none once the call returns
+    sweeps = []
+    for _ in range(2):
+        del memos[:]
+        _fresh_state_sums(monkeypatch)
+        invariant.sweep_table(24)
+        sweeps.append(memos[:])
+        assert rep._memo.get() is None
+    assert all(calls and None not in calls and len(set(map(id, calls))) == 1 for calls in sweeps)
+    assert sweeps[0][0] is not sweeps[1][0]
+    del memos[:]
     rho_word(words[-1])
-    assert memos == [None] * len(memos) and t_memos == [None] * len(t_memos)
+    assert memos and memos == [None] * len(memos)
     del memos[:]
     with rep._step_memo():
         assert [rho_entry_11(word) for word in words] == values
