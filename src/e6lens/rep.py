@@ -38,7 +38,8 @@ relation and unitarity checks stay on the standard basis: the reference,
 one step per token.  One evaluator, _apply, walks every word through the
 tables of one basis; inside one verification suite or one sweep_table
 call, and only there, it runs each eigenbasis step once per input column
-through a bounded memo (_step_memo) of the columns and step images met.
+through a memo (_step_memo) of the columns and step images met, which the
+call's p_max bounds.
 """
 
 from __future__ import annotations
@@ -297,7 +298,6 @@ def _fold(s, t):
 # column; transitions maps (code, id) to the id of a kernel step's image,
 # code k < 12 the S step of T^k, 12 + k its head and 24 + k a leading T^k;
 # firsts maps (id, m, x._c) to what _first_entry reads there.
-_MEMO_COLUMNS = 512
 _memo = ContextVar("_memo", default=None)
 
 
@@ -305,7 +305,8 @@ _memo = ContextVar("_memo", default=None)
 def _step_memo():
     """Run each eigenbasis step and read each first entry once per input in
     one verification suite or one sweep_table call, and only there: a fresh
-    memo, cleared before an evaluation once it holds _MEMO_COLUMNS columns."""
+    memo that closes with the call, so the call's p_max bounds it (over
+    every p_max accepted the largest holds 273 columns; kernel's 108)."""
     token = _memo.set(({}, [], {}, {}))
     try:
         yield
@@ -351,9 +352,6 @@ def _walk(tokens, column, eigen, head, memo):
     if memo is None:
         v = _flat(column)
     else:
-        if len(memo[1]) >= _MEMO_COLUMNS:
-            for part in memo:
-                part.clear()
         ids, columns, transitions = memo[:3]
         if column not in ids:
             ids[column] = _intern(memo, _flat(column))
@@ -438,7 +436,7 @@ def verify_kernel_generators():
     """Report that rho kills Gamma(12).  G = <S, T | SL(2,Z) relators, T^12, P6>
     maps onto SL(2,Z/12), of order 1152, as the four are I mod 12; 96 cosets of
     <T> bound |G| by 96 * 12, so G is SL(2,Z/12) and rho need only kill the four."""
-    words = (*SL2Z_RELATORS, *(gen.word for gen in gamma12_generators()))
+    words = (*SL2Z_RELATORS, *gamma12_generators())
     cosets = coset_count(words) or f"not closed within {MAX_COSETS}"
     checks = [Check(f"96 cosets of <T> in <S, T | {', '.join(map(Word.compact, words))}>",
                     None if cosets == 96 else f"{cosets} cosets")]

@@ -2,7 +2,8 @@
 
 # The 19 normal generators of Gamma(12) that the GAP package Congruence
 # computes, each with its matrix and S/T word: a cross-check, run by no suite.
-# The library keeps P1+ and P6, and verify kernel proves that those two suffice.
+# gamma12_generators() returns the words of P1+ and P6, and verify kernel proves
+# that those two suffice.
 GAP_GAMMA12 = (
     ("P1+", (1, 12, 0, 1), "T12"),
     ("P1-", (1, -12, 0, 1), "T-12"),

@@ -10,6 +10,7 @@ import pytest
 
 from e6lens import cli, invariant, rep
 from e6lens.cyclotomic import ONE
+from e6lens.modular import Word
 from e6lens.report import Check, Report
 
 
@@ -266,6 +267,25 @@ def test_verify_reports_a_failed_self_check(capsys, monkeypatch):
     first, last = out.splitlines()
     assert first.startswith("FAIL  kernel: ") and "self-check of w*rho(S) failed" in first
     assert last == "kernel: 0/1 checks passed"
+
+
+def test_verify_reports_a_mistyped_generator(capsys, monkeypatch):
+    # P6 with its last T1 typed as T2 is not I mod 12, and with it <T> has
+    # one coset: verify kernel reports both, and no suite raises
+    p6 = Word.parse("T10ST4ST3ST-3ST2S")
+    monkeypatch.setattr(rep, "gamma12_generators", lambda: (Word([12]), p6))
+    code, out = run_cli(capsys, "verify", "kernel")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("FAIL  kernel: 96 cosets of <T> in <S, T | ST1ST1ST1SS, SSSS, T12, "
+                        "T10ST4ST3ST-3ST2S>  [1 cosets]")
+    assert lines[4] == ("FAIL  kernel: T10ST4ST3ST-3ST2S = I mod 12 and rho(T10ST4ST3ST-3ST2S) "
+                        f"= I  [{p6.to_matrix()} is not I mod 12]")
+    assert lines[-1] == "kernel: 3/5 checks passed"
+    code, out = run_cli(capsys, "verify", "all", "--format", "json")
+    assert code == 1
+    failed = [check["check_name"] for check in json.loads(out) if not check["pass"]]
+    assert failed == [line[6:line.index("  [")] for line in lines if line.startswith("FAIL")]
 
 
 def test_compute_and_table_report_a_failed_self_check(capsys, monkeypatch):

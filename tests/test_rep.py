@@ -16,8 +16,8 @@ from e6lens.cyclotomic import (GLOBAL_INDEX, IMAG, ONE, SQRT3, ZERO, Cyclotomic,
                                zeta_pow)
 from e6lens.invariant import (MAX_PMAX, LensSpace, closed_form, verify_closed_form,
                               verify_periodicity, verify_well_defined)
-from e6lens.modular import (IDENTITY, SL2Z, GammaGenerator, T, Word, cofactors, decompose,
-                            gamma12_generators, lens_matrix)
+from e6lens.modular import (IDENTITY, SL2Z, Word, cofactors, decompose, gamma12_generators,
+                            lens_matrix)
 from e6lens.rep import (
     DIM,
     CycloMatrix,
@@ -367,7 +367,7 @@ def test_kernel_failure_names_word_and_entry(monkeypatch, mod_12, witness):
     # a fake generator T, which is not I mod 12; with the mod-12 test made to
     # pass, rho(T) fails it instead, with -zeta^2 at (2,2).  T kills <T>, so
     # <T> has one coset
-    monkeypatch.setattr(rep, "gamma12_generators", lambda: (GammaGenerator("fake", T, Word([1])),))
+    monkeypatch.setattr(rep, "gamma12_generators", lambda: (Word([1]),))
     if mod_12:
         monkeypatch.setattr(rep, "in_gamma12", lambda m: True)
     report = verify_kernel_generators()
@@ -434,8 +434,7 @@ def test_values_are_frozen_and_compare_by_content():
     same = CycloMatrix([[ONE, ZERO], [ZERO, ONE]])
     assert matrix == same and hash(matrix) == hash(same)
     space, sl2z = LensSpace(5, 1), SL2Z(1, 1, 0, 1)
-    values = [word, matrix, space, sl2z, Check("x", "why"), Report("r", (Check("x"),)),
-              GammaGenerator("P1+", SL2Z(1, 12, 0, 1), Word([12]))]
+    values = [word, matrix, space, sl2z, Check("x", "why"), Report("r", (Check("x"),))]
     for value in values:
         twin = type(value)(*copy.deepcopy(tuple(value)))
         assert twin == value and hash(twin) == hash(value)
@@ -697,57 +696,32 @@ _SUITES = (verify_kernel_generators, verify_well_defined, verify_periodicity, ve
 
 
 def test_step_memo_is_bounded_and_scoped_to_one_suite(monkeypatch):
-    # each suite that evaluates words gets a fresh memo, and none outlives
-    # it.  With the cap at 4, an evaluation starts with fewer than 4 columns
-    # and adds its start column and one per kernel step, so the memo is
-    # cleared again and again and holds no more than that
-    cap, steps, real_walk = 4, [], rep._walk
+    # each suite that evaluates words gets a fresh memo, and none outlives it
     seen = _memos_seen(monkeypatch)
-    spy = rep._run
-
-    def walk(*args):
-        steps.append(0)  # kernel steps of this evaluation so far
-        return real_walk(*args)
-
-    def run(table, v):
-        steps[-1] += 1
-        assert len(rep._memo.get()[1]) <= cap + steps[-1] - 1
-        return spy(table, v)
-
-    monkeypatch.setattr(rep, "_MEMO_COLUMNS", cap)
-    monkeypatch.setattr(rep, "_walk", walk)
-    monkeypatch.setattr(rep, "_run", run)
     for suite in _SUITES:
         _fresh_state_sums(monkeypatch)
         assert suite().passed
     memos = [memo for memo, _ in seen]
     assert len(memos) == 4 and None not in memos
     assert len(set(map(id, memos))) == 4  # each alive in this list, so each a new one
-    assert max(steps) > cap  # one evaluation alone passes the cap
     # a step is keyed with a table code and the id of a column
     assert all(0 <= code < 36 and 0 <= c < len(memo[1]) for memo in memos for code, c in memo[2])
     assert rep._memo.get() is None
 
 
-def test_memo_cap_holds_every_suite_and_a_small_cap_keeps_every_report(monkeypatch):
-    # at MAX_PMAX no suite fills its memo, so none clears it; periodicity
-    # and closedform hold the most columns.  Clearing costs only work: with a
-    # cap of 8, each report is the uncapped one
+def test_step_memo_holds_at_most_300_columns_at_max_pmax(monkeypatch):
+    # a memo lives for one call, and the sweeps take p_max <= MAX_PMAX, so
+    # that bounds it: at MAX_PMAX, from a cold state-sum cache, each suite's
+    # memo and the table's hold at most 300 columns (periodicity and
+    # closedform hold the most).  A memo outlives its call in seen
     seen = _memos_seen(monkeypatch)
     for suite in _SUITES:
         _fresh_state_sums(monkeypatch)
         assert (suite() if suite is verify_kernel_generators else suite(MAX_PMAX)).passed
-    sizes = [size for _, size in seen]
-    assert len(sizes) == 4 and max(sizes) < rep._MEMO_COLUMNS <= 3 * max(sizes)
-
-    def reports():
-        for suite in _SUITES[:3]:
-            _fresh_state_sums(monkeypatch)
-            yield suite() if suite is verify_kernel_generators else suite(48)
-
-    uncapped = list(reports())
-    monkeypatch.setattr(rep, "_MEMO_COLUMNS", 8)
-    assert list(reports()) == uncapped
+    _fresh_state_sums(monkeypatch)
+    invariant.sweep_table(MAX_PMAX)
+    sizes = [len(memo[1]) for memo, _ in seen]
+    assert len(sizes) == 5 and 0 < min(sizes) and max(sizes) <= 300
 
 
 def test_no_kernel_step_runs_twice_in_a_suite(monkeypatch, capsys):
@@ -791,28 +765,6 @@ def test_no_kernel_step_runs_twice_in_a_table(monkeypatch, capsys):
     capsys.readouterr()
     assert len(memos) == 1 and id(None) not in memos
     assert len(set(runs)) == len(runs) == 158
-
-
-def test_a_small_memo_cap_keeps_every_table(monkeypatch, capsys):
-    # with a cap of 8 columns the memo is cleared again and again during a
-    # table call, and each format prints the uncapped table byte for byte
-    def tables():
-        for fmt in ("csv", "json", "text"):
-            _fresh_state_sums(monkeypatch)
-            assert cli.main(["table", "--pmax", "48", "--format", fmt]) == 0
-            yield capsys.readouterr().out
-
-    uncapped = list(tables())
-    sizes, real = [], rep._run
-
-    def spy(table, v):
-        sizes.append(len(rep._memo.get()[1]))
-        return real(table, v)
-
-    monkeypatch.setattr(rep, "_MEMO_COLUMNS", 8)
-    monkeypatch.setattr(rep, "_run", spy)
-    assert list(tables()) == uncapped
-    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the memo was cleared
 
 
 def test_first_entry_memo_is_keyed_with_the_factor():
@@ -903,7 +855,7 @@ def test_corrupt_memo_step_fails_exactly_the_words_that_cross_it():
     assert len(ends) == 18 and (2, 1) not in ends  # L(2,1) is the word S T2 S itself
     with rep._step_memo():
         memo = rep._memo.get()
-        ids, columns, transitions, _ = memo
+        ids, _, transitions, _ = memo
         after_s = ids[tuple(rep._apply(("S",), rep._SIX_E0, True))]
         column = rep._apply(("S", 2, "S"), rep._SIX_E0, True)
         assert transitions[2, after_s] == ids[tuple(column)]
@@ -911,7 +863,6 @@ def test_corrupt_memo_step_fails_exactly_the_words_that_cross_it():
         transitions[2, after_s] = rep._intern(memo, column)
         wrong = {(p, q) for p, q in words
                  if invariant._literal_state_sum.__wrapped__(p, q) != closed_form(LensSpace(p, q))}
-        assert len(columns) < rep._MEMO_COLUMNS  # nothing was cleared
     assert wrong == ends
 
 
